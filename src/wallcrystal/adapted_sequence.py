@@ -3,7 +3,6 @@ and the shift tables P_ell(t) used by the wall-to-form assignment."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from wallcrystal.affine_data import (
@@ -118,16 +117,12 @@ class AdaptedSequence:
     # --- shift tables ------------------------------------------------
 
     _tables: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, compare=False, hash=False, repr=False
-    )
 
     def shift_table(self, ell) -> "ShiftTable":
         ell = HalfInt.of(ell)
-        with self._lock:
-            if ell not in self._tables:
-                self._tables[ell] = ShiftTable(self, ell)
-            return self._tables[ell]
+        if ell not in self._tables:
+            self._tables[ell] = ShiftTable(self, ell)
+        return self._tables[ell]
 
 
 class ShiftTable:
@@ -141,15 +136,13 @@ class ShiftTable:
         self.X = X
         self.ell = ell
         self._values = {ell: 0}
-        self._lock = threading.RLock()
 
     def __call__(self, t) -> int:
         t = HalfInt.of(t)
         X = self.X
         if not in_domain(X, t):
             raise DomainError(f"{t} not in the domain for {X}")
-        with self._lock:
-            return self._get(t)
+        return self._get(t)
 
     def _get(self, t: HalfInt) -> int:
         if t in self._values:

@@ -370,6 +370,8 @@ def thresholds(X: AffineType, k: int):
     if X.family is Family.A1:
         t = None if index_class(X, k) != 1 else k
         return (t, HalfInt.of(k), HalfInt.of(k + X.n))
+    if not 1 <= k <= X.n:  # no domain point maps to k: the scan never ends
+        raise ValueError(f"index {k} outside 1..{X.n}")
     hits = []
     tw = 2
     while len(hits) < 2:

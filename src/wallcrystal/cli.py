@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from wallcrystal.affine_data import parse_type
 from wallcrystal.adapted_sequence import from_permutation
@@ -36,21 +34,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("WALLCRYSTAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"WALLCRYSTAL_THREADS={raw!r} is not an integer")
-
-
-def _pmap(fn, items):
-    items = list(items)
-    cap = min(thread_cap(), len(items)) or 1
-    if cap == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+def _at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _int_list(text):
@@ -70,6 +62,11 @@ def _sequence(args):
         return from_permutation(g, order)
     except Exception as e:
         raise UsageError(str(e))
+
+
+def _colour(seq, k):
+    if k not in seq.base_type.index_set:
+        raise UsageError(f"colour {k} outside the index set")
 
 
 def _weight(seq, text):
@@ -97,6 +94,8 @@ def _emit_ineqs(ineqs, args, out):
 
 def _cmd_ineq(args, out):
     seq = _sequence(args)
+    if args.k is not None:
+        _colour(seq, args.k)
     if args.mode == "binf":
         ineqs = comb_infinity(seq, (args.s, args.blocks), k=args.k,
                               support_max=args.support_max)
@@ -111,8 +110,7 @@ def _cmd_ineq(args, out):
 
 def _cmd_epsstar(args, out):
     seq = _sequence(args)
-    if args.k not in seq.base_type.index_set:
-        raise UsageError(f"colour {args.k} outside the index set")
+    _colour(seq, args.k)
     try:
         a = parse_element(seq, args.elem)
     except ValueError as e:
@@ -130,9 +128,8 @@ def _cmd_walls(args, out):
         out.write(render(w) + "\n")
         return 0
     seq = _sequence(args)
+    _colour(seq, args.k)
     X = seq.wall_type
-    if args.k not in X.index_set:
-        raise UsageError(f"colour {args.k} outside the index set")
     for lit in sorted(wall_literal(w) for w in enumerate_walls(X, args.k, args.blocks)):
         out.write(lit + "\n")
     return 0
@@ -143,19 +140,16 @@ def _verify_closure(args, seq, out):
     horizon = args.periods * n
     cutoff = horizon - 2 * n
     failures = []
-
-    def check(k):
+    for k in seq.base_type.index_set:
         certs = set()
         for s in range(1, args.s_max + 1):
             cert, _ = closure(seq, [x(s, k)], horizon, margin=2)
             certs |= {f for f in cert if support_bound(seq, f) <= cutoff}
         windowed = set(comb_infinity(seq, (args.s_max, 2), k=k,
                                      support_max=cutoff).forms)
-        return (k, windowed == certs, len(certs), len(windowed))
-
-    for k, ok, a, b in _pmap(check, seq.base_type.index_set):
+        ok = windowed == certs
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "
-                  f"cert={a} walls={b}\n")
+                  f"cert={len(certs)} walls={len(windowed)}\n")
         if not ok:
             failures.append(k)
     return failures
@@ -214,8 +208,16 @@ def _verify_crystal(args, seq, out):
     return bad
 
 
+# the closure certificates keep a margin of two periods (one for positivity)
+# and need one period more than that
+_LEAST_PERIODS = {"closure": 3, "positivity": 2}
+
+
 def _cmd_verify(args, out):
     seq = _sequence(args)
+    least = _LEAST_PERIODS.get(args.mode, 1)
+    if args.periods < least:
+        raise UsageError(f"verify {args.mode} needs --periods of at least {least}")
     if args.mode == "closure":
         failures = _verify_closure(args, seq, out)
         return 2 if failures else 0
@@ -244,8 +246,8 @@ def build_parser():
     p.add_argument("mode", choices=["binf", "blam"])
     common(p)
     p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--blocks", type=int, default=4)
+    p.add_argument("--s", type=_at_least(1), default=1)
+    p.add_argument("--blocks", type=_at_least(0), default=4)
     p.add_argument("--support-max", type=int, dest="support_max")
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -264,18 +266,18 @@ def build_parser():
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--order")
     p.add_argument("--k", type=int)
-    p.add_argument("--blocks", type=int, default=4)
+    p.add_argument("--blocks", type=_at_least(0), default=4)
     p.add_argument("--wall")
     p.set_defaults(run=_cmd_walls)
 
     p = sub.add_parser("verify")
     p.add_argument("mode", choices=["closure", "crystal", "props", "positivity"])
     common(p)
-    p.add_argument("--s-max", type=int, default=2, dest="s_max")
+    p.add_argument("--s-max", type=_at_least(1), default=2, dest="s_max")
     p.add_argument("--periods", type=int, default=6)
-    p.add_argument("--blocks", type=int, default=5)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--blocks", type=_at_least(0), default=5)
+    p.add_argument("--depth", type=_at_least(0), default=6)
+    p.add_argument("--samples", type=_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", default=None)
     p.set_defaults(run=_cmd_verify)

@@ -15,7 +15,7 @@ from wallcrystal.affine_data import (
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form, x
 from wallcrystal.walls import (
-    Site, Wall, WallPair, enumerate_walls, ground_state, sites, wall_literal,
+    Site, apply, enumerate_walls, ground_state, sites, wall_literal,
 )
 
 
@@ -46,7 +46,14 @@ class SiteForm:
 
 
 def _site_offset(seq: AdaptedSequence, k: int, site: Site) -> int:
+    """The shift-independent part of the site's coordinate index."""
     X = seq.wall_type
+    if X.family is Family.A1 or index_class(X, k) == 1:
+        wanted = ("wall",)
+    else:
+        wanted = ("supporting", "covering", "pair")
+    if site.host not in wanted:
+        raise HostMismatch(f"host {site.host!r} for colour {k} of {X}")
     if site.grade == "pair":
         off = site.column
     elif X.family is Family.A1:
@@ -64,34 +71,42 @@ def _site_offset(seq: AdaptedSequence, k: int, site: Site) -> int:
     return off
 
 
+def _direction(site: Site) -> int:
+    return 1 if site.action == "add" else -1
+
+
+def _weight(site: Site) -> int:
+    return 2 if site.grade == "double" else 1
+
+
 def site_form(seq: AdaptedSequence, s: int, k: int, site: Site) -> SiteForm:
-    X = seq.wall_type
-    if X.family is Family.A1 or index_class(X, k) == 1:
-        wanted = ("wall",)
-    else:
-        wanted = ("supporting", "covering", "pair")
-    if site.host not in wanted:
-        raise HostMismatch(f"host {site.host!r} for colour {k} of {X}")
-    off = _site_offset(seq, k, site)
     return SiteForm(
         site=site,
-        coordinate=DoubleIndex(s + off, site.color),
-        direction=1 if site.action == "add" else -1,
-        weight=2 if site.grade == "double" else 1,
+        coordinate=DoubleIndex(s + _site_offset(seq, k, site), site.color),
+        direction=_direction(site),
+        weight=_weight(site),
     )
+
+
+def _wall_terms(seq, k, w, offset=_site_offset):
+    """(offset, colour, signed weight) per site of w; shared across shifts s."""
+    return [(offset(seq, k, st), st.color, _direction(st) * _weight(st))
+            for st in sites(w)]
+
+
+def _form_at(terms, s) -> LinearForm:
+    acc = {}
+    for off, t, c in terms:
+        if s + off >= 1:
+            d = DoubleIndex(s + off, t)
+            acc[d] = acc.get(d, 0) + c
+    return LinearForm(0, acc)
 
 
 def wall_form(seq: AdaptedSequence, s: int, k: int, w) -> LinearForm:
     """L_{s,k}(w): signed weighted sum over admissible slots and removable
     blocks; coordinates with index below 1 vanish."""
-    acc = {}
-    for st in sites(w):
-        sf = site_form(seq, s, k, st)
-        m, t = sf.coordinate.s, sf.coordinate.k
-        if m >= 1:
-            d = DoubleIndex(m, t)
-            acc[d] = acc.get(d, 0) + sf.direction * sf.weight
-    return LinearForm(0, acc)
+    return _form_at(_wall_terms(seq, k, w), s)
 
 
 class IneqSet:
@@ -148,33 +163,6 @@ def _meta(seq, **extra):
     return meta
 
 
-_OFFSET_CACHE = {}
-
-
-def _offset_profile(seq, k, w):
-    """(offset, colour, signed weight) per site; shared across shifts s."""
-    cache = _OFFSET_CACHE.setdefault(
-        (seq.base_type, tuple(seq.period_perm), k), {})
-    out = []
-    for st in sites(w):
-        key = (st.grade, st.action, st.host, st.column, st.level, st.arg)
-        off = cache.get(key)
-        if off is None:
-            off = cache[key] = _site_offset(seq, k, st)
-        c = (1 if st.action == "add" else -1) * (2 if st.grade == "double" else 1)
-        out.append((off, st.color, c))
-    return out
-
-
-def _form_at(profile, s):
-    acc = {}
-    for off, t, c in profile:
-        if s + off >= 1:
-            d = DoubleIndex(s + off, t)
-            acc[d] = acc.get(d, 0) + c
-    return LinearForm(0, acc)
-
-
 def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
     """{L_{s,k}(Y)} over 1 <= s <= s_max and walls within the block budget.
 
@@ -186,14 +174,22 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     if s_max < 1 or block_max < 0:
         raise ValueError(window)
     colours = [k] if k is not None else list(seq.base_type.index_set)
+    offsets = {}  # (colour, site) -> offset, shared by every budget below
+
+    def offset(seq, colour, site):
+        key = (colour, site)
+        off = offsets.get(key)
+        if off is None:
+            off = offsets[key] = _site_offset(seq, colour, site)
+        return off
 
     def generate(budget):
         forms, prov = {}, {}
         for kk in colours:
             for w in enumerate_walls(seq.wall_type, kk, budget):
-                profile = _offset_profile(seq, kk, w)
+                terms = _wall_terms(seq, kk, w, offset)
                 for s in range(1, s_max + 1):
-                    phi = _form_at(profile, s)
+                    phi = _form_at(terms, s)
                     if phi not in forms:
                         forms[phi] = True
                         prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
@@ -376,8 +372,7 @@ def _wall_family(seq, s, j, hk, budget, exclude_first=False):
         lowest = min(st.level for st in first)
         first = [st for st in first if st.level == lowest]
         assert len(first) == 1
-        from wallcrystal.walls import apply as _apply
-        skip.add(_apply(g, first[0]))
+        skip.add(apply(g, first[0]))
     forms, prov = [], {}
     for w in enumerate_walls(X, j, budget):
         if w in skip:

@@ -333,352 +333,170 @@ def is_proper(w) -> bool:
     return len(hs) == len(set(hs))
 
 
-def _try(w: Wall, i: int, st):
-    """Mutated wall, or None when invalid or improper."""
-    try:
-        out = w.with_state(i, st)
-    except ValueError:
-        return None
-    return out if is_proper(out) else None
+def _local_view(w: Wall):
+    """(state, fits) for the columns of w: state(i) is the state of
+    column i, and fits(i, st) tells whether column i may take state st,
+    judged from its two neighbours and the heights of the other full
+    columns only (no wall is built)."""
+    X, k, ground, states = w.wall_type, w.k, w.ground, w.states
+    a1 = X.family is Family.A1
+    base = w.base_state
+    heights = set() if a1 else {m for m, top in states if top == NONE and m >= 1}
+
+    def stat(i):
+        return states[i] if i < len(states) else base
+
+    def fits(i, st):
+        m, top = st
+        if m == 0 and top == NONE and not a1:
+            return False
+        if (m, top) == (0, BACK) and ground == LEVEL1 and \
+                column_pattern(X, k, ground, i, 1)[0].kind == "split":
+            return False
+        if i > 0 and not _covers(stat(i - 1), st, a1):
+            return False
+        if not _covers(st, stat(i + 1), a1):
+            return False
+        if top == NONE and m >= 1 and m in heights:
+            old = stat(i)
+            return old[1] == NONE and old[0] == m
+        return True
+
+    return stat, fits
 
 
-def _wall_transitions(w: Wall, host: str):
-    """(site, mutated wall) for every single/double site of one wall."""
-    X, k, ground = w.wall_type, w.k, w.ground
+def _wall_moves(w: Wall, host: str):
+    """(site, new state of the site's column) for every single/double site
+    of one wall."""
+    X, k, ground, states = w.wall_type, w.k, w.ground, w.states
+    stat, fits = _local_view(w)
     out = []
+
+    def offer(i, st, action, grade, cell, idx=0):
+        """Record the move if its new state fits; report whether it did."""
+        if not fits(i, st):
+            return False
+        out.append((Site(action, grade, cell.colors[idx], i, cell.level,
+                         cell.args[idx], host), st))
+        return True
+
     if X.family is Family.A1:
-        ncols = len(w.states) + 1
-        for i in range(ncols):
-            c = w.state(i)[0]
+        for i in range(len(states) + 1):
+            c = stat(i)[0]
             lvl = HalfInt.of(k - i + c)
-            color = periodic_map(X, lvl)
-            nxt = _try(w, i, (c + 1, NONE))
-            if nxt is not None:
-                out.append((Site("add", "single", color, i, lvl, lvl - i, host), nxt))
-            if c >= 1:
-                lvl = HalfInt.of(k - i + c - 1)
-                prv = _try(w, i, (c - 1, NONE))
-                if prv is not None:
-                    out.append(
-                        (Site("remove", "single", periodic_map(X, lvl), i, lvl,
-                              lvl - i, host), prv)
-                    )
+            if fits(i, (c + 1, NONE)):
+                out.append((Site("add", "single", periodic_map(X, lvl), i, lvl,
+                                 lvl - i, host), (c + 1, NONE)))
+            lvl = HalfInt.of(k - i + c - 1)
+            if c >= 1 and fits(i, (c - 1, NONE)):
+                out.append((Site("remove", "single", periodic_map(X, lvl), i,
+                                 lvl, lvl - i, host), (c - 1, NONE)))
         return out
     truncated = ground in (SUPPORTING, COVERING)
-    for i in range(len(w.states) + 1):
-        m, top = w.state(i)
+    for i in range(len(states) + 1):
+        m, top = stat(i)
         cells = column_pattern(X, k, ground, i, m + 2)
         # --- additions -------------------------------------------------
         if top == NONE:
             cell = cells[m]
             if cell.kind == "full":
-                nxt = _try(w, i, (m + 1, NONE))
-                if nxt is not None:
-                    out.append(
-                        (Site("add", "single", cell.colors[0], i, cell.level,
-                              cell.args[0], host), nxt)
-                    )
+                offer(i, (m + 1, NONE), "add", "single", cell)
             elif cell.kind == "split":
-                for code, idx in ((BACK, 0), (FRONT, 1)):
-                    nxt = _try(w, i, (m, code))
-                    if nxt is not None:
-                        out.append(
-                            (Site("add", "single", cell.colors[idx], i, cell.level,
-                                  cell.args[idx], host), nxt)
-                        )
-            else:  # empty doubled cell: double slot takes precedence
-                both = _try(w, i, (m + 1, NONE))
-                if both is not None:
-                    out.append(
-                        (Site("add", "double", cell.colors[0], i, cell.level,
-                              cell.args[0], host), both)
-                    )
-                else:
-                    low = _try(w, i, (m, LOWER))
-                    if low is not None:
-                        out.append(
-                            (Site("add", "single", cell.colors[0], i, cell.level,
-                                  cell.args[0], host), low)
-                        )
+                offer(i, (m, BACK), "add", "single", cell, 0)
+                offer(i, (m, FRONT), "add", "single", cell, 1)
+            # empty doubled cell: the double slot takes precedence
+            elif not offer(i, (m + 1, NONE), "add", "double", cell):
+                offer(i, (m, LOWER), "add", "single", cell)
         elif top == LOWER:
-            if not (truncated and m == 0):
-                cell = cells[m]
-                nxt = _try(w, i, (m + 1, NONE))
-                if nxt is not None:
-                    out.append(
-                        (Site("add", "single", cell.colors[0], i, cell.level,
-                              cell.args[0], host), nxt)
-                    )
+            if not (truncated and m == 0):  # base k-blocks belong to the pair
+                offer(i, (m + 1, NONE), "add", "single", cells[m])
         else:  # FRONT or BACK present: the missing half-thickness atom
-            cell = cells[m]
-            idx = 1 if top == BACK else 0
-            nxt = _try(w, i, (m + 1, NONE))
-            if nxt is not None:
-                out.append(
-                    (Site("add", "single", cell.colors[idx], i, cell.level,
-                          cell.args[idx], host), nxt)
-                )
+            offer(i, (m + 1, NONE), "add", "single", cells[m],
+                  1 if top == BACK else 0)
         # --- removals --------------------------------------------------
-        if i >= len(w.states):
-            continue
-        if top == NONE and m >= 1:
-            cell = cells[m - 1]
-            if cell.kind == "full":
-                prv = _try(w, i, (m - 1, NONE))
-                if prv is not None:
-                    out.append(
-                        (Site("remove", "single", cell.colors[0], i, cell.level,
-                              cell.args[0], host), prv)
-                    )
-            elif cell.kind == "split":
-                pairs = [(FRONT, 0), (BACK, 1)]  # leave front => removed back
-                for leave, idx in pairs:
-                    if m - 1 == 0 and ground == LEVEL1 and leave == BACK:
-                        continue  # would remove the ground front atom
-                    prv = _try(w, i, (m - 1, leave))
-                    if prv is not None:
-                        out.append(
-                            (Site("remove", "single", cell.colors[idx], i,
-                                  cell.level, cell.args[idx], host), prv)
-                        )
-            else:  # complete doubled cell on top
-                ground_lower = m - 1 == 0 and (truncated or ground == LEVEL1)
-                if truncated and m - 1 == 0:
-                    continue  # the base k-blocks belong to the pair
-                both = None if ground_lower else _try(w, i, (m - 1, NONE))
-                if both is not None:
-                    out.append(
-                        (Site("remove", "double", cell.colors[0], i, cell.level,
-                              cell.args[0], host), both)
-                    )
-                else:
-                    up = _try(w, i, (m - 1, LOWER))
-                    if up is not None:
-                        out.append(
-                            (Site("remove", "single", cell.colors[0], i,
-                                  cell.level, cell.args[0], host), up)
-                        )
-        elif top == LOWER:
-            if not ((truncated or ground == LEVEL1) and m == 0):
-                cell = cells[m]
-                prv = _try(w, i, (m, NONE))
-                if prv is not None:
-                    out.append(
-                        (Site("remove", "single", cell.colors[0], i, cell.level,
-                              cell.args[0], host), prv)
-                    )
-        elif top in (FRONT, BACK):
-            if not (m == 0 and ground == LEVEL1 and top == FRONT):
-                cell = cells[m]
-                idx = 0 if top == BACK else 1
-                prv = _try(w, i, (m, NONE))
-                if prv is not None:
-                    out.append(
-                        (Site("remove", "single", cell.colors[idx], i, cell.level,
-                              cell.args[idx], host), prv)
-                    )
-    return out
-
-
-def _pair_transitions(p: WallPair):
-    X, k = p.wall_type, p.k
-    tbar = thresholds(X, k)[1]
-    out = []
-    top = max(len(p.supporting.states), len(p.covering.states)) + 1
-    for i in range(top):
-        ss, cs = p.supporting.state(i), p.covering.state(i)
-        if ss == (0, LOWER) and cs == (0, LOWER):
-            s2 = _try(p.supporting, i, (1, NONE))
-            c2 = _try(p.covering, i, (1, NONE))
-            if s2 is not None and c2 is not None:
-                out.append(
-                    (Site("add", "pair", k, i, tbar, tbar, "pair"),
-                     WallPair(s2, c2))
-                )
-        if ss == (1, NONE) and cs == (1, NONE):
-            s2 = _try(p.supporting, i, (0, LOWER))
-            c2 = _try(p.covering, i, (0, LOWER))
-            if s2 is not None and c2 is not None:
-                out.append(
-                    (Site("remove", "pair", k, i, tbar, tbar, "pair"),
-                     WallPair(s2, c2))
-                )
-    return out
-
-
-def transitions(w):
-    """All (site, mutated wall) moves from w."""
-    if not is_proper(w):
-        raise NotProper(w)
-    if isinstance(w, WallPair):
-        out = []
-        for site, sup in _wall_transitions(w.supporting, "supporting"):
-            out.append((site, WallPair(sup, w.covering)))
-        for site, cov in _wall_transitions(w.covering, "covering"):
-            out.append((site, WallPair(w.supporting, cov)))
-        out.extend(_pair_transitions(w))
-        return out
-    return _wall_transitions(w, "wall")
-
-
-def _fast_wall_sites(w: Wall, host: str):
-    """sites of one wall via local neighbour checks only (no wall copies)."""
-    X, k, ground = w.wall_type, w.k, w.ground
-    a1 = X.family is Family.A1
-    states = w.states
-    base = w.base_state
-    ncols = len(states) + 1
-
-    def stat(i):
-        return states[i] if i < len(states) else base
-
-    if a1:
-        out = []
-        for i in range(ncols):
-            c = stat(i)[0]
-            if i == 0 or c + 1 <= stat(i - 1)[0]:
-                lvl = HalfInt.of(k - i + c)
-                out.append(Site("add", "single", periodic_map(X, lvl), i, lvl,
-                                lvl - i, host))
-            if c >= 1 and c - 1 >= stat(i + 1)[0]:
-                lvl = HalfInt.of(k - i + c - 1)
-                out.append(Site("remove", "single", periodic_map(X, lvl), i,
-                                lvl, lvl - i, host))
-        return out
-
-    heights = set()
-    for (m, top) in states:
-        if top == NONE and m >= 1:
-            heights.add(m)
-    truncated = ground in (SUPPORTING, COVERING)
-
-    def ok(i, st):
-        m, top = st
-        if m == 0 and top == NONE:
-            return False
-        if (m, top) == (0, BACK) and ground == LEVEL1 and \
-                column_pattern(X, k, ground, i, 1)[0].kind == "split":
-            return False
-        if i > 0 and not _covers(stat(i - 1), st, False):
-            return False
-        if not _covers(st, stat(i + 1), False):
-            return False
-        if top == NONE and m >= 1:
-            old = stat(i)
-            own = old[0] if old[1] == NONE and old[0] >= 1 else None
-            if m in heights and m != own:
-                return False
-        return True
-
-    out = []
-    for i in range(ncols):
-        m, top = stat(i)
-        cells = column_pattern(X, k, ground, i, m + 2)
-        if top == NONE:
-            cell = cells[m]
-            if cell.kind == "full":
-                if ok(i, (m + 1, NONE)):
-                    out.append(Site("add", "single", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-            elif cell.kind == "split":
-                for code, idx in ((BACK, 0), (FRONT, 1)):
-                    if ok(i, (m, code)):
-                        out.append(Site("add", "single", cell.colors[idx], i,
-                                        cell.level, cell.args[idx], host))
-            else:
-                if ok(i, (m + 1, NONE)):
-                    out.append(Site("add", "double", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-                elif ok(i, (m, LOWER)):
-                    out.append(Site("add", "single", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-        elif top == LOWER:
-            if not (truncated and m == 0):
-                cell = cells[m]
-                if ok(i, (m + 1, NONE)):
-                    out.append(Site("add", "single", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-        else:
-            cell = cells[m]
-            idx = 1 if top == BACK else 0
-            if ok(i, (m + 1, NONE)):
-                out.append(Site("add", "single", cell.colors[idx], i,
-                                cell.level, cell.args[idx], host))
         if i >= len(states):
             continue
         if top == NONE and m >= 1:
             cell = cells[m - 1]
             if cell.kind == "full":
-                if ok(i, (m - 1, NONE)):
-                    out.append(Site("remove", "single", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-            elif cell.kind == "split":
-                for leave, idx in ((FRONT, 0), (BACK, 1)):
-                    if m - 1 == 0 and ground == LEVEL1 and leave == BACK:
-                        continue
-                    if ok(i, (m - 1, leave)):
-                        out.append(Site("remove", "single", cell.colors[idx],
-                                        i, cell.level, cell.args[idx], host))
-            else:
-                ground_lower = m - 1 == 0 and (truncated or ground == LEVEL1)
-                if truncated and m - 1 == 0:
-                    continue
-                if not ground_lower and ok(i, (m - 1, NONE)):
-                    out.append(Site("remove", "double", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-                elif ok(i, (m - 1, LOWER)):
-                    out.append(Site("remove", "single", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
+                offer(i, (m - 1, NONE), "remove", "single", cell)
+            elif cell.kind == "split":  # leaving the front removes the back
+                offer(i, (m - 1, FRONT), "remove", "single", cell, 0)
+                offer(i, (m - 1, BACK), "remove", "single", cell, 1)
+            elif not (truncated and m == 1):  # complete doubled cell on top
+                ground_lower = m == 1 and ground == LEVEL1
+                if ground_lower or \
+                        not offer(i, (m - 1, NONE), "remove", "double", cell):
+                    offer(i, (m - 1, LOWER), "remove", "single", cell)
         elif top == LOWER:
             if not ((truncated or ground == LEVEL1) and m == 0):
-                cell = cells[m]
-                if ok(i, (m, NONE)):
-                    out.append(Site("remove", "single", cell.colors[0], i,
-                                    cell.level, cell.args[0], host))
-        else:
-            if not (m == 0 and ground == LEVEL1 and top == FRONT):
-                cell = cells[m]
-                idx = 0 if top == BACK else 1
-                if ok(i, (m, NONE)):
-                    out.append(Site("remove", "single", cell.colors[idx], i,
-                                    cell.level, cell.args[idx], host))
+                offer(i, (m, NONE), "remove", "single", cells[m])
+        elif not (m == 0 and ground == LEVEL1 and top == FRONT):
+            offer(i, (m, NONE), "remove", "single", cells[m],
+                  0 if top == BACK else 1)
     return out
 
 
-def _fast_pair_sites(p: WallPair):
-    X, k = p.wall_type, p.k
-    tbar = thresholds(X, k)[1]
-    out = []
+def _pair_moves(p: WallPair):
+    """(site, new state of the column in both members) for every k-pair
+    site; only the two members are checked."""
+    k = p.k
+    tbar = thresholds(p.wall_type, k)[1]
     sup, cov = p.supporting, p.covering
+    stat_sup, fits_sup = _local_view(sup)
+    stat_cov, fits_cov = _local_view(cov)
+    out = []
     for i in range(max(len(sup.states), len(cov.states)) + 1):
-        ss, cs = sup.state(i), cov.state(i)
-        if ss == (0, LOWER) and cs == (0, LOWER):
-            if _try(sup, i, (1, NONE)) is not None and \
-                    _try(cov, i, (1, NONE)) is not None:
-                out.append(Site("add", "pair", k, i, tbar, tbar, "pair"))
-        if ss == (1, NONE) and cs == (1, NONE):
-            if _try(sup, i, (0, LOWER)) is not None and \
-                    _try(cov, i, (0, LOWER)) is not None:
-                out.append(Site("remove", "pair", k, i, tbar, tbar, "pair"))
+        st = stat_sup(i)
+        if st != stat_cov(i):
+            continue
+        for action, old, new in (("add", (0, LOWER), (1, NONE)),
+                                 ("remove", (1, NONE), (0, LOWER))):
+            if st == old and fits_sup(i, new) and fits_cov(i, new):
+                out.append((Site(action, "pair", k, i, tbar, tbar, "pair"), new))
     return out
 
 
-def sites(w):
+def _moves(w):
     if not is_proper(w):
         raise NotProper(w)
     if isinstance(w, WallPair):
-        return (_fast_wall_sites(w.supporting, "supporting")
-                + _fast_wall_sites(w.covering, "covering")
-                + _fast_pair_sites(w))
-    return _fast_wall_sites(w, "wall")
+        return (_wall_moves(w.supporting, "supporting")
+                + _wall_moves(w.covering, "covering")
+                + _pair_moves(w))
+    return _wall_moves(w, "wall")
+
+
+def _successor(w, site: Site, st):
+    """The validated wall reached by moving site's column to state st."""
+    i = site.column
+    if site.host == "wall":
+        nxt = w.with_state(i, st)
+    elif site.host == "supporting":
+        nxt = WallPair(w.supporting.with_state(i, st), w.covering)
+    elif site.host == "covering":
+        nxt = WallPair(w.supporting, w.covering.with_state(i, st))
+    else:
+        nxt = WallPair(w.supporting.with_state(i, st),
+                       w.covering.with_state(i, st))
+    if not is_proper(nxt):
+        raise ResultImproper(site)
+    return nxt
+
+
+def sites(w):
+    return [site for site, _ in _moves(w)]
+
+
+def transitions(w):
+    """All (site, mutated wall) moves from w."""
+    return [(site, _successor(w, site, st)) for site, st in _moves(w)]
 
 
 def apply(w, site: Site):
-    for s, nxt in transitions(w):
+    for s, st in _moves(w):
         if s == site:
-            if not is_proper(nxt):  # unreachable; kept as a guard
-                raise ResultImproper(site)
-            return nxt
+            return _successor(w, s, st)
     raise SiteNotPresent(site)
 
 
@@ -758,11 +576,12 @@ def _enumerate_single(X, k, ground, max_blocks):
 
 def enumerate_walls(X: AffineType, k: int, max_blocks: int):
     """All proper walls (class 1) or wall pairs (class 2) with at most
-    max_blocks added atoms."""
+    max_blocks added atoms, as a set-like view in depth-first order (so
+    iteration does not depend on hashing)."""
     if max_blocks < 0:
         raise ValueError(max_blocks)
     if index_class(X, k) == 1:
-        return set(_enumerate_single(X, k, LEVEL1, max_blocks))
+        return _enumerate_single(X, k, LEVEL1, max_blocks).keys()
     sups = _enumerate_single(X, k, SUPPORTING, max_blocks)
     covs = _enumerate_single(X, k, COVERING, max_blocks)
     # synchronization: bare columns form a suffix, so the pair condition
@@ -770,12 +589,12 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
     by_len = {}
     for c, ca in covs.items():
         by_len.setdefault(len(c.states), []).append((c, ca))
-    out = set()
+    out = {}
     for s, sa in sups.items():
         for c, ca in by_len.get(len(s.states), ()):
             if sa + ca <= max_blocks:
-                out.add(WallPair(s, c))
-    return out
+                out[WallPair(s, c)] = None
+    return out.keys()
 
 
 # --- rendering and literals ------------------------------------------

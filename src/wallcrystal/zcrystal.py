@@ -192,7 +192,9 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     from wallcrystal.linear_forms import (closure, lambda_form, support_bound,
                                           x)
 
-    horizon = support_cap + 2 * seq.n
+    # the closures certify forms up to horizon - 2n and need a horizon of
+    # at least 3n, so a window below one period still gets a full period
+    horizon = max(support_cap, seq.n) + 2 * seq.n
     seeds = [x(s, k) for s in range(1, s_max + 1)
              for k in seq.base_type.index_set]
     cert, _ = closure(seq, seeds, horizon, margin=2)

@@ -153,6 +153,8 @@ def test_thresholds_examples():
     assert thresholds(X, 3) == (None, HalfInt.of(2), HalfInt.of(4))
     assert thresholds(X, 1) == (1, HalfInt.of(1), HalfInt.of(5))
     assert thresholds(X, 2) == (1, HalfInt(3), HalfInt(11))
+    with pytest.raises(ValueError):
+        thresholds(AffineType(Family.D2, 3), 9)
 
 
 @given(X=affine_types())

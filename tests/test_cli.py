@@ -1,9 +1,12 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import wallcrystal
 from wallcrystal.cli import main
 from wallcrystal.linear_forms import parse_form
 
@@ -31,6 +34,19 @@ def test_ineq_output_is_deterministic():
     args = ("ineq", "binf", "--type", "A2odd", "--rank", "4",
             "--order", "2,4,3,1", "--k", "3", "--blocks", "4")
     assert run(*args) == run(*args)
+    # provenance names the first wall giving each form, so it must not
+    # depend on the interpreter's string hashing
+    argv = ["ineq", "binf", "--type", "D2", "--rank", "3", "--order", "3,2,1",
+            "--k", "1", "--s", "3", "--blocks", "6", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "wallcrystal.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == run(*argv)[1]
 
 
 def test_ineq_blam_json():
@@ -92,23 +108,25 @@ def test_verify_positivity():
     assert text == "xi_positive: true\nstrict_positive: true\nample: true\n"
 
 
-def test_usage_errors_exit_one():
-    assert run("ineq", "binf", "--type", "nope", "--rank", "3",
-               "--order", "3,2,1")[0] == 1
-    assert run("ineq", "blam", "--type", "D2", "--rank", "3",
-               "--order", "3,2,1", "--k", "1")[0] == 1
-    assert run("epsstar", "--type", "D2", "--rank", "3", "--order", "3,2,1",
-               "--k", "2", "--elem", "nonsense")[0] == 1
-    assert run("walls", "render", "--rank", "3")[0] == 1
-    assert run("ineq", "binf", "--type", "D2", "--rank", "3",
-               "--order", "3,2,2")[0] == 1
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("WALLCRYSTAL_THREADS", "2")
-    code, text = run("verify", "closure", "--type", "D2", "--rank", "3",
-                     "--order", "3,2,1", "--s-max", "1", "--periods", "4")
-    assert code == 0 and "MISMATCH" not in text
-    monkeypatch.setenv("WALLCRYSTAL_THREADS", "abc")
-    assert run("verify", "closure", "--type", "D2", "--rank", "3",
-               "--order", "3,2,1")[0] == 1
+def test_usage_errors_exit_one(capsys):
+    d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")
+    cases = [
+        ("ineq", "binf", "--type", "nope", "--rank", "3", "--order", "3,2,1"),
+        ("ineq", "blam", *d2, "--k", "1"),
+        ("epsstar", *d2, "--k", "2", "--elem", "nonsense"),
+        ("walls", "render", "--rank", "3"),
+        ("ineq", "binf", "--type", "D2", "--rank", "3", "--order", "3,2,2"),
+        ("ineq", "binf", *d2, "--k", "9"),
+        ("ineq", "blam", *d2, "--k", "9", "--lambda", "1,1,1"),
+        ("ineq", "binf", *d2, "--s", "0"),
+        ("ineq", "binf", *d2, "--blocks", "-1"),
+        ("walls", "enum", *d2, "--k", "1", "--blocks", "-1"),
+        ("verify", "props", *d2, "--blocks", "-1"),
+        ("verify", "closure", *d2, "--periods", "1"),
+        ("verify", "crystal", *d2, "--depth", "-1"),
+        ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
+    ]
+    for argv in cases:
+        assert run(*argv)[0] == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)

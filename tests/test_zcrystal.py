@@ -175,6 +175,9 @@ def test_verify_equivalence_small():
     assert rep["generated"] == rep["cut"]
     rep = verify_equivalence(seq, 4, lam=DominantWeight((1, 1, 1)))
     assert rep["ok"]
+    # B(0) is {0}: nothing to cut, and the window is empty
+    rep = verify_equivalence(seq, 4, lam=DominantWeight.zero(3))
+    assert rep["ok"] and rep["generated"] == rep["cut"] == 1
 
 
 def test_verify_equivalence_box_must_cover():
