@@ -101,6 +101,19 @@ def test_verify_closure_small():
     assert text.count("ok") == 3 and "MISMATCH" not in text
 
 
+def test_thread_cap_env(monkeypatch):
+    # the program runs on one thread; a WALLCRYSTAL_THREADS left in the
+    # environment, valid or not, must not change what it prints or exits with
+    argv = ("verify", "closure", "--type", "D2", "--rank", "3",
+            "--order", "3,2,1", "--s-max", "1", "--periods", "4")
+    monkeypatch.delenv("WALLCRYSTAL_THREADS", raising=False)
+    expected = run(*argv)
+    assert expected[0] == 0 and "MISMATCH" not in expected[1]
+    for value in ("2", "abc"):
+        monkeypatch.setenv("WALLCRYSTAL_THREADS", value)
+        assert run(*argv) == expected, value
+
+
 def test_verify_positivity():
     code, text = run("verify", "positivity", "--type", "D2", "--rank", "3",
                      "--order", "3,2,1", "--lambda", "1,1,1", "--periods", "4")
