@@ -145,39 +145,51 @@ class ShiftTable:
         return self._get(t)
 
     def _get(self, t: HalfInt) -> int:
-        if t in self._values:
-            return self._values[t]
-        self._values[t] = v = self._compute(t)
+        # follow the single-predecessor chain down to a known value, then
+        # fill its points back up from there (no recursion, so any depth)
+        chain = []
+        while t not in self._values:
+            u, delta = self._step(t)
+            if u is None:
+                self._values[t] = delta
+                break
+            chain.append((t, delta))
+            t = u
+        v = self._values[t]
+        for u, delta in reversed(chain):
+            v += delta
+            self._values[u] = v
         return v
 
-    def _compute(self, t: HalfInt) -> int:
+    def _step(self, t: HalfInt):
+        """(u, d) with P_ell(t) = P_ell(u) + d, or (None, P_ell(t)) at a base
+        point."""
         seq, X, ell = self.seq, self.X, self.ell
         pm = lambda u: periodic_map(X, u)
         p = seq.p
         fam = X.family
         n = X.n
         if fam is Family.A1:
-            if t > ell:
-                return self._get(t - 1) + p(pm(t), pm(t - 1))
-            return self._get(t + 1) + p(pm(t), pm(t + 1))
+            u = t - 1 if t > ell else t + 1
+            return u, p(pm(t), pm(u))
         if t < ell:
             seed = self._seed(t, ell)
             if seed is not None:
-                return seed
+                return None, seed
             if t <= ell - 1 or t.twice <= ell.twice:
-                return 0
+                return None, 0
             raise DomainError(f"P_{ell}({t}) undefined below the origin")
         seed = self._seed(ell, t)
         if seed is not None:
-            return seed
+            return None, seed
         if fam in (Family.C1, Family.D2, Family.A2EVEN, Family.A2EVEN_DAGGER):
-            return self._get(t - 1) + p(pm(t), pm(t - 1))
+            return t - 1, p(pm(t), pm(t - 1))
         # B1 / A2odd / D1
         if pm(t) == 2:
-            return self._get(t - HalfInt(3)) + p(2, 3)
+            return t - HalfInt(3), p(2, 3)
         if fam is Family.D1 and pm(t) == n:
-            return self._get(t - HalfInt(3)) + p(n, n - 2)
-        return self._get(t - 1) + p(pm(t), pm(t - 1))
+            return t - HalfInt(3), p(n, n - 2)
+        return t - 1, p(pm(t), pm(t - 1))
 
     def _seed(self, lo: HalfInt, hi: HalfInt):
         """The special half-step seeds P_{j1}(j2) when {j1,j2} is one of the

@@ -248,7 +248,7 @@ def build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=_at_least(1), default=1)
     p.add_argument("--blocks", type=_at_least(0), default=4)
-    p.add_argument("--support-max", type=int, dest="support_max")
+    p.add_argument("--support-max", type=_at_least(1), dest="support_max")
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--bare", action="store_true")

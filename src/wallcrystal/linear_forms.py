@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, sub
 from typing import Iterable
 
 from wallcrystal.affine_data import cartan_entry
@@ -249,17 +251,27 @@ def support_bound(seq: AdaptedSequence, phi: LinearForm) -> int:
     return max((seq.single_index(d) for d in phi.support), default=0)
 
 
-def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], horizon: int,
-            op: str = "S'", lam: DominantWeight | None = None, margin: int = 1):
-    """BFS closure applying the operator at every single index r <= horizon.
+def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
+    """phi as a tuple: slot 0 holds the constant, slot r the coefficient
+    of single index r."""
+    v = [0] * width
+    v[0] = phi.constant
+    for d, c in phi.terms:
+        r = seq.single_index(d)
+        if r < 1:
+            raise ValueError(f"x[{d.s},{d.k}] lies before single index 1")
+        v[r] = c
+    return tuple(v)
 
-    Returns (certified, frontier): certified forms are supported within
-    single indices <= horizon - margin * n (a whole-period margin) and are
-    exactly the window-supported members of the infinite closure.  The
-    search drops forms supported more than one period past the window:
-    the operator at r only touches coefficients within a period of r, so
-    paths wandering further out never re-enter the window (checked against
-    uncapped runs in the tests).
+
+def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
+                     horizon: int, op: str = "S'",
+                     lam: DominantWeight | None = None, margin: int = 1):
+    """The closure search on dense integer vectors (see `_dense`).
+
+    Returns (certified, frontier) as lists of tuples of one width: at
+    least horizon + n + 1, so every beta vector fits, and wider only when
+    a seed reaches further.
     """
     n = seq.n
     if margin < 1:
@@ -268,42 +280,73 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], horizon: int,
         raise ValueError("horizon must exceed the margin by at least a period")
     if op not in ("S'", "Shat'"):
         raise ValueError(op)
-    if op == "Shat'" and lam is None:
-        lam = DominantWeight.zero(n)
     hatted = op == "Shat'"
-    indexed = [(seq.reindex(r),
-                beta_signed(seq, r, "+", lam) if hatted else beta_at(seq, r),
-                beta_signed(seq, r, "-", lam) if hatted
-                else beta_at(seq, r_minus(seq, r)))
-               for r in range(1, horizon + 1)]
-    seen = set()
-    queue = []
-    for phi in seeds:
-        if not hatted and phi.constant != 0:
-            raise ConstantPresent("S' acts on forms with zero constant")
-        if phi not in seen:
-            seen.add(phi)
-            queue.append(phi)
+    if hatted and lam is None:
+        lam = DominantWeight.zero(n)
+    seeds = list(seeds)
+    if not hatted and any(phi.constant for phi in seeds):
+        raise ConstantPresent("S' acts on forms with zero constant")
+    width = max([horizon + n + 1] + [support_bound(seq, phi) + 1 for phi in seeds])
+    bplus, bminus = [None], [None]  # indexed by r
+    for r in range(1, horizon + 1):
+        if hatted:
+            plus, minus = beta_signed(seq, r, "+", lam), beta_signed(seq, r, "-", lam)
+        else:
+            plus, minus = beta_at(seq, r), beta_at(seq, r_minus(seq, r))
+        bplus.append(_dense(seq, plus, width))
+        bminus.append(_dense(seq, minus, width))
     cutoff = horizon - margin * n
     cap = cutoff + n  # one period past the window
-    while queue:
-        phi = queue.pop()
-        cmap = phi._map
-        for d, bplus, bminus in indexed:
-            c = cmap.get(d, 0)
-            if c > 0:
-                nxt = phi - bplus
-            elif c < 0:
-                nxt = phi + bminus
+    seen = set()
+    stack = []
+    for phi in seeds:
+        v = _dense(seq, phi, width)
+        if v not in seen:
+            seen.add(v)
+            stack.append(v)
+    indices = range(1, horizon + 1)
+    while stack:
+        v = stack.pop()
+        for r in compress(indices, v[1:horizon + 1]):
+            if v[r] > 0:
+                nxt = tuple(map(sub, v, bplus[r]))
             else:
-                continue
-            if nxt not in seen and support_bound(seq, nxt) <= cap:
+                nxt = tuple(map(add, v, bminus[r]))
+            if nxt not in seen and not any(nxt[cap + 1:]):
                 seen.add(nxt)
-                queue.append(nxt)
-    certified, frontier = set(), set()
-    for phi in seen:
-        (certified if support_bound(seq, phi) <= cutoff else frontier).add(phi)
+                stack.append(nxt)
+    certified, frontier = [], []
+    for v in seen:
+        (frontier if any(v[cutoff + 1:]) else certified).append(v)
     return certified, frontier
+
+
+def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], horizon: int,
+            op: str = "S'", lam: DominantWeight | None = None, margin: int = 1):
+    """Closure applying the operator at every single index r <= horizon.
+
+    Returns (certified, frontier): certified forms are supported within
+    single indices <= horizon - margin * n (a whole-period margin) and are
+    exactly the window-supported members of the infinite closure.  The
+    search drops forms supported more than one period past the window:
+    the operator at r only touches coefficients within a period of r, so
+    paths wandering further out never re-enter the window (checked against
+    uncapped runs in the tests).
+
+    The search runs on dense integer vectors over single indices
+    (`_closure_vectors`); LinearForm is only the type of the seeds and of
+    the returned sets.
+    """
+    certified, frontier = _closure_vectors(seq, seeds, horizon, op, lam, margin)
+    vectors = certified + frontier
+    width = len(vectors[0]) if vectors else 1
+    index = [seq.reindex(r) for r in range(1, width)]  # index[r - 1] is r
+
+    def form(v):
+        coeffs = v[1:]
+        return LinearForm(v[0], zip(compress(index, coeffs), compress(coeffs, coeffs)))
+
+    return {form(v) for v in certified}, {form(v) for v in frontier}
 
 
 def positivity_report(seq: AdaptedSequence, lam: DominantWeight, horizon: int) -> dict:
@@ -312,25 +355,21 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, horizon: int) -
     first_seeds = [x(s, k) for s in range(1, horizon // n + 1)
                    for k in seq.base_type.index_set]
 
-    def first_occ_ok(forms):
-        for phi in forms:
-            for d, c in phi.terms:
-                if seq.single_index(d) <= n and c < 0:  # r^(-) = 0
-                    return False
-        return True
+    def first_occ_ok(vectors):
+        return all(min(v[1:n + 1]) >= 0 for v in vectors)  # r^(-) = 0
 
-    xi_closure, _ = closure(seq, first_seeds, horizon)
+    xi_closure, _ = _closure_vectors(seq, first_seeds, horizon)
     xi_positive = first_occ_ok(xi_closure)
 
-    strict_forms = set(xi_closure)
+    strict_positive = xi_positive
     for k in seq.base_type.index_set:
         xk = xi_form(seq, k)
-        cert, _ = closure(seq, [xk], horizon)
-        strict_forms |= cert - {xk}
-    strict_positive = first_occ_ok(strict_forms)
+        cert, _ = _closure_vectors(seq, [xk], horizon)
+        xk = _dense(seq, xk, horizon + n + 1)  # the width of a seed within the horizon
+        strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
     hat_seeds = first_seeds + [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-    hat_closure, _ = closure(seq, hat_seeds, horizon, op="Shat'", lam=lam)
-    ample = all(phi.constant >= 0 for phi in hat_closure)
+    hat_closure, _ = _closure_vectors(seq, hat_seeds, horizon, op="Shat'", lam=lam)
+    ample = all(v[0] >= 0 for v in hat_closure)
 
     return {"xi_positive": xi_positive, "strict_positive": strict_positive, "ample": ample}

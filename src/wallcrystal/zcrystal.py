@@ -8,7 +8,8 @@ import re
 
 from wallcrystal.affine_data import cartan_entry
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
-from wallcrystal.linear_forms import DominantWeight
+from wallcrystal.linear_forms import (DominantWeight, _closure_vectors,
+                                      lambda_form, x)
 
 
 class ZElement:
@@ -186,25 +187,23 @@ def generate(seq: AdaptedSequence, depth: int,
 
 
 def _window_forms(seq, support_cap, s_max, lam=None):
-    """All inequality forms supported within the single-index window,
+    """All inequality forms supported within the single-index window, as
+    dense vectors (constant, then the coefficients of 1..support_cap),
     taken from the certified operator closures (their agreement with the
     wall-generated families is enforced by the test suite)."""
-    from wallcrystal.linear_forms import (closure, lambda_form, support_bound,
-                                          x)
-
     # the closures certify forms up to horizon - 2n and need a horizon of
     # at least 3n, so a window below one period still gets a full period
     horizon = max(support_cap, seq.n) + 2 * seq.n
+    width = support_cap + 1
     seeds = [x(s, k) for s in range(1, s_max + 1)
              for k in seq.base_type.index_set]
-    cert, _ = closure(seq, seeds, horizon, margin=2)
-    out = {f for f in cert if support_bound(seq, f) <= support_cap}
+    cert, _ = _closure_vectors(seq, seeds, horizon, margin=2)
+    out = {v[:width] for v in cert if not any(v[width:])}
     if lam is not None:
         hw_seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-        cert2, _ = closure(seq, hw_seeds, horizon, op="Shat'", lam=lam,
-                           margin=2)
-        out |= {f for f in cert2
-                if not f.is_zero() and support_bound(seq, f) <= support_cap}
+        cert2, _ = _closure_vectors(seq, hw_seeds, horizon, op="Shat'",
+                                    lam=lam, margin=2)
+        out |= {v[:width] for v in cert2 if any(v) and not any(v[width:])}
     return out
 
 
@@ -232,24 +231,19 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     import numpy as np
 
     by_level = [[] for _ in range(box + 1)]
-    for phi_ in forms:
-        idx = [(seq.single_index(d) - 1, c) for d, c in phi_.terms]
-        level = max((i for i, _ in idx), default=-1) + 1
-        if level <= box:
-            by_level[level].append((phi_.constant, idx))
-    if any(c < 0 for c, idx in by_level[0] if not idx):
+    for v in forms:
+        level = next((r for r in range(box, 0, -1) if v[r]), 0)
+        by_level[level].append(v)
+    if any(v[0] < 0 for v in by_level[0]):
         raise ValueError("inconsistent constant inequality in the window")
     consts = [None] * (box + 1)
     mats = [None] * (box + 1)
     for level in range(1, box + 1):
         rows = by_level[level]
         if rows:
-            consts[level] = np.array([c for c, _ in rows], dtype=np.int64)
-            m = np.zeros((len(rows), level), dtype=np.int64)
-            for r, (_, idx) in enumerate(rows):
-                for i, coef in idx:
-                    m[r, i] = coef
-            mats[level] = m
+            consts[level] = np.array([v[0] for v in rows], dtype=np.int64)
+            mats[level] = np.array([v[1:level + 1] for v in rows],
+                                   dtype=np.int64)
 
     violations = []
     gen_vecs = set()

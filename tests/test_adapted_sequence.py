@@ -141,6 +141,16 @@ def test_shift_table_domain_error():
         seq.shift_table(HalfInt(3))
 
 
+def test_shift_table_deep_point_cold():
+    # a long chain is filled without recursion: a cold table agrees with
+    # one warmed in steps of 100
+    warm = ex1_seq().shift_table(HalfInt.of(2))
+    for t in range(100, 1501, 100):
+        warm(HalfInt.of(t))
+    cold = ex1_seq().shift_table(HalfInt.of(2))
+    assert cold(HalfInt.of(1500)) == warm(HalfInt.of(1500))
+
+
 @given(seq=sequences())
 def test_shift_table_nonnegative_increasing(seq):
     from wallcrystal.affine_data import domain_points, period

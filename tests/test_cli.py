@@ -133,6 +133,7 @@ def test_usage_errors_exit_one(capsys):
         ("ineq", "blam", *d2, "--k", "9", "--lambda", "1,1,1"),
         ("ineq", "binf", *d2, "--s", "0"),
         ("ineq", "binf", *d2, "--blocks", "-1"),
+        ("ineq", "binf", *d2, "--support-max", "-5"),
         ("walls", "enum", *d2, "--k", "1", "--blocks", "-1"),
         ("verify", "props", *d2, "--blocks", "-1"),
         ("verify", "closure", *d2, "--periods", "1"),

@@ -180,6 +180,16 @@ def test_verify_equivalence_small():
     assert rep["ok"] and rep["generated"] == rep["cut"] == 1
 
 
+def test_verify_equivalence_explicit_box():
+    # a box past the generated support widens the window of forms and of
+    # lattice points; the counts are those of the fitted box
+    seq = ex1_seq()
+    rep = verify_equivalence(seq, 5, box=12)
+    assert rep["ok"] and rep["generated"] == rep["cut"] == 155
+    rep = verify_equivalence(seq, 4, lam=DominantWeight((1, 1, 1)), box=12)
+    assert rep["ok"] and rep["generated"] == rep["cut"] == 37
+
+
 def test_verify_equivalence_box_must_cover():
     seq = ex1_seq()
     with pytest.raises(ValueError):
