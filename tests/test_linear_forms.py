@@ -174,3 +174,11 @@ def test_form_algebra(f, g):
     assert (f + g) - g == f
     assert (f - f).is_zero()
     assert (-f) + f == LinearForm(0, {})
+
+
+def test_closure_rejects_indices_before_one():
+    # x[0,k] has no single index; the closure refuses it instead of
+    # running on a misplaced coefficient
+    seq = ex1_seq()
+    with pytest.raises(ValueError):
+        closure(seq, [parse_form("x[0,1]")], 12)
