@@ -97,3 +97,24 @@ def test_s_prime_rejects_constants():
     seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
     with pytest.raises(ConstantPresent):
         closure(seq, [x(1, 1), LinearForm(1, x(1, 3).terms)], 12)
+
+
+@pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
+                         ids=[s[0] for s in SETTINGS])
+def test_margin_beyond_the_window_changes_nothing(name, g, order, lam_values):
+    # with the certified window W held fixed, a wider margin only applies
+    # the operator further out, where no kept form has a coefficient
+    seq = from_permutation(g, order)
+    n = seq.n
+    lam = DominantWeight(lam_values)
+    cases = [("S'", None, [x(s, k) for s in (1, 2)
+                           for k in seq.base_type.index_set]),
+             ("Shat'", lam, [lambda_form(seq, k, lam)
+                             for k in seq.base_type.index_set])]
+    for op, weight, seeds in cases:
+        for window in (n, 2 * n, 3 * n):
+            want = reference_closure(seq, seeds, window + n, op=op, lam=weight)
+            for margin in (2, 3):
+                got = reference_closure(seq, seeds, window + margin * n,
+                                        op=op, lam=weight, margin=margin)
+                assert got == want, (name, op, window, margin)

@@ -211,3 +211,25 @@ def test_word_reversal(w):
     for k in reversed(w):
         a = e_tilde(seq, a, k)
     assert a == ZElement()
+
+
+def test_violations_are_the_extra_points(monkeypatch):
+    # -a_1 >= 0 cuts every generated element with a_1 > 0; the report
+    # names exactly those elements, and the sweep leaves exactly them out
+    import wallcrystal.zcrystal as zc
+
+    window_forms = zc._window_forms
+
+    def with_cut(seq, support_cap, *rest):
+        cut = (0, -1) + (0,) * (support_cap - 1)
+        return window_forms(seq, support_cap, *rest) | {cut}
+
+    monkeypatch.setattr(zc, "_window_forms", with_cut)
+    seq = ex1_seq()
+    box = 12
+    rep = zc.verify_equivalence(seq, 5, box=box)
+    assert not rep["ok"]
+    assert rep["violations"] and not rep["missing"]
+    vectors = sorted(tuple(a.get(r) for r in range(1, box + 1))
+                     for a in rep["violations"])
+    assert vectors == rep["extra"]
