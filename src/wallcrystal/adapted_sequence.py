@@ -100,7 +100,11 @@ class AdaptedSequence:
         return DoubleIndex(s, k)
 
     def single_index(self, d: DoubleIndex) -> int:
-        pos = self.period_perm.index(d.k)  # 0-based within period
+        try:
+            pos = self.period_perm.index(d.k)  # 0-based within period
+        except ValueError:
+            raise ValueError(f"colour {d.k} outside the index set "
+                             f"1..{self.n}") from None
         return (d.s - 1) * self.n + pos + 1
 
     def compare(self, d1: DoubleIndex, d2: DoubleIndex) -> int:

@@ -98,10 +98,6 @@ class HalfInt:
         return f"{self.twice}/2"
 
 
-def half(numerator_twice: int) -> HalfInt:
-    return HalfInt(numerator_twice)
-
-
 @dataclass(frozen=True)
 class AffineType:
     """One of the seven classical affine families with index set I={1..n}."""
@@ -119,10 +115,6 @@ class AffineType:
     @property
     def index_set(self) -> range:
         return range(1, self.n + 1)
-
-    @property
-    def uses_dagger_numbering(self) -> bool:
-        return self.family is Family.A2EVEN_DAGGER
 
     def __str__(self):
         return f"{self.family.value}(n={self.n})"

@@ -10,14 +10,14 @@ import sys
 from wallcrystal.affine_data import parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, beta, closure, lambda_form, positivity_report, render_form,
-    support_bound, x,
+    DominantWeight, beta, closure, positivity_report, x,
 )
 from wallcrystal.walls import (
     enumerate_walls, parse_wall, render, transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
     NotStabilized, comb_infinity, comb_lambda, epsilon_star, site_form,
+    wall_form,
 )
 from wallcrystal.zcrystal import (
     ZElement, e_tilde, epsilon, f_tilde, parse_element, phi, verify_equivalence,
@@ -136,17 +136,14 @@ def _cmd_walls(args, out):
 
 
 def _verify_closure(args, seq, out):
-    n = seq.n
-    horizon = args.periods * n
-    cutoff = horizon - 2 * n
+    window = (args.periods - 2) * seq.n
     failures = []
     for k in seq.base_type.index_set:
-        certs = set()
-        for s in range(1, args.s_max + 1):
-            cert, _ = closure(seq, [x(s, k)], horizon, margin=2)
-            certs |= {f for f in cert if support_bound(seq, f) <= cutoff}
+        # the closure of a union of seeds is the union of their closures
+        certs, _ = closure(seq, [x(s, k) for s in range(1, args.s_max + 1)],
+                           window)
         windowed = set(comb_infinity(seq, (args.s_max, 2), k=k,
-                                     support_max=cutoff).forms)
+                                     support_max=window).forms)
         ok = windowed == certs
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "
                   f"cert={len(certs)} walls={len(windowed)}\n")
@@ -162,7 +159,6 @@ def _verify_props(args, seq, out):
     for s in (0, 1, 3):
         for k in X.index_set:
             for w in enumerate_walls(X, k, args.blocks):
-                from wallcrystal.wall_forms import wall_form
                 base = wall_form(seq, s, k, w)
                 for st, nxt in transitions(w):
                     if st.action != "add":
@@ -208,8 +204,9 @@ def _verify_crystal(args, seq, out):
     return bad
 
 
-# the closure certificates keep a margin of two periods (one for positivity)
-# and need one period more than that
+# the closures certify the window of single indices 1..(periods - 2) n for
+# `verify closure` and 1..(periods - 1) n for `verify positivity`, and a
+# certified window needs at least one period
 _LEAST_PERIODS = {"closure": 3, "positivity": 2}
 
 
@@ -226,7 +223,7 @@ def _cmd_verify(args, out):
     if args.mode == "crystal":
         return 2 if _verify_crystal(args, seq, out) else 0
     lam = _weight(seq, args.lam)
-    report = positivity_report(seq, lam, args.periods * seq.n)
+    report = positivity_report(seq, lam, (args.periods - 1) * seq.n)
     for key, val in report.items():
         out.write(f"{key}: {str(val).lower()}\n")
     return 0 if all(report.values()) else 2

@@ -69,9 +69,6 @@ class LinearForm:
     def is_zero(self) -> bool:
         return self.constant == 0 and not self.terms
 
-    def map_terms(self):
-        return dict(self.terms)
-
     def __add__(self, other):
         acc = dict(self.terms)
         for d, c in other.terms:
@@ -265,19 +262,20 @@ def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
 
 
 def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
-                     horizon: int, op: str = "S'",
-                     lam: DominantWeight | None = None, margin: int = 1):
+                     window: int, op: str = "S'",
+                     lam: DominantWeight | None = None):
     """The closure search on dense integer vectors (see `_dense`).
 
-    Returns (certified, frontier) as lists of tuples of one width: at
-    least horizon + n + 1, so every beta vector fits, and wider only when
-    a seed reaches further.
+    `window` is the last single index a certified form may touch: the
+    operator acts at every r <= window + n, successors supported past
+    window + n are dropped, and a seed with no coefficient at or below
+    window + n stays unexpanded in the frontier.  Returns (certified,
+    frontier) as lists of tuples of width window + 2n + 1, so every beta
+    vector fits, or wider when a seed reaches further.
     """
     n = seq.n
-    if margin < 1:
-        raise ValueError("margin must be at least one period")
-    if horizon < (margin + 1) * n:
-        raise ValueError("horizon must exceed the margin by at least a period")
+    if window < n:
+        raise ValueError("the certified window needs at least one period")
     if op not in ("S'", "Shat'"):
         raise ValueError(op)
     hatted = op == "Shat'"
@@ -286,17 +284,16 @@ def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
     seeds = list(seeds)
     if not hatted and any(phi.constant for phi in seeds):
         raise ConstantPresent("S' acts on forms with zero constant")
-    width = max([horizon + n + 1] + [support_bound(seq, phi) + 1 for phi in seeds])
+    cap = window + n
+    width = max([cap + n + 1] + [support_bound(seq, phi) + 1 for phi in seeds])
     bplus, bminus = [None], [None]  # indexed by r
-    for r in range(1, horizon + 1):
+    for r in range(1, cap + 1):
         if hatted:
             plus, minus = beta_signed(seq, r, "+", lam), beta_signed(seq, r, "-", lam)
         else:
             plus, minus = beta_at(seq, r), beta_at(seq, r_minus(seq, r))
         bplus.append(_dense(seq, plus, width))
         bminus.append(_dense(seq, minus, width))
-    cutoff = horizon - margin * n
-    cap = cutoff + n  # one period past the window
     seen = set()
     stack = []
     for phi in seeds:
@@ -304,10 +301,10 @@ def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
         if v not in seen:
             seen.add(v)
             stack.append(v)
-    indices = range(1, horizon + 1)
+    indices = range(1, cap + 1)
     while stack:
         v = stack.pop()
-        for r in compress(indices, v[1:horizon + 1]):
+        for r in compress(indices, v[1:cap + 1]):
             if v[r] > 0:
                 nxt = tuple(map(sub, v, bplus[r]))
             else:
@@ -317,27 +314,30 @@ def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
                 stack.append(nxt)
     certified, frontier = [], []
     for v in seen:
-        (frontier if any(v[cutoff + 1:]) else certified).append(v)
+        (frontier if any(v[window + 1:]) else certified).append(v)
     return certified, frontier
 
 
-def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], horizon: int,
-            op: str = "S'", lam: DominantWeight | None = None, margin: int = 1):
-    """Closure applying the operator at every single index r <= horizon.
+def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
+            op: str = "S'", lam: DominantWeight | None = None):
+    """The S' (or S-hat') closure of the seeds, certified on a window.
 
-    Returns (certified, frontier): certified forms are supported within
-    single indices <= horizon - margin * n (a whole-period margin) and are
-    exactly the window-supported members of the infinite closure.  The
-    search drops forms supported more than one period past the window:
-    the operator at r only touches coefficients within a period of r, so
-    paths wandering further out never re-enter the window (checked against
-    uncapped runs in the tests).
+    `window` is the last single index a certified form may touch; it must
+    be at least one period n.  Returns (certified, frontier): the
+    certified forms are supported within single indices <= window and
+    are exactly the window-supported members of the infinite closure.
+    The search applies the operator at every r <= window + n and drops
+    forms supported more than one period past the window: the operator
+    at r only touches coefficients within a period of r, so paths
+    wandering further out never re-enter the window (checked against
+    wider searches in the tests).  A seed supported past window + n
+    (no coefficient at or below it) stays unexpanded in the frontier.
 
     The search runs on dense integer vectors over single indices
     (`_closure_vectors`); LinearForm is only the type of the seeds and of
     the returned sets.
     """
-    certified, frontier = _closure_vectors(seq, seeds, horizon, op, lam, margin)
+    certified, frontier = _closure_vectors(seq, seeds, window, op, lam)
     vectors = certified + frontier
     width = len(vectors[0]) if vectors else 1
     index = [seq.reindex(r) for r in range(1, width)]  # index[r - 1] is r
@@ -349,27 +349,30 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], horizon: int,
     return {form(v) for v in certified}, {form(v) for v in frontier}
 
 
-def positivity_report(seq: AdaptedSequence, lam: DominantWeight, horizon: int) -> dict:
-    """The three positivity checks over window-certified closures."""
+def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) -> dict:
+    """The three positivity checks over closures certified on `window`,
+    the last single index a certified form may touch (see `closure`).
+    The S' seeds x(s, k), s <= window // n + 1, all lie within
+    window + n, so every seed is expanded."""
     n = seq.n
-    first_seeds = [x(s, k) for s in range(1, horizon // n + 1)
+    first_seeds = [x(s, k) for s in range(1, window // n + 2)
                    for k in seq.base_type.index_set]
 
     def first_occ_ok(vectors):
         return all(min(v[1:n + 1]) >= 0 for v in vectors)  # r^(-) = 0
 
-    xi_closure, _ = _closure_vectors(seq, first_seeds, horizon)
+    xi_closure, _ = _closure_vectors(seq, first_seeds, window)
     xi_positive = first_occ_ok(xi_closure)
 
     strict_positive = xi_positive
     for k in seq.base_type.index_set:
         xk = xi_form(seq, k)
-        cert, _ = _closure_vectors(seq, [xk], horizon)
-        xk = _dense(seq, xk, horizon + n + 1)  # the width of a seed within the horizon
+        cert, _ = _closure_vectors(seq, [xk], window)
+        xk = _dense(seq, xk, window + 2 * n + 1)  # the width of a seed within the window
         strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
     hat_seeds = first_seeds + [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-    hat_closure, _ = _closure_vectors(seq, hat_seeds, horizon, op="Shat'", lam=lam)
+    hat_closure, _ = _closure_vectors(seq, hat_seeds, window, op="Shat'", lam=lam)
     ample = all(v[0] >= 0 for v in hat_closure)
 
     return {"xi_positive": xi_positive, "strict_positive": strict_positive, "ample": ample}

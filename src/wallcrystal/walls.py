@@ -506,10 +506,11 @@ def _column_states(X, k, ground, budget):
     out = [base]
     if X.family is Family.A1:
         return [(c, NONE) for c in range(budget + 1)]
+    cells = column_pattern(X, k, ground, 0, budget + 2)  # each cell holds an atom
     atoms = -1  # the ground atom
     m = 0
     while True:
-        cell = column_pattern(X, k, ground, 0, m + 1)[m]
+        cell = cells[m]
         partials = []
         if cell.kind == "split":
             # the base split cell of a level-1 ground always keeps its
@@ -685,10 +686,11 @@ def _state_from_count(X, k, ground, count, code=""):
             raise ValueError("A1 columns take plain counts")
         return (count, NONE)
     total = count + 1  # count the ground atom too
+    cells = column_pattern(X, k, ground, 0, count + 2)  # each cell holds an atom
     acc = 0
     m = 0
     while True:
-        cell = column_pattern(X, k, ground, 0, m + 1)[m]
+        cell = cells[m]
         if acc == total:
             return (m, NONE)
         if acc + cell.natoms <= total:

@@ -154,11 +154,6 @@ def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
     return f_tilde(seq, a, k)
 
 
-def e_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
-                   lam: DominantWeight):
-    return e_tilde(seq, a, k)
-
-
 # --- generation and verification --------------------------------------
 
 
@@ -191,18 +186,16 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     dense vectors (constant, then the coefficients of 1..support_cap),
     taken from the certified operator closures (their agreement with the
     wall-generated families is enforced by the test suite)."""
-    # the closures certify forms up to horizon - 2n and need a horizon of
-    # at least 3n, so a window below one period still gets a full period
-    horizon = max(support_cap, seq.n) + 2 * seq.n
+    # the closures certify windows of at least one period
+    window = max(support_cap, seq.n)
     width = support_cap + 1
     seeds = [x(s, k) for s in range(1, s_max + 1)
              for k in seq.base_type.index_set]
-    cert, _ = _closure_vectors(seq, seeds, horizon, margin=2)
+    cert, _ = _closure_vectors(seq, seeds, window)
     out = {v[:width] for v in cert if not any(v[width:])}
     if lam is not None:
         hw_seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-        cert2, _ = _closure_vectors(seq, hw_seeds, horizon, op="Shat'",
-                                    lam=lam, margin=2)
+        cert2, _ = _closure_vectors(seq, hw_seeds, window, op="Shat'", lam=lam)
         out |= {v[:width] for v in cert2 if any(v) and not any(v[width:])}
     return out
 
@@ -214,8 +207,11 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
 
     box is the single-index bound for the candidate lattice points; it
     must cover the support of every generated element (checked).  The
-    report lists generated elements violating a windowed inequality and
-    the mismatches between the two sets restricted to the box.
+    report lists the mismatches between the two sets restricted to the
+    box, and the generated elements violating a windowed inequality.
+    Generated elements are nonnegative with coordinate sum <= depth, so
+    the lattice sweep visits each of them: the violating ones are
+    exactly those outside the cut (`extra`).
     """
     gen = generate(seq, depth, lam)
     max_supp = max((max(a.support, default=0) for a in gen), default=0)
@@ -245,17 +241,8 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
             mats[level] = np.array([v[1:level + 1] for v in rows],
                                    dtype=np.int64)
 
-    violations = []
-    gen_vecs = set()
-    for a in gen:
-        v = tuple(a.get(r) for r in range(1, box + 1))
-        gen_vecs.add(v)
-        arr = np.array(v, dtype=np.int64)
-        for level in range(1, box + 1):
-            if mats[level] is not None and \
-                    (consts[level] + mats[level] @ arr[:level] < 0).any():
-                violations.append(a)
-                break
+    vectors = {a: tuple(a.get(r) for r in range(1, box + 1)) for a in gen}
+    gen_vecs = set(vectors.values())
 
     # nonnegative lattice points with coordinate sum <= depth, pruned as
     # soon as every coordinate of an inequality has been assigned
@@ -285,8 +272,8 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     return {
         "generated": len(gen_vecs),
         "cut": len(cut),
-        "violations": violations,
+        "violations": [a for a, v in vectors.items() if v in extra],
         "missing": sorted(missing),
         "extra": sorted(extra),
-        "ok": not violations and not missing and not extra,
+        "ok": not missing and not extra,
     }

@@ -32,7 +32,7 @@ SETTINGS = [
 ]
 
 # smallest block budgets whose windowed wall image fills the certified
-# closure window (three periods) at horizon six periods
+# closure window of three periods
 WALL_BUDGETS = {
     "D2 rank 3": {1: 9, 2: 12, 3: 15},
     "C1 rank 3": {1: 9, 2: 15, 3: 9},
@@ -226,12 +226,12 @@ def test_criterion_6_closure_equals_wall_image(capsys):
             seq = from_permutation(g, order)
             X = seq.wall_type
             n = seq.n
-            horizon, cutoff = 6 * n, 3 * n
+            cutoff = 3 * n
             start = time.monotonic()
             for k in X.index_set:
                 certs = {}
                 for s in (1, 2):
-                    cert, _ = closure(seq, [x(s, k)], horizon, margin=3)
+                    cert, _ = closure(seq, [x(s, k)], cutoff)
                     certs[s] = {f for f in cert
                                 if support_bound(seq, f) <= cutoff}
                 images = {1: set(), 2: set()}
@@ -251,11 +251,11 @@ def test_criterion_7_highest_weight_closure(capsys):
 
         def check(seq, k, lam, budget=18):
             n = seq.n
-            horizon, cutoff = 5 * n, 3 * n
+            cutoff = 3 * n
             want = {f for f in comb_lambda(seq, k, lam, budget).forms
                     if support_bound(seq, f) <= cutoff}
-            cert, _ = closure(seq, [lambda_form(seq, k, lam)], horizon,
-                              op="Shat'", lam=lam, margin=2)
+            cert, _ = closure(seq, [lambda_form(seq, k, lam)], cutoff,
+                              op="Shat'", lam=lam)
             got = {f for f in cert
                    if not f.is_zero() and support_bound(seq, f) <= cutoff}
             assert got == want, (seq.base_type, k, lam.values)
@@ -293,7 +293,7 @@ def test_criterion_9_positivity(capsys):
             seq = from_permutation(g, order)
             for lam in (DominantWeight(lam_values),
                         DominantWeight((1,) * seq.n)):
-                report = positivity_report(seq, lam, 4 * seq.n)
+                report = positivity_report(seq, lam, 3 * seq.n)
                 assert report == {"xi_positive": True,
                                   "strict_positive": True,
                                   "ample": True}, (g, lam.values)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -85,6 +86,15 @@ def test_walls_enum_and_render():
     assert "supporting:" in pic and "covering:" in pic
 
 
+def test_walls_render_tall_column():
+    # one pattern lookup per column, not one per cell
+    start = time.monotonic()
+    code, pic = run("walls", "render", "--rank", "3",
+                    "--wall", "ground=yw:D2:k=1;cols=[5000]")
+    assert code == 0 and pic
+    assert time.monotonic() - start < 5.0
+
+
 def test_verify_props_and_crystal():
     code, text = run("verify", "props", "--type", "C1", "--rank", "3",
                      "--order", "3,2,1", "--blocks", "4")
@@ -139,8 +149,10 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "closure", *d2, "--periods", "1"),
         ("verify", "crystal", *d2, "--depth", "-1"),
         ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
+        ("epsstar", *d2, "--k", "1", "--elem", "a[1,7]=1"),
     ]
     for argv in cases:
         assert run(*argv)[0] == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    assert "colour 7" in err[0]

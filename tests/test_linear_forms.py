@@ -134,7 +134,7 @@ def test_lambda_and_xi_forms():
 
 def test_closure_ex1_contains_printed_forms():
     seq = ex1_seq()
-    cert, frontier = closure(seq, [x(1, 1)], 15)
+    cert, frontier = closure(seq, [x(1, 1)], 12)
     for text in ["x[1,1]", "2 x[2,2] - x[2,1]", "x[2,2] + x[3,3] - x[3,2]",
                  "x[2,1] + 2 x[3,3] - 2 x[3,2]", "x[2,1] + x[3,3] - x[4,3]"]:
         assert parse_form(text) in cert
@@ -142,22 +142,22 @@ def test_closure_ex1_contains_printed_forms():
 
 def test_closure_certified_stable_under_growth():
     seq = ex1_seq()
-    cert_small, _ = closure(seq, [x(1, 1)], 12)
-    cert_big, _ = closure(seq, [x(1, 1)], 15)
-    window = {f for f in cert_big if support_bound(seq, f) <= 12 - seq.n}
+    cert_small, _ = closure(seq, [x(1, 1)], 9)
+    cert_big, _ = closure(seq, [x(1, 1)], 12)
+    window = {f for f in cert_big if support_bound(seq, f) <= 9}
     assert cert_small == window
 
 
 def test_closure_idempotent_on_certified():
     seq = ex1_seq()
-    cert, _ = closure(seq, [x(1, 1)], 12)
-    cert2, _ = closure(seq, cert, 12)
-    assert {f for f in cert2 if support_bound(seq, f) <= 12 - seq.n} == cert
+    cert, _ = closure(seq, [x(1, 1)], 9)
+    cert2, _ = closure(seq, cert, 9)
+    assert {f for f in cert2 if support_bound(seq, f) <= 9} == cert
 
 
 def test_positivity_ex1():
     seq = ex1_seq()
-    report = positivity_report(seq, DominantWeight((1, 1, 1)), 12)
+    report = positivity_report(seq, DominantWeight((1, 1, 1)), 9)
     assert report == {"xi_positive": True, "strict_positive": True, "ample": True}
 
 
@@ -181,4 +181,11 @@ def test_closure_rejects_indices_before_one():
     # running on a misplaced coefficient
     seq = ex1_seq()
     with pytest.raises(ValueError):
-        closure(seq, [parse_form("x[0,1]")], 12)
+        closure(seq, [parse_form("x[0,1]")], 9)
+
+
+def test_closure_window_needs_a_period():
+    seq = ex1_seq()
+    assert closure(seq, [x(1, 1)], seq.n)[0]
+    with pytest.raises(ValueError):
+        closure(seq, [x(1, 1)], seq.n - 1)

@@ -204,7 +204,7 @@ def test_comb_infinity_windowed_matches_closure():
     # the stabilized windowed family equals the certified operator closure
     seq = ex1_seq()
     cap = 9
-    cert, _ = closure(seq, [x(1, 1)], 15, margin=2)
+    cert, _ = closure(seq, [x(1, 1)], 9)
     got = comb_infinity(seq, (1, 3), k=1, support_max=cap)
     assert set(got.forms) == {f for f in cert if support_bound(seq, f) <= cap}
 
@@ -212,7 +212,7 @@ def test_comb_infinity_windowed_matches_closure():
 def test_a1_windowed_matches_closure():
     seq = from_permutation(AffineType(Family.A1, 3), (3, 1, 2))
     for k in (1, 3):
-        cert, _ = closure(seq, [x(1, k)], 15, margin=2)
+        cert, _ = closure(seq, [x(1, k)], 9)
         got = comb_infinity(seq, (1, 3), k=k, support_max=9)
         assert set(got.forms) == {f for f in cert if support_bound(seq, f) <= 9}
 
@@ -306,7 +306,7 @@ def test_comb_lambda_matches_operator_closure():
     lam = DominantWeight((1, 1, 1))
     for k, budget in [(2, 12), (3, 12), (1, 18)]:
         seed = lambda_form(seq, k, lam)
-        cert, _ = closure(seq, [seed], 15, op="Shat'", lam=lam, margin=2)
+        cert, _ = closure(seq, [seed], 9, op="Shat'", lam=lam)
         comb = comb_lambda(seq, k, lam, budget)
         windowed = {f for f in comb.forms if support_bound(seq, f) <= 9}
         windowed.add(LinearForm(0, {}))
