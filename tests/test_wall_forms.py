@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,50 @@ def test_a1_windowed_matches_closure():
         cert, _ = closure(seq, [x(1, k)], 9)
         got = comb_infinity(seq, (1, 3), k=k, support_max=9)
         assert set(got.forms) == {f for f in cert if support_bound(seq, f) <= 9}
+
+
+def reference_windowed(seq, s_max, block_max, k, support_max):
+    """The support_max grow loop spelled out: re-enumerate and re-form every
+    wall at every budget, window, and stop after a step that adds nothing."""
+    def windowed(budget):
+        out = set()
+        for w in enumerate_walls(seq.wall_type, k, budget):
+            for s in range(1, s_max + 1):
+                phi = wall_form(seq, s, k, w)
+                if all(seq.single_index(d) <= support_max for d in phi.support):
+                    out.add(phi)
+        return out
+
+    budget = max(block_max, 1)
+    current = windowed(budget)
+    while True:
+        budget += seq.n
+        grown = windowed(budget)
+        if grown == current:
+            return current
+        current = grown
+        assert budget <= 20 * seq.n
+
+
+@pytest.mark.parametrize("g,order", SETTINGS)
+def test_windowed_grow_loop_matches_reference(g, order):
+    seq = from_permutation(g, order)
+    for k in seq.base_type.index_set:
+        got = comb_infinity(seq, (2, 2), k=k, support_max=2 * seq.n)
+        assert got.forms == reference_windowed(seq, 2, 2, k, 2 * seq.n), k
+
+
+@pytest.mark.parametrize("g,order", SETTINGS)
+def test_windowed_provenance_reproduces_each_form(g, order):
+    # every provenance L[s,k](literal) names a wall whose form is the form
+    seq = from_permutation(g, order)
+    for k in seq.base_type.index_set:
+        got = comb_infinity(seq, (2, 2), k=k, support_max=2 * seq.n)
+        for phi in got:
+            m = re.fullmatch(r"L\[(\d+),(\d+)\]\((.*)\)", got.provenance[phi])
+            s, kk, w = int(m.group(1)), int(m.group(2)), parse_wall(m.group(3), seq.n)
+            assert kk == k and 1 <= s <= 2
+            assert wall_form(seq, s, k, w) == phi
 
 
 # --- box forms --------------------------------------------------------
