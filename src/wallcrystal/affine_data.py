@@ -334,8 +334,12 @@ def next_domain_point(X: AffineType, t) -> HalfInt:
         tw += 1
 
 
+@lru_cache(maxsize=None)
 def index_class(X: AffineType, k: int) -> int:
-    """1 if the fundamental weight at k carries a level-1 Young wall, else 2."""
+    """1 if the fundamental weight at k carries a level-1 Young wall, else 2.
+
+    Memoized per (type, colour); an index outside 1..n raises on every call.
+    """
     n = X.n
     fam = X.family
     if not 1 <= k <= n:
@@ -353,11 +357,14 @@ def index_class(X: AffineType, k: int) -> int:
     return 1 if k in class1 else 2
 
 
+@lru_cache(maxsize=None)
 def thresholds(X: AffineType, k: int):
     """(T_k or None, Tbar_k, Tbarbar_k) for the colour k.
 
     Tbar/Tbarbar are the first and second domain points mapping to k;
     T_k = floor(Tbar_k) and is reported only for class-1 indices.
+    Memoized per (type, colour), so the returned HalfInts are shared and
+    must not be mutated.
     """
     if X.family is Family.A1:
         t = None if index_class(X, k) != 1 else k

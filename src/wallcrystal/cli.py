@@ -10,7 +10,7 @@ import sys
 from wallcrystal.affine_data import parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, beta, closure, positivity_report, x,
+    DominantWeight, beta, closure, positivity_report, render_form, x,
 )
 from wallcrystal.walls import (
     enumerate_walls, parse_wall, render, transitions, wall_literal,
@@ -142,13 +142,19 @@ def _verify_closure(args, seq, out):
         # the closure of a union of seeds is the union of their closures
         certs, _ = closure(seq, [x(s, k) for s in range(1, args.s_max + 1)],
                            window)
-        windowed = set(comb_infinity(seq, (args.s_max, 2), k=k,
-                                     support_max=window).forms)
-        ok = windowed == certs
+        ineqs = comb_infinity(seq, (args.s_max, 2), k=k, support_max=window)
+        ok = ineqs.forms == certs
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "
-                  f"cert={len(certs)} walls={len(windowed)}\n")
+                  f"cert={len(certs)} walls={len(ineqs)}\n")
         if not ok:
             failures.append(k)
+            lines = [(render_form(f), f"closure only: {render_form(f)}")
+                     for f in certs - ineqs.forms]
+            lines += [(render_form(f),
+                       f"walls only: {render_form(f)} {ineqs.provenance[f]}")
+                      for f in ineqs.forms - certs]
+            for _, line in sorted(lines)[:20]:
+                out.write(f"  {line}\n")
     return failures
 
 

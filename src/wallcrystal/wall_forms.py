@@ -167,14 +167,19 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     """{L_{s,k}(Y)} over 1 <= s <= s_max and walls within the block budget.
 
     With support_max given, the block budget is grown (in steps of the
-    rank) until the subset supported within that single-index window is
-    unchanged by a further step, and only that subset is returned.
+    rank) until a further step adds no form supported within that
+    single-index window, and only that subset is returned.  Each wall is
+    formed once, at the first budget that enumerates it, so a form's
+    provenance is its first witness in increasing budget.
     """
     s_max, block_max = window
     if s_max < 1 or block_max < 0:
         raise ValueError(window)
     colours = [k] if k is not None else list(seq.base_type.index_set)
+    meta = _meta(seq, k=k) if k is not None else _meta(seq)
     offsets = {}  # (colour, site) -> offset, shared by every budget below
+    formed = set()  # the walls whose forms are already in prov
+    prov = {}  # form -> its first witness
 
     def offset(seq, colour, site):
         key = (colour, site)
@@ -183,41 +188,42 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
             off = offsets[key] = _site_offset(seq, colour, site)
         return off
 
-    def generate(budget):
-        forms, prov = {}, {}
+    def grow(budget):
+        """Form the walls first enumerated at this budget; return the new forms."""
+        added = []
         for kk in colours:
             for w in enumerate_walls(seq.wall_type, kk, budget):
+                if w in formed:
+                    continue
+                formed.add(w)
                 terms = _wall_terms(seq, kk, w, offset)
                 for s in range(1, s_max + 1):
                     phi = _form_at(terms, s)
-                    if phi not in forms:
-                        forms[phi] = True
+                    if phi not in prov:
                         prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
-        return forms, prov
+                        added.append(phi)
+        return added
 
     if support_max is None:
-        forms, prov = generate(block_max)
-        return IneqSet(forms, prov, _meta(seq, k=k) if k is not None else _meta(seq))
-
-    step = seq.n
+        grow(block_max)
+        return IneqSet(prov, prov, meta)
 
     def windowed(forms):
         return {phi for phi in forms
                 if all(seq.single_index(d) <= support_max for d in phi.support)}
 
     budget = max(block_max, 1)
-    forms, prov = generate(budget)
-    current = windowed(forms)
+    current = windowed(grow(budget))
     while True:
-        budget += step
-        forms, prov = generate(budget)
-        grown = windowed(forms)
-        if grown == current:
+        budget += seq.n
+        # walls, and so forms, only grow with the budget: a step that adds
+        # no windowed form leaves the windowed set unchanged
+        grown = windowed(grow(budget))
+        if not grown:
             break
-        current = grown
+        current |= grown
         if budget > 20 * seq.n:
             raise NotStabilized(f"window {support_max} not stable at budget {budget}")
-    meta = _meta(seq, k=k) if k is not None else _meta(seq)
     return IneqSet(current, {phi: prov[phi] for phi in current}, meta)
 
 

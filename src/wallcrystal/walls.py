@@ -118,10 +118,11 @@ def _back_assignment(X: AffineType, k: int, ground: str, column: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tuple:
-    """The first `count` cells of the column pattern (non-A1 types)."""
+    """The first `count` cells of the column pattern (non-A1 types);
+    column_pattern asks only for powers of two, so a column that grows
+    cell by cell is built a logarithmic number of times."""
     assert X.family is not Family.A1
     halfs = half_height_colors(X)
-    splits = {frozenset(p) for p in split_cell_pairs(X)}
     backs = _back_assignment(X, k, ground, parity)
     tk, tbar, tbarbar = thresholds(X, k)
     cells = []
@@ -159,7 +160,8 @@ def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int =
             lvl = HalfInt.of(k - column + m)
             cells.append(Cell("full", lvl, (periodic_map(X, lvl),), (lvl,)))
         return tuple(cells)
-    return _pattern(X, k, ground, column % 2, count)
+    cells = _pattern(X, k, ground, column % 2, 1 << (count - 1).bit_length())
+    return cells if len(cells) == count else cells[:count]
 
 
 def _base_top(X: AffineType, k: int, ground: str) -> str:

@@ -144,6 +144,9 @@ def test_index_class_tables():
     assert index_class(AffineType(Family.A2EVEN_DAGGER, 3), 3) == 2
     assert index_class(AffineType(Family.A2ODD, 4), 2) == 1
     assert index_class(AffineType(Family.A2ODD, 4), 4) == 2
+    for _ in range(2):  # an out-of-range colour raises on every call
+        with pytest.raises(ValueError):
+            index_class(AffineType(Family.D2, 3), 0)
 
 
 def test_thresholds_examples():
@@ -153,8 +156,9 @@ def test_thresholds_examples():
     assert thresholds(X, 3) == (None, HalfInt.of(2), HalfInt.of(4))
     assert thresholds(X, 1) == (1, HalfInt.of(1), HalfInt.of(5))
     assert thresholds(X, 2) == (1, HalfInt(3), HalfInt(11))
-    with pytest.raises(ValueError):
-        thresholds(AffineType(Family.D2, 3), 9)
+    for _ in range(2):  # an out-of-range colour raises on every call
+        with pytest.raises(ValueError):
+            thresholds(AffineType(Family.D2, 3), 9)
 
 
 @given(X=affine_types())

@@ -9,7 +9,7 @@ import pytest
 
 import wallcrystal
 from wallcrystal.cli import main
-from wallcrystal.linear_forms import parse_form
+from wallcrystal.linear_forms import parse_form, render_form
 
 
 def run(*argv):
@@ -109,6 +109,30 @@ def test_verify_closure_small():
                      "--order", "3,2,1", "--s-max", "1", "--periods", "4")
     assert code == 0
     assert text.count("ok") == 3 and "MISMATCH" not in text
+
+
+def test_verify_closure_prints_witnesses(monkeypatch):
+    # drop one certified form: the MISMATCH names it with its wall witness
+    import wallcrystal.cli as cli
+
+    real, dropped = cli.closure, []
+
+    def closure(*args, **kwargs):
+        certs, frontier = real(*args, **kwargs)
+        if not dropped:
+            dropped.append(min(certs, key=render_form))
+            certs = certs - {dropped[0]}
+        return certs, frontier
+
+    monkeypatch.setattr(cli, "closure", closure)
+    code, text = run("verify", "closure", "--type", "D2", "--rank", "3",
+                     "--order", "3,2,1", "--periods", "4")
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[0].startswith("closure k=1 MISMATCH")
+    prefix = f"  walls only: {render_form(dropped[0])} "
+    assert lines[1].startswith(prefix + "L[")
+    assert not lines[2].startswith("  ")  # the only witness
 
 
 def test_thread_cap_env(monkeypatch):

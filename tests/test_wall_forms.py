@@ -262,6 +262,23 @@ def test_windowed_provenance_reproduces_each_form(g, order):
             assert wall_form(seq, s, k, w) == phi
 
 
+def test_grow_loop_forms_each_wall_once(monkeypatch):
+    # growing the budget re-enumerates walls but forms each of them once
+    import wallcrystal.wall_forms as wall_forms
+
+    seen = []
+
+    def counted(w):
+        seen.append(w)
+        return sites(w)
+
+    monkeypatch.setattr(wall_forms, "sites", counted)
+    seq = ex1_seq()
+    comb_infinity(seq, (2, 2), support_max=2 * seq.n)
+    assert len(seen) > len(enumerate_walls(seq.wall_type, 1, 2))
+    assert len(seen) == len(set(seen))
+
+
 # --- box forms --------------------------------------------------------
 
 

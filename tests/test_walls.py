@@ -128,6 +128,19 @@ def test_a1_block_colors():
     assert [c.colors[0] for c in cells] == [1, 2, 3]
 
 
+def test_column_pattern_cached_per_power_of_two():
+    # a column read at every length from 1 to 300 builds its pattern at
+    # most once per power of two, and every read is a prefix of the longest
+    from wallcrystal.walls import _pattern
+
+    X = AffineType(Family.B1, 4)
+    before = _pattern.cache_info().currsize
+    got = [column_pattern(X, 1, LEVEL1, 0, count) for count in range(1, 301)]
+    assert _pattern.cache_info().currsize - before <= 10
+    assert [len(cells) for cells in got] == list(range(1, 301))
+    assert all(cells == got[-1][:len(cells)] for cells in got)
+
+
 def test_class_mismatch():
     X = AffineType(Family.C1, 3)
     with pytest.raises(ClassMismatch):
