@@ -176,10 +176,9 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     if s_max < 1 or block_max < 0:
         raise ValueError(window)
     colours = [k] if k is not None else list(seq.base_type.index_set)
-    meta = _meta(seq, k=k) if k is not None else _meta(seq)
     offsets = {}  # (colour, site) -> offset, shared by every budget below
-    formed = set()  # the walls whose forms are already in prov
-    prov = {}  # form -> its first witness
+    formed = set()  # the walls already formed in this call
+    prov = {}  # kept form -> its first witness
 
     def offset(seq, colour, site):
         key = (colour, site)
@@ -188,9 +187,14 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
             off = offsets[key] = _site_offset(seq, colour, site)
         return off
 
+    def kept(phi):
+        return support_max is None or all(
+            seq.single_index(d) <= support_max for d in phi.support)
+
     def grow(budget):
-        """Form the walls first enumerated at this budget; return the new forms."""
-        added = []
+        """Form the walls first enumerated at this budget; report whether
+        that added a kept form."""
+        before = len(prov)
         for kk in colours:
             for w in enumerate_walls(seq.wall_type, kk, budget):
                 if w in formed:
@@ -199,32 +203,25 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
                 terms = _wall_terms(seq, kk, w, offset)
                 for s in range(1, s_max + 1):
                     phi = _form_at(terms, s)
-                    if phi not in prov:
+                    if phi not in prov and kept(phi):
                         prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
-                        added.append(phi)
-        return added
+        return len(prov) > before
 
     if support_max is None:
         grow(block_max)
-        return IneqSet(prov, prov, meta)
-
-    def windowed(forms):
-        return {phi for phi in forms
-                if all(seq.single_index(d) <= support_max for d in phi.support)}
-
-    budget = max(block_max, 1)
-    current = windowed(grow(budget))
-    while True:
+    else:
+        budget = max(block_max, 1)
+        grow(budget)
+        # walls, and so kept forms, only grow with the budget: stop after
+        # a step that adds no kept form
         budget += seq.n
-        # walls, and so forms, only grow with the budget: a step that adds
-        # no windowed form leaves the windowed set unchanged
-        grown = windowed(grow(budget))
-        if not grown:
-            break
-        current |= grown
-        if budget > 20 * seq.n:
-            raise NotStabilized(f"window {support_max} not stable at budget {budget}")
-    return IneqSet(current, {phi: prov[phi] for phi in current}, meta)
+        while grow(budget):
+            if budget > 20 * seq.n:
+                raise NotStabilized(
+                    f"window {support_max} not stable at budget {budget}")
+            budget += seq.n
+    meta = _meta(seq, k=k) if k is not None else _meta(seq)
+    return IneqSet(prov, prov, meta)
 
 
 # --- box forms (closed chains for highest-weight families) ------------
