@@ -5,14 +5,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallcrystal.affine_data import AffineType, Family, HalfInt
+from wallcrystal.affine_data import AffineType, Family, HalfInt, langlands_dual
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, LinearForm, beta, closure, lambda_form, parse_form,
     support_bound, x,
 )
 from wallcrystal.walls import (
-    Site, enumerate_walls, ground_state, parse_wall, sites, transitions,
+    Site, Wall, WallPair, enumerate_walls, ground_state, parse_wall, sites,
+    transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
     HostMismatch, NotStabilized, OutOfRange, box_form, comb_infinity,
@@ -277,6 +278,86 @@ def test_grow_loop_forms_each_wall_once(monkeypatch):
     comb_infinity(seq, (2, 2), support_max=2 * seq.n)
     assert len(seen) > len(enumerate_walls(seq.wall_type, 1, 2))
     assert len(seen) == len(set(seen))
+
+
+# --- the column-state tree the windowed search walks ------------------
+
+TREE_BLOCKS = 8
+
+# the wall types of tests/test_site_kernel.py
+TREE_TYPES = [
+    AffineType(Family.A1, 3), AffineType(Family.C1, 3),
+    AffineType(Family.D2, 3), AffineType(Family.B1, 4),
+    AffineType(Family.A2ODD, 4), AffineType(Family.D1, 6),
+    AffineType(Family.A2EVEN, 3), AffineType(Family.A2EVEN_DAGGER, 3),
+]
+
+
+def _tree_parent(w):
+    """The node one column shorter; a pair drops a column of both members."""
+    if isinstance(w, WallPair):
+        return WallPair(_tree_parent(w.supporting), _tree_parent(w.covering))
+    return Wall(w.wall_type, w.k, w.ground, w.states[:-1])
+
+
+@pytest.mark.parametrize("X", TREE_TYPES, ids=lambda X: f"{X.family.value}{X.n}")
+def test_column_state_tree_support_bound_never_drops(X):
+    # a wall's children fix one more column (of both members, for a pair);
+    # along every edge the largest support index of L_{1,k} never drops,
+    # and among one node's children, grouped by added atoms, the least
+    # bound of each group is at least the least bound of the group before
+    # it: so a cut node cuts its subtree, and a wholly cut group every
+    # later group
+    g = langlands_dual(X)
+    seq = from_permutation(g, tuple(range(g.n, 0, -1)))
+    for k in X.index_set:
+        root = ground_state(X, k)
+        walls = list(enumerate_walls(X, k, TREE_BLOCKS))
+        bound = {w: support_bound(seq, wall_form(seq, 1, k, w)) for w in walls}
+        children = {}
+        for w in walls:
+            if w == root:
+                continue
+            p = _tree_parent(w)
+            assert bound[w] >= bound[p], (wall_literal(p), wall_literal(w))
+            children.setdefault(p, {}).setdefault(
+                w.atoms - p.atoms, []).append(bound[w])
+        # every child group is complete: the budget holds the whole group
+        for p, by_cost in children.items():
+            least = [min(by_cost[c]) for c in sorted(by_cost)]
+            assert least == sorted(least), (k, wall_literal(p), least)
+
+
+# a budget per setting well past the deepest wall whose forms lie in the
+# window 3n, for which every wall up to the budget is formed
+FIXED_BUDGET = {Family.D2: 20, Family.C1: 20, Family.B1: 22,
+                Family.A2ODD: 18, Family.D1: 23}
+
+
+@pytest.mark.parametrize("g,order", SETTINGS)
+def test_windowed_forms_equal_all_forms_at_a_fixed_budget(g, order):
+    seq = from_permutation(g, order)
+    budget = FIXED_BUDGET[g.family]
+    windows = (2 * seq.n, 3 * seq.n)
+    for k in seq.base_type.index_set:
+        within = {W: set() for W in windows}
+        for w in enumerate_walls(seq.wall_type, k, budget):
+            for s in (1, 2):
+                phi = wall_form(seq, s, k, w)
+                bound = support_bound(seq, phi)
+                if bound > windows[-1]:
+                    break  # L_{2,k} reaches a period past L_{1,k}
+                for W in windows:
+                    if bound <= W:
+                        within[W].add(phi)
+        for W in windows:
+            got = comb_infinity(seq, (2, 2), k=k, support_max=W)
+            assert got.forms == within[W], (k, W)
+            deepest = max(
+                parse_wall(re.fullmatch(r"L\[\d+,\d+\]\((.*)\)", p).group(1),
+                           seq.n).atoms
+                for p in got.provenance.values())
+            assert deepest + seq.n <= budget, (k, W, deepest)
 
 
 # --- box forms --------------------------------------------------------
