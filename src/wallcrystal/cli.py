@@ -115,6 +115,12 @@ def _cmd_epsstar(args, out):
         a = parse_element(seq, args.elem)
     except ValueError as e:
         raise UsageError(str(e))
+    # entries may be negative in Z^infinity, never in B(infinity)
+    for r, v in a.items():
+        if v < 0:
+            d = seq.reindex(r)
+            raise UsageError(f"a[{d.s},{d.k}]={v} is negative, so the element "
+                             f"is not in B(infinity)")
     out.write(f"{epsilon_star(seq, args.k, a.as_double(seq))}\n")
     return 0
 
@@ -251,7 +257,9 @@ def build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=_at_least(1), default=1)
     p.add_argument("--blocks", type=_at_least(0), default=4)
-    p.add_argument("--support-max", type=_at_least(1), dest="support_max")
+    p.add_argument("--support-max", type=_at_least(1), dest="support_max",
+                   metavar="N", help="keep the forms supported within single indices "
+                   "1..N, over every wall (--blocks is then ignored)")
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--bare", action="store_true")

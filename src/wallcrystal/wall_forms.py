@@ -15,7 +15,8 @@ from wallcrystal.affine_data import (
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form, x
 from wallcrystal.walls import (
-    Site, apply, enumerate_walls, ground_state, sites, wall_literal,
+    Site, apply, enumerate_walls, ground_state, search_walls, sites,
+    wall_literal,
 )
 
 
@@ -166,18 +167,21 @@ def _meta(seq, **extra):
 def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
     """{L_{s,k}(Y)} over 1 <= s <= s_max and walls within the block budget.
 
-    With support_max given, the block budget is grown (in steps of the
-    rank) until a further step adds no form supported within that
-    single-index window, and only that subset is returned.  Each wall is
-    formed once, at the first budget that enumerates it, so a form's
-    provenance is its first witness in increasing budget.
+    With support_max given, the block budget is ignored: the forms are
+    those supported within that single-index window, over every wall.
+    The walls are searched depth-first from the ground state, and a wall
+    whose s = 1 form leaves the window is cut with all its extensions,
+    since extending a wall never lowers the largest support index of its
+    s = 1 form (pinned in tests/test_wall_forms.py).  The search tree
+    being exhausted is the certificate that no wall was missed.  Each
+    wall reached is formed once, and a form's provenance is its first
+    witness in depth-first order.
     """
     s_max, block_max = window
     if s_max < 1 or block_max < 0:
         raise ValueError(window)
     colours = [k] if k is not None else list(seq.base_type.index_set)
-    offsets = {}  # (colour, site) -> offset, shared by every budget below
-    formed = set()  # the walls already formed in this call
+    offsets = {}  # (colour, site) -> offset, shared by every wall below
     prov = {}  # kept form -> its first witness
 
     def offset(seq, colour, site):
@@ -191,35 +195,25 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
         return support_max is None or all(
             seq.single_index(d) <= support_max for d in phi.support)
 
-    def grow(budget):
-        """Form the walls first enumerated at this budget; report whether
-        that added a kept form."""
-        before = len(prov)
-        for kk in colours:
-            for w in enumerate_walls(seq.wall_type, kk, budget):
-                if w in formed:
-                    continue
-                formed.add(w)
-                terms = _wall_terms(seq, kk, w, offset)
-                for s in range(1, s_max + 1):
-                    phi = _form_at(terms, s)
-                    if phi not in prov and kept(phi):
-                        prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
-        return len(prov) > before
+    def form(kk, w):
+        """Keep w's forms at s = 1..s_max that lie in the window; report
+        whether its s = 1 form does.  A form's support moves up by a
+        period with s, so the first form past the window ends the scan."""
+        terms = _wall_terms(seq, kk, w, offset)
+        for s in range(1, s_max + 1):
+            phi = _form_at(terms, s)
+            if not kept(phi):
+                return s > 1
+            if phi not in prov:
+                prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
+        return True
 
-    if support_max is None:
-        grow(block_max)
-    else:
-        budget = max(block_max, 1)
-        grow(budget)
-        # walls, and so kept forms, only grow with the budget: stop after
-        # a step that adds no kept form
-        budget += seq.n
-        while grow(budget):
-            if budget > 20 * seq.n:
-                raise NotStabilized(
-                    f"window {support_max} not stable at budget {budget}")
-            budget += seq.n
+    for kk in colours:
+        if support_max is None:
+            for w in enumerate_walls(seq.wall_type, kk, block_max):
+                form(kk, w)
+        else:
+            search_walls(seq.wall_type, kk, lambda w, kk=kk: form(kk, w))
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
     return IneqSet(prov, prov, meta)
 

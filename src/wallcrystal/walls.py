@@ -23,6 +23,7 @@ from wallcrystal.affine_data import (
     index_class,
     next_domain_point,
     parse_type,
+    period,
     periodic_map,
     split_cell_pairs,
     thresholds,
@@ -117,14 +118,15 @@ def _back_assignment(X: AffineType, k: int, ground: str, column: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tuple:
-    """The first `count` cells of the column pattern (non-A1 types);
-    column_pattern asks only for powers of two, so a column that grows
-    cell by cell is built a logarithmic number of times."""
-    assert X.family is not Family.A1
+def _pattern_period(X: AffineType, k: int, ground: str, parity: int):
+    """(head, cycle): the column pattern's cells below its first integer
+    level past the ground cell, and its cells over one period from that
+    level on.  Every integer domain point starts a cell, and above 1 the
+    domain and the colour map repeat with period(X), so the rest of the
+    pattern is the cycle repeated, each copy a period higher."""
     halfs = half_height_colors(X)
     backs = _back_assignment(X, k, ground, parity)
-    tk, tbar, tbarbar = thresholds(X, k)
+    tbar, tbarbar = thresholds(X, k)[1:]
     cells = []
     if ground == LEVEL1:
         t = tbar if tbar.is_integer else tbar - HalfInt(1)
@@ -132,7 +134,10 @@ def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tup
         t = tbar if ground == SUPPORTING else tbarbar
         cells.append(Cell("double", t, (k,), (t,)))
         t = next_domain_point(X, t)
-    while len(cells) < count:
+    start = stop = None
+    while stop is None or t < stop:
+        if stop is None and t.is_integer:
+            start, stop = len(cells), t + period(X)
         c = periodic_map(X, t)
         nxt = t + HalfInt(1)
         if t.is_integer and in_domain(X, nxt):
@@ -149,6 +154,27 @@ def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tup
         else:
             cells.append(Cell("full", t, (c,), (t,)))
             t = next_domain_point(X, t)
+    return tuple(cells[:start]), tuple(cells[start:])
+
+
+@lru_cache(maxsize=None)
+def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tuple:
+    """The first `count` cells of the column pattern (non-A1 types): the
+    head of _pattern_period, then its cycle tiled upward; column_pattern
+    asks only for powers of two, so a column that grows cell by cell is
+    built a logarithmic number of times."""
+    assert X.family is not Family.A1
+    head, cycle = _pattern_period(X, k, ground, parity)
+    cells = list(head[:count])
+    step = period(X).twice
+    lift = 0
+    while len(cells) < count:
+        for c in cycle[:count - len(cells)]:
+            level = HalfInt(c.level.twice + lift)
+            args = (level,) if len(c.args) == 1 else \
+                tuple([HalfInt(a.twice + lift) for a in c.args])
+            cells.append(Cell(c.kind, level, c.colors, args))
+        lift += step
     return tuple(cells)
 
 
@@ -502,42 +528,88 @@ def apply(w, site: Site):
     raise SiteNotPresent(site)
 
 
-def _column_states(X, k, ground, budget):
-    """All single-column states with at most `budget` added atoms."""
-    base = (0, _base_top(X, k, ground))
-    out = [base]
+def _cost_groups(X, k, ground):
+    """The non-bare states of one column, grouped by added atoms in
+    increasing order; endless, since a column has no top."""
     if X.family is Family.A1:
-        return [(c, NONE) for c in range(budget + 1)]
-    cells = column_pattern(X, k, ground, 0, budget + 2)  # each cell holds an atom
+        for c in itertools.count(1):
+            yield c, ((c, NONE),)
+    base = (0, _base_top(X, k, ground))
+    cells = ()
     atoms = -1  # the ground atom
-    m = 0
-    while True:
+    for m in itertools.count():
+        if m == len(cells):
+            cells = column_pattern(X, k, ground, 0, 2 * m + 8)
         cell = cells[m]
-        partials = []
+        partials = ()
         if cell.kind == "split":
             # the base split cell of a level-1 ground always keeps its
             # front atom, so its only partial state is the bare one
-            partials = [] if (m == 0 and ground == LEVEL1) else [FRONT, BACK]
+            partials = () if (m == 0 and ground == LEVEL1) else (FRONT, BACK)
         elif cell.kind == "double":
-            partials = [LOWER]
-        for code in partials:
-            st = (m, code)
-            if st != base and atoms + 1 <= budget:
-                out.append(st)
+            partials = (LOWER,)
+        group = tuple((m, code) for code in partials if (m, code) != base)
+        if group:
+            yield atoms + 1, group
         atoms += cell.natoms
-        m += 1
-        if atoms > budget:
-            break
-        out.append((m, NONE))
-    return out
+        yield atoms, ((m + 1, NONE),)
 
 
-def _state_atoms(X, k, ground, st):
-    m, top = st
-    if X.family is Family.A1:
-        return m
-    cells = column_pattern(X, k, ground, 0, m + 1)
-    return sum(c.natoms for c in cells[:m]) + (0 if top == NONE else 1) - 1
+class _CostGroups:
+    """_cost_groups listed on demand and shared by every node of a search."""
+
+    def __init__(self, X, k, ground):
+        self._source = _cost_groups(X, k, ground)
+        self._listed = []
+
+    def __iter__(self):
+        listed = self._listed
+        for i in itertools.count():
+            if i == len(listed):
+                listed.append(next(self._source))
+            yield listed[i]
+
+
+def _fitting(groups, prev, last_full, a1):
+    """The non-empty cost groups of the states a column may take when the
+    column to its right has state prev (None for column 0) and the
+    nearest full column to its right has height last_full."""
+    for c, group in groups:
+        if prev is not None and group[0][0] > prev[0]:
+            return  # no column is taller than the one to its right
+        fit = [st for st in group
+               if (prev is None or _covers(prev, st, a1))
+               # two full columns of equal height: improper
+               and (a1 or st[1] != NONE or st[0] != last_full)]
+        if fit:
+            yield c, fit
+
+
+def _by_total(left, right):
+    """Pairs from two streams of cost groups, grouped by total cost in
+    increasing order; within a total, by left cost, then in group order."""
+    streams = [iter(left), iter(right)]
+    listed = ([], [])
+    for total in itertools.count(2):  # every state adds an atom
+        for side in (0, 1):
+            groups = listed[side]
+            while streams[side] is not None and \
+                    (not groups or groups[-1][0] < total - 1):
+                nxt = next(streams[side], None)
+                if nxt is None:
+                    streams[side] = None
+                else:
+                    groups.append(nxt)
+        ls, rs = listed
+        if (streams[0] is None and not ls) or (streams[1] is None and not rs):
+            return
+        if streams == [None, None] and total > ls[-1][0] + rs[-1][0]:
+            return
+        rcost = dict(rs)
+        group = [(a, b) for ca, ga in ls if total - ca in rcost
+                 for a in ga for b in rcost[total - ca]]
+        if group:
+            yield total, group
 
 
 def _wall_unchecked(X, k, ground, states):
@@ -550,30 +622,45 @@ def _wall_unchecked(X, k, ground, states):
     return w
 
 
-def _enumerate_single(X, k, ground, max_blocks):
-    base = (0, _base_top(X, k, ground))
-    singles = [st for st in _column_states(X, k, ground, max_blocks)
-               if st != base]
-    cost = {st: _state_atoms(X, k, ground, st) for st in singles}
+def _enumerate_single(X, k, ground, max_blocks=None, keep=None):
+    """Walls over one ground, depth-first over column states from right
+    to left, each column's states in increasing added atoms: those with
+    at most max_blocks added atoms, or those keep accepts.
+
+    keep(w) is asked once per wall reached.  A rejected wall is not
+    extended, and a column's scan ends at the first cost group whose
+    every fitting state is rejected."""
+    if max_blocks is None:
+        groups = _CostGroups(X, k, ground)
+    else:
+        groups = list(itertools.takewhile(lambda g: g[0] <= max_blocks,
+                                          _cost_groups(X, k, ground)))
     a1 = X.family is Family.A1
-    found = {_wall_unchecked(X, k, ground, ()): 0}
+    root = _wall_unchecked(X, k, ground, ())
+    found = {}
+    if keep is not None and not keep(root):
+        return found
+    found[root] = 0
 
-    def extend(prefix, prev, last_full, left):
-        for st in singles:
-            if prev is not None and not _covers(prev, st, a1):
-                continue
-            c = cost[st]
-            if c > left:
-                continue
-            m, top = st
-            full = not a1 and top == NONE and m >= 1
-            if full and m == last_full:
-                continue  # two full columns of equal height: improper
-            nxt = prefix + (st,)
-            found[_wall_unchecked(X, k, ground, nxt)] = max_blocks - left + c
-            extend(nxt, st, m if full else last_full, left - c)
+    def extend(prefix, prev, last_full, spent):
+        for c, group in _fitting(groups, prev, last_full, a1):
+            if max_blocks is not None and spent + c > max_blocks:
+                return
+            kept = False
+            for st in group:
+                nxt = prefix + (st,)
+                w = _wall_unchecked(X, k, ground, nxt)
+                if keep is not None and not keep(w):
+                    continue
+                kept = True
+                found[w] = spent + c
+                m, top = st
+                full = not a1 and top == NONE
+                extend(nxt, st, m if full else last_full, spent + c)
+            if not kept:
+                return
 
-    extend((), None, 0, max_blocks)
+    extend((), None, 0, 0)
     return found
 
 
@@ -598,6 +685,47 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
             if sa + ca <= max_blocks:
                 out[WallPair(s, c)] = None
     return out.keys()
+
+
+def search_walls(X: AffineType, k: int, keep):
+    """Visit the proper walls (class 1) or wall pairs (class 2) of colour
+    k depth-first from the ground state, calling keep(w) once on each.
+
+    A wall keep rejects is not extended.  Columns are fixed from right to
+    left, each in increasing added atoms; a pair fixes one column of both
+    members at a time, by their total added atoms, so its bare columns
+    stay in sync.  A column's scan ends at the first cost group whose
+    every fitting state keep rejects.  The search ends when the tree is
+    exhausted, which certifies that it reached every wall keep accepts
+    as long as keep never accepts a wall below a rejected one, nor a
+    cost group above a wholly rejected one."""
+    if index_class(X, k) == 1:
+        _enumerate_single(X, k, LEVEL1, keep=keep)
+        return
+    sups = _CostGroups(X, k, SUPPORTING)
+    covs = _CostGroups(X, k, COVERING)
+
+    def pair(sup, cov):
+        return WallPair(_wall_unchecked(X, k, SUPPORTING, sup),
+                        _wall_unchecked(X, k, COVERING, cov))
+
+    def extend(sup, cov, prev, last_full):
+        for _, group in _by_total(_fitting(sups, prev[0], last_full[0], False),
+                                  _fitting(covs, prev[1], last_full[1], False)):
+            kept = False
+            for st in group:
+                nsup, ncov = sup + (st[0],), cov + (st[1],)
+                if not keep(pair(nsup, ncov)):
+                    continue
+                kept = True
+                extend(nsup, ncov, st, tuple(
+                    m if top == NONE else last
+                    for (m, top), last in zip(st, last_full)))
+            if not kept:
+                return
+
+    if keep(pair((), ())):
+        extend((), (), (None, None), (0, 0))
 
 
 # --- rendering and literals ------------------------------------------
@@ -724,6 +852,8 @@ def parse_wall(text: str, n: int):
         raise ValueError(f"unparsable wall literal {text!r}")
     kind, fam, k, rest = m.group(1), m.group(2), int(m.group(3)), m.group(4)
     X = parse_type(fam, n)
+    # the colour's class decides its grounds: check it before any pattern
+    _base_top(X, k, SUPPORTING if kind == "pair" else _KIND[kind])
     if kind == "pair":
         mm = re.fullmatch(r"sup=\[([^\]]*)\];cov=\[([^\]]*)\]", rest)
         if not mm:

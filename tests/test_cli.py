@@ -111,6 +111,19 @@ def test_verify_closure_small():
     assert text.count("ok") == 3 and "MISMATCH" not in text
 
 
+def test_verify_closure_readme_b1():
+    # the README's B1 command at the default --periods 6
+    code, text = run("verify", "closure", "--type", "B1", "--rank", "4",
+                     "--order", "2,4,3,1")
+    assert code == 0
+    assert text.splitlines() == [
+        "closure k=1 ok cert=16 walls=16",
+        "closure k=2 ok cert=62 walls=62",
+        "closure k=3 ok cert=324 walls=324",
+        "closure k=4 ok cert=804 walls=804",
+    ]
+
+
 def test_verify_closure_prints_witnesses(monkeypatch):
     # drop one certified form: the MISMATCH names it with its wall witness
     import wallcrystal.cli as cli
@@ -173,6 +186,7 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "closure", *d2, "--periods", "1"),
         ("verify", "crystal", *d2, "--depth", "-1"),
         ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
+        ("epsstar", *d2, "--k", "1", "--elem", "a[1,1]=-1"),
         ("epsstar", *d2, "--k", "1", "--elem", "a[1,7]=1"),
     ]
     for argv in cases:

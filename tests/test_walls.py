@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallcrystal.affine_data import AffineType, Family, HalfInt
+from wallcrystal.affine_data import (
+    AffineType, Family, HalfInt, half_height_colors, in_domain, index_class,
+    next_domain_point, period, periodic_map, thresholds,
+)
 from wallcrystal.walls import (
-    COVERING, LEVEL1, SUPPORTING, ClassMismatch, NotProper, Site,
+    COVERING, LEVEL1, SUPPORTING, Cell, ClassMismatch, NotProper, Site,
     SiteNotPresent, Wall, WallPair, apply, column_pattern, enumerate_walls,
     ground_state, is_proper, parse_wall, render, sites, transitions,
-    wall_literal,
+    wall_literal, _back_assignment,
 )
 
 
@@ -141,6 +144,66 @@ def test_column_pattern_cached_per_power_of_two():
     assert all(cells == got[-1][:len(cells)] for cells in got)
 
 
+def _reference_pattern(X, k, ground, parity, count):
+    """The column pattern built cell by cell with a scan for the next
+    domain point, as before it was tiled by period."""
+    halfs = half_height_colors(X)
+    backs = _back_assignment(X, k, ground, parity)
+    _, tbar, tbarbar = thresholds(X, k)
+    cells = []
+    if ground == LEVEL1:
+        t = tbar if tbar.is_integer else tbar - HalfInt(1)
+    else:
+        t = tbar if ground == SUPPORTING else tbarbar
+        cells.append(Cell("double", t, (k,), (t,)))
+        t = next_domain_point(X, t)
+    while len(cells) < count:
+        c = periodic_map(X, t)
+        nxt = t + HalfInt(1)
+        if t.is_integer and in_domain(X, nxt):
+            c2 = periodic_map(X, nxt)
+            back = backs[frozenset({c, c2})]
+            if back == c:
+                cells.append(Cell("split", t, (c, c2), (t, nxt)))
+            else:
+                cells.append(Cell("split", t, (c2, c), (nxt, t)))
+            t = next_domain_point(X, nxt)
+        elif c in halfs:
+            cells.append(Cell("double", t, (c,), (t,)))
+            t = next_domain_point(X, t)
+        else:
+            cells.append(Cell("full", t, (c,), (t,)))
+            t = next_domain_point(X, t)
+    return tuple(cells)
+
+
+PATTERN_TYPES = [
+    AffineType(Family.C1, 3), AffineType(Family.C1, 4),
+    AffineType(Family.D2, 3), AffineType(Family.D2, 5),
+    AffineType(Family.B1, 4), AffineType(Family.B1, 5),
+    AffineType(Family.A2ODD, 4), AffineType(Family.A2ODD, 5),
+    AffineType(Family.D1, 5), AffineType(Family.D1, 6),
+    AffineType(Family.D1, 7), AffineType(Family.A2EVEN, 3),
+    AffineType(Family.A2EVEN, 4), AffineType(Family.A2EVEN_DAGGER, 3),
+    AffineType(Family.A2EVEN_DAGGER, 4),
+]
+
+
+@pytest.mark.parametrize("X", PATTERN_TYPES, ids=str)
+def test_tiled_pattern_matches_cell_by_cell_scan(X):
+    # every colour, ground and parity, over five periods: a period holds
+    # at most one cell per half step, so 5 * per.twice cells reach past
+    # the fifth
+    count = 5 * period(X).twice
+    for k in X.index_set:
+        grounds = [LEVEL1] if index_class(X, k) == 1 else [SUPPORTING, COVERING]
+        for ground in grounds:
+            for parity in (0, 1):
+                want = _reference_pattern(X, k, ground, parity, count)
+                assert column_pattern(X, k, ground, parity, count) == want, \
+                    (k, ground, parity)
+
+
 def test_class_mismatch():
     X = AffineType(Family.C1, 3)
     with pytest.raises(ClassMismatch):
@@ -150,6 +213,20 @@ def test_class_mismatch():
         Wall(B, 1, SUPPORTING, ())
     with pytest.raises(ClassMismatch):
         WallPair(Wall(X, 1, SUPPORTING, ()), Wall(X, 2, COVERING, ()))
+
+
+def test_parse_wall_checks_the_class_before_any_pattern(monkeypatch):
+    import wallcrystal.walls as walls
+
+    def no_pattern(*args):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(walls, "column_pattern", no_pattern)
+    for text in ("ground=sup:D2:k=1;cols=[99999]",
+                 "ground=yw:C1:k=1;cols=[99999]",
+                 "ground=pair:D2:k=1;sup=[99999];cov=[1]"):
+        with pytest.raises(ClassMismatch):
+            parse_wall(text, 3)
 
 
 def test_pair_sync_enforced():
