@@ -258,7 +258,8 @@ def build_parser():
     p.add_argument("--s", type=_at_least(1), default=1)
     p.add_argument("--blocks", type=_at_least(0), default=4)
     p.add_argument("--support-max", type=_at_least(1), dest="support_max",
-                   metavar="N", help="keep the forms supported within single indices "
+                   metavar="N",
+                   help="keep the forms supported within single indices "
                    "1..N, over every wall (--blocks is then ignored)")
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")

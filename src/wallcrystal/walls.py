@@ -689,16 +689,17 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
 
 def search_walls(X: AffineType, k: int, keep):
     """Visit the proper walls (class 1) or wall pairs (class 2) of colour
-    k depth-first from the ground state, calling keep(w) once on each.
+    k depth-first from the ground state, calling keep(w) once on each
+    wall reached.
 
-    A wall keep rejects is not extended.  Columns are fixed from right to
-    left, each in increasing added atoms; a pair fixes one column of both
-    members at a time, by their total added atoms, so its bare columns
-    stay in sync.  A column's scan ends at the first cost group whose
-    every fitting state keep rejects.  The search ends when the tree is
-    exhausted, which certifies that it reached every wall keep accepts
-    as long as keep never accepts a wall below a rejected one, nor a
-    cost group above a wholly rejected one."""
+    Columns are fixed from right to left, each in increasing added
+    atoms; a pair fixes one column of both members at a time, in
+    increasing total added atoms, so its bare columns stay in sync.  A
+    wall keep rejects is not extended, and a column's scan ends at the
+    first cost group whose every fitting state keep rejects.  The search
+    ends when this tree is exhausted; it has then reached every wall
+    keep accepts, provided keep rejects every extension of a rejected
+    wall and every cost group after a wholly rejected one."""
     if index_class(X, k) == 1:
         _enumerate_single(X, k, LEVEL1, keep=keep)
         return
