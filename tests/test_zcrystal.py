@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -233,3 +234,119 @@ def test_violations_are_the_extra_points(monkeypatch):
     vectors = sorted(tuple(a.get(r) for r in range(1, box + 1))
                      for a in rep["violations"])
     assert vectors == rep["extra"]
+
+
+# --- pins for the lattice sweep and the sigma profile -----------------
+
+ACCEPTANCE = [
+    ("D2 rank 3", AffineType(Family.D2, 3), (3, 2, 1), (1, 1, 1)),
+    ("C1 rank 3", AffineType(Family.C1, 3), (3, 2, 1), (2, 0, 1)),
+    ("B1 rank 4", AffineType(Family.B1, 4), (2, 4, 3, 1), (1, 0, 1, 2)),
+    ("A2odd rank 4", AffineType(Family.A2ODD, 4), (2, 4, 3, 1), (0, 1, 1, 0)),
+    ("D1 rank 6", AffineType(Family.D1, 6), (6, 5, 4, 3, 2, 1),
+     (1, 0, 0, 1, 0, 1)),
+]
+
+
+def _reference_report(seq, depth, lam, forms, box):
+    """The verifier's report by brute force: every nonnegative vector with
+    coordinate sum <= depth, checked against every form in pure Python."""
+    cut = set()
+    for total in range(depth + 1):
+        for cell in itertools.combinations_with_replacement(range(box), total):
+            vec = [0] * box
+            for r in cell:
+                vec[r] += 1
+            if all(v[0] + sum(c * e for c, e in zip(v[1:], vec)) >= 0
+                   for v in forms):
+                cut.add(tuple(vec))
+    if not box:
+        cut = {()}
+    vectors = {a: tuple(a.get(r) for r in range(1, box + 1))
+               for a in generate(seq, depth, lam)}
+    gen_vecs = set(vectors.values())
+    extra = gen_vecs - cut
+    return {"cut": len(cut), "missing": sorted(cut - gen_vecs),
+            "extra": sorted(extra),
+            "violations": {a for a, v in vectors.items() if v in extra}}
+
+
+@pytest.mark.parametrize("change", ["unchanged", "drop every third", "cut a_1"])
+@pytest.mark.parametrize("name,g,order,lam_values", ACCEPTANCE[:2],
+                         ids=[s[0] for s in ACCEPTANCE[:2]])
+def test_sweep_matches_brute_force(monkeypatch, name, g, order, lam_values,
+                                   change):
+    import wallcrystal.zcrystal as zc
+
+    window_forms, seen = zc._window_forms, []
+
+    def changed(seq, support_cap, *rest):
+        forms = window_forms(seq, support_cap, *rest)
+        if change == "drop every third":
+            forms = forms - set(sorted(forms)[2::3])  # the third, sixth, ...
+        elif change == "cut a_1":
+            forms = forms | {(0, -1) + (0,) * (support_cap - 1)}
+        seen.append((support_cap, forms))
+        return forms
+
+    monkeypatch.setattr(zc, "_window_forms", changed)
+    seq = from_permutation(g, order)
+    for depth, lam in ((5, None), (4, DominantWeight(lam_values))):
+        seen.clear()
+        rep = zc.verify_equivalence(seq, depth, lam=lam)
+        (box, forms), = seen
+        want = _reference_report(seq, depth, lam, forms, box)
+        assert rep["cut"] == want["cut"]
+        assert rep["missing"] == want["missing"]
+        assert rep["extra"] == want["extra"]
+        assert set(rep["violations"]) == want["violations"]
+        assert rep["ok"] == (not want["missing"] and not want["extra"])
+        if change == "drop every third":
+            assert want["missing"], (name, depth)
+        if change == "cut a_1":
+            assert want["extra"], (name, depth)
+
+
+def _sigma_reference(seq, a, k):
+    """(epsilon_k, first and last argmax) from the public sigma, scanning
+    the positions of colour k up to one period past the support."""
+    top = max(a.support, default=0) + seq.n
+    cols = [j for j in range(1, top + 1) if seq.entry(j) == k]
+    values = [sigma(seq, a, j) for j in cols]
+    eps = max([0] + values)
+    arg = [j for j, s in zip(cols, values) if s == eps]
+    return eps, arg[0], arg[-1]
+
+
+@pytest.mark.parametrize("name,g,order,lam_values", ACCEPTANCE,
+                         ids=[s[0] for s in ACCEPTANCE])
+def test_sigma_profile_matches_sigma(name, g, order, lam_values):
+    seq = from_permutation(g, order)
+    colours = list(seq.base_type.index_set)
+    for a in generate(seq, 5):
+        for k in colours:
+            eps, first, last = _sigma_reference(seq, a, k)
+            assert epsilon(seq, a, k) == eps
+            assert f_tilde(seq, a, k) == a.bump(first, 1)
+            assert e_tilde(seq, a, k) == (a.bump(last, -1) if eps > 0 else None)
+
+    def reference_generate(depth, lam):
+        seen = {ZElement()}
+        frontier = [ZElement()]
+        for _ in range(depth):
+            nxt = []
+            for a in frontier:
+                for k in colours:
+                    eps, first, _ = _sigma_reference(seq, a, k)
+                    if lam is not None and eps + wt_pairing(seq, a, k, lam) <= 0:
+                        continue
+                    b = a.bump(first, 1)
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return seen
+
+    for lam in (None, DominantWeight(lam_values)):
+        for depth in range(6):
+            assert generate(seq, depth, lam) == reference_generate(depth, lam)
