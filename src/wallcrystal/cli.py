@@ -10,7 +10,8 @@ import sys
 from wallcrystal.affine_data import parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, beta, closure, positivity_report, render_form, x,
+    DominantWeight, _closure_vectors, _forms, beta, positivity_report,
+    render_form, x,
 )
 from wallcrystal.walls import (
     enumerate_walls, parse_wall, render, transitions, wall_literal,
@@ -146,8 +147,9 @@ def _verify_closure(args, seq, out):
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
-        certs, _ = closure(seq, [x(s, k) for s in range(1, args.s_max + 1)],
-                           window)
+        vectors, _ = _closure_vectors(
+            seq, [x(s, k) for s in range(1, args.s_max + 1)], window)
+        certs = _forms(seq, vectors)
         ineqs = comb_infinity(seq, (args.s_max, 2), k=k, support_max=window)
         ok = ineqs.forms == certs
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "

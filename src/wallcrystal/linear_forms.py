@@ -7,7 +7,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, sub
 from typing import Iterable
 
 from wallcrystal.affine_data import cartan_entry
@@ -286,14 +285,17 @@ def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
         raise ConstantPresent("S' acts on forms with zero constant")
     cap = window + n
     width = max([cap + n + 1] + [support_bound(seq, phi) + 1 for phi in seeds])
-    bplus, bminus = [None], [None]  # indexed by r
+    # the step at r, as sparse (index, coefficient) lists: -beta^+_r where
+    # the coefficient of r is positive, +beta^-_r where it is negative
+    down, up = [None], [None]  # indexed by r
     for r in range(1, cap + 1):
         if hatted:
             plus, minus = beta_signed(seq, r, "+", lam), beta_signed(seq, r, "-", lam)
         else:
             plus, minus = beta_at(seq, r), beta_at(seq, r_minus(seq, r))
-        bplus.append(_dense(seq, plus, width))
-        bminus.append(_dense(seq, minus, width))
+        plus, minus = _dense(seq, plus, width), _dense(seq, minus, width)
+        down.append([(i, -c) for i, c in enumerate(plus) if c])
+        up.append([(i, c) for i, c in enumerate(minus) if c])
     seen = set()
     stack = []
     for phi in seeds:
@@ -305,10 +307,10 @@ def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
     while stack:
         v = stack.pop()
         for r in compress(indices, v[1:cap + 1]):
-            if v[r] > 0:
-                nxt = tuple(map(sub, v, bplus[r]))
-            else:
-                nxt = tuple(map(add, v, bminus[r]))
+            nxt = list(v)
+            for i, c in (down[r] if v[r] > 0 else up[r]):
+                nxt[i] += c
+            nxt = tuple(nxt)
             if nxt not in seen and not any(nxt[cap + 1:]):
                 seen.add(nxt)
                 stack.append(nxt)
@@ -338,15 +340,15 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     the returned sets.
     """
     certified, frontier = _closure_vectors(seq, seeds, window, op, lam)
-    vectors = certified + frontier
-    width = len(vectors[0]) if vectors else 1
+    return _forms(seq, certified), _forms(seq, frontier)
+
+
+def _forms(seq: AdaptedSequence, vectors: list) -> set:
+    """Dense vectors (see `_dense`) as a set of LinearForm."""
+    width = max(map(len, vectors), default=1)
     index = [seq.reindex(r) for r in range(1, width)]  # index[r - 1] is r
-
-    def form(v):
-        coeffs = v[1:]
-        return LinearForm(v[0], zip(compress(index, coeffs), compress(coeffs, coeffs)))
-
-    return {form(v) for v in certified}, {form(v) for v in frontier}
+    return {LinearForm(v[0], zip(compress(index, v[1:]), compress(v[1:], v[1:])))
+            for v in vectors}
 
 
 def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) -> dict:

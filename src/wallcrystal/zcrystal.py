@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 
-from wallcrystal.affine_data import cartan_entry
+from wallcrystal.affine_data import cartan_entry, cartan_matrix
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import (DominantWeight, _closure_vectors,
                                       lambda_form, x)
@@ -101,23 +101,55 @@ def sigma(seq: AdaptedSequence, a: ZElement, j: int) -> int:
     return out
 
 
-def _sigma_profile(seq: AdaptedSequence, a: ZElement, k: int):
-    """(epsilon_k, positions j with colour k attaining it, capped scan)."""
-    top = max(a.support, default=0) + seq.n
-    best, arg = 0, []
-    for j in range(1, top + 1):
-        if seq.entry(j) != k:
-            continue
-        s = sigma(seq, a, j)
-        if s > best:
-            best, arg = s, [j]
-        elif s == best:
-            arg.append(j)
-    return best, arg
+def _sigma_profile(seq: AdaptedSequence, a: ZElement):
+    """(epsilon, first, last, weight), lists indexed by colour - 1.
+
+    For colour k, epsilon is the largest sigma_j over the positions j of
+    colour k up to one period past the support, first and last are the
+    smallest and largest such j attaining it, and weight is
+    sum_r a_{k, i_r} a_r.  One downward pass keeps, for every colour k,
+    w[k] = sum_{l > j} a_{k, i_l} a_l; between two support positions
+    sigma_j = w[colour of j] is constant, so each gap costs one check per
+    colour at its first and last position of that colour.  The last
+    period past the support has sigma = 0 at every colour, so epsilon is
+    never negative.
+    """
+    n = seq.n
+    perm = seq.period_perm
+    cartan = cartan_matrix(seq.base_type)
+    occ = [0] * n  # occ[k - 1] is the first position of colour k
+    for i, c in enumerate(perm):
+        occ[c - 1] = i + 1
+    items = a.items()
+    w = [0] * n
+    best, first, last = [-1] * n, [0] * n, [0] * n
+    hi = (items[-1][0] if items else 0) + n
+    for r, v in reversed([(0, 0)] + items):
+        # the gap r < j <= hi
+        for k in range(n):
+            jl = hi - (hi - occ[k]) % n
+            if jl > r:
+                s = w[k]
+                if s >= best[k]:
+                    if s > best[k]:
+                        best[k], last[k] = s, jl
+                    first[k] = r + 1 + (occ[k] - r - 1) % n
+        if not r:
+            break
+        c = perm[(r - 1) % n] - 1
+        s = v + w[c]
+        if s >= best[c]:
+            if s > best[c]:
+                best[c], last[c] = s, r
+            first[c] = r
+        for k in range(n):
+            w[k] += cartan[k][c] * v
+        hi = r - 1
+    return best, first, last, w
 
 
 def epsilon(seq: AdaptedSequence, a: ZElement, k: int) -> int:
-    return _sigma_profile(seq, a, k)[0]
+    return _sigma_profile(seq, a)[0][k - 1]
 
 
 def wt_pairing(seq: AdaptedSequence, a: ZElement, k: int,
@@ -134,15 +166,14 @@ def phi(seq: AdaptedSequence, a: ZElement, k: int,
 
 
 def f_tilde(seq: AdaptedSequence, a: ZElement, k: int) -> ZElement:
-    _, arg = _sigma_profile(seq, a, k)
-    return a.bump(arg[0], 1)
+    return a.bump(_sigma_profile(seq, a)[1][k - 1], 1)
 
 
 def e_tilde(seq: AdaptedSequence, a: ZElement, k: int):
-    eps, arg = _sigma_profile(seq, a, k)
-    if eps <= 0:
+    eps, _, last, _ = _sigma_profile(seq, a)
+    if eps[k - 1] <= 0:
         return None
-    return a.bump(arg[-1], -1)
+    return a.bump(last[k - 1], -1)
 
 
 def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
@@ -160,19 +191,22 @@ def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
 def generate(seq: AdaptedSequence, depth: int,
              lam: DominantWeight | None = None) -> set:
     """All words of lowering operators of length <= depth applied to 0."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     zero = ZElement()
     seen = {zero}
     frontier = [zero]
-    colours = list(seq.base_type.index_set)
+    colours = range(seq.n)
     for _ in range(depth):
         nxt = []
         for a in frontier:
+            eps, first, _, weight = _sigma_profile(seq, a)
             for k in colours:
-                if lam is None:
-                    b = f_tilde(seq, a, k)
-                else:
-                    b = f_tilde_lambda(seq, a, k, lam)
-                if b is not None and b not in seen:
+                # phi_k = epsilon_k + <h_k, lam> - sum_r a_{k, i_r} a_r
+                if lam is not None and eps[k] + lam.values[k] <= weight[k]:
+                    continue
+                b = a.bump(first[k], 1)
+                if b not in seen:
                     seen.add(b)
                     nxt.append(b)
         if not nxt:
@@ -200,6 +234,86 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     return out
 
 
+# entries of one block of form values in the lattice sweep
+_BLOCK = 1 << 18
+
+
+def _cut_points(forms, box: int, depth: int):
+    """The nonnegative integer points of length box with coordinate sum
+    <= depth on which every form (dense, as `_window_forms` returns them)
+    is >= 0, as an int64 array with one point per row.
+
+    The sweep assigns coordinate L at level L to a whole frontier of
+    partial points at once.  A form whose last nonzero coefficient a sits
+    at L reads p + a x_L, with p fixed by the partial point, so it bounds
+    x_L from below by ceil(-p / a) if a > 0 and from above by
+    floor(p / -a) if a < 0.  Both bounds are monotone in p, so among the
+    forms of one a only the least p counts: each partial point branches
+    into exactly the interval of x_L its forms allow (and its remaining
+    budget), and no point that fails a form is ever built.  A partial
+    point is held as its unit steps, coordinate r repeated x_r times in
+    increasing order and 0 in the unused slots, so p is the sum of the
+    forms' columns over the steps: the product of the points with the
+    coefficient matrix, computed over the few nonzero coordinates.  The
+    values are exact int64 (|p| <= |constant| + depth max|coefficient|,
+    checked against 2**62) in blocks of at most _BLOCK entries.
+    """
+    import numpy as np
+
+    forms = list(forms)
+    if forms:
+        bound = max(abs(v[0]) for v in forms) + \
+            depth * max(max(map(abs, v[1:]), default=0) for v in forms)
+        if bound >= 1 << 62:
+            raise ValueError(f"form values up to {bound} overflow the int64 sweep")
+    by_level = [[] for _ in range(box + 1)]
+    for v in forms:
+        level = next((r for r in range(box, 0, -1) if v[r]), 0)
+        by_level[level].append(v)
+    if any(v[0] < 0 for v in by_level[0]):
+        raise ValueError("inconsistent constant inequality in the window")
+
+    steps = np.zeros((1, depth), dtype=np.intp)
+    used = np.zeros(1, dtype=np.intp)  # filled slots: the coordinate sum
+    for level in range(1, box + 1):
+        lo = np.zeros(len(steps), dtype=np.int64)
+        hi = (depth - used).astype(np.int64)
+        rows = sorted(by_level[level], key=lambda v: v[level])
+        if rows:
+            mat = np.array([v[:level + 1] for v in rows], dtype=np.int64)
+            const, coef = mat[:, 0], mat[:, level]
+            columns = mat[:, :level].T.copy()  # row r: the coefficients of x_r
+            columns[0] = 0  # the unused slots
+            values, starts = np.unique(coef, return_index=True)
+            groups = list(zip(values.tolist(), starts, [*starts[1:], len(rows)]))
+            size = max(1, _BLOCK // len(rows))
+            for s in range(0, len(steps), size):
+                block = steps[s:s + size]
+                p = np.repeat(const[None], len(block), axis=0)
+                for t in range(int(used[s:s + size].max())):
+                    p += columns[block[:, t]]
+                for a, first, end in groups:
+                    least = p[:, first:end].min(axis=1)
+                    if a > 0:
+                        np.maximum(lo[s:s + size], -(least // a), out=lo[s:s + size])
+                    else:
+                        np.minimum(hi[s:s + size], least // -a, out=hi[s:s + size])
+        count = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(steps)), count)
+        offset = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+        xs = lo[parent] + offset
+        steps, used = steps[parent], used[parent]
+        for t in range(int(xs.max(initial=0))):
+            more = np.flatnonzero(xs > t)
+            steps[more, used[more] + t] = level
+        used += xs
+
+    points = np.zeros((len(steps), box + 1), dtype=np.int64)
+    for t in range(depth):
+        points[np.arange(len(steps)), steps[:, t]] += 1
+    return points[:, 1:]
+
+
 def verify_equivalence(seq: AdaptedSequence, depth: int,
                        lam: DominantWeight | None = None,
                        box: int | None = None) -> dict:
@@ -209,10 +323,16 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     must cover the support of every generated element (checked).  The
     report lists the mismatches between the two sets restricted to the
     box, and the generated elements violating a windowed inequality.
+    The lattice points are found by an exact int64 interval sweep, one
+    coordinate per level over blocks of partial points (`_cut_points`).
     Generated elements are nonnegative with coordinate sum <= depth, so
-    the lattice sweep visits each of them: the violating ones are
-    exactly those outside the cut (`extra`).
+    the sweep decides each of them: the violating ones are exactly those
+    outside the cut (`extra`).
     """
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
+    if box is not None and box < 0:
+        raise ValueError(f"box {box} is negative")
     gen = generate(seq, depth, lam)
     max_supp = max((max(a.support, default=0) for a in gen), default=0)
     if box is None:
@@ -221,52 +341,10 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
         raise ValueError(f"box {box} does not cover generated support {max_supp}")
     s_max = box // seq.n + 1
     forms = _window_forms(seq, box, s_max, lam)
-
-    # forms indexed by the largest coordinate they touch, stacked into a
-    # constant vector and coefficient matrix per level
-    import numpy as np
-
-    by_level = [[] for _ in range(box + 1)]
-    for v in forms:
-        level = next((r for r in range(box, 0, -1) if v[r]), 0)
-        by_level[level].append(v)
-    if any(v[0] < 0 for v in by_level[0]):
-        raise ValueError("inconsistent constant inequality in the window")
-    consts = [None] * (box + 1)
-    mats = [None] * (box + 1)
-    for level in range(1, box + 1):
-        rows = by_level[level]
-        if rows:
-            consts[level] = np.array([v[0] for v in rows], dtype=np.int64)
-            mats[level] = np.array([v[1:level + 1] for v in rows],
-                                   dtype=np.int64)
+    cut = set(map(tuple, _cut_points(forms, box, depth).tolist()))
 
     vectors = {a: tuple(a.get(r) for r in range(1, box + 1)) for a in gen}
     gen_vecs = set(vectors.values())
-
-    # nonnegative lattice points with coordinate sum <= depth, pruned as
-    # soon as every coordinate of an inequality has been assigned
-    cut = set()
-    vec = np.zeros(box, dtype=np.int64)
-
-    def walk(pos, budget):
-        level = pos + 1
-        for v in range(budget + 1):
-            vec[pos] = v
-            if mats[level] is not None and \
-                    (consts[level] + mats[level] @ vec[:level] < 0).any():
-                continue
-            if level == box:
-                cut.add(tuple(int(e) for e in vec))
-            else:
-                walk(level, budget - v)
-        vec[pos] = 0
-
-    if box:
-        walk(0, depth)
-    else:
-        cut.add(())
-
     missing = cut - gen_vecs
     extra = gen_vecs - cut
     return {

@@ -9,7 +9,7 @@ import pytest
 
 import wallcrystal
 from wallcrystal.cli import main
-from wallcrystal.linear_forms import parse_form, render_form
+from wallcrystal.linear_forms import _forms, parse_form, render_form
 
 
 def run(*argv):
@@ -128,16 +128,17 @@ def test_verify_closure_prints_witnesses(monkeypatch):
     # drop one certified form: the MISMATCH names it with its wall witness
     import wallcrystal.cli as cli
 
-    real, dropped = cli.closure, []
+    real, dropped = cli._closure_vectors, []
 
-    def closure(*args, **kwargs):
-        certs, frontier = real(*args, **kwargs)
+    def closure_vectors(seq, *args, **kwargs):
+        certs, frontier = real(seq, *args, **kwargs)
         if not dropped:
-            dropped.append(min(certs, key=render_form))
-            certs = certs - {dropped[0]}
+            v = min(certs, key=lambda v: render_form(*_forms(seq, [v])))
+            dropped.append(*_forms(seq, [v]))
+            certs = [u for u in certs if u != v]
         return certs, frontier
 
-    monkeypatch.setattr(cli, "closure", closure)
+    monkeypatch.setattr(cli, "_closure_vectors", closure_vectors)
     code, text = run("verify", "closure", "--type", "D2", "--rank", "3",
                      "--order", "3,2,1", "--periods", "4")
     assert code == 2

@@ -350,3 +350,34 @@ def test_sigma_profile_matches_sigma(name, g, order, lam_values):
     for lam in (None, DominantWeight(lam_values)):
         for depth in range(6):
             assert generate(seq, depth, lam) == reference_generate(depth, lam)
+
+
+def test_negative_depth_and_box_are_rejected():
+    seq = ex1_seq()
+    with pytest.raises(ValueError, match="depth"):
+        generate(seq, -1)
+    with pytest.raises(ValueError, match="depth"):
+        verify_equivalence(seq, -1, box=4)
+    with pytest.raises(ValueError, match="box"):
+        verify_equivalence(seq, 0, box=-1)
+    assert verify_equivalence(seq, 0, box=0)["ok"]
+
+
+@pytest.mark.parametrize("coefficient,fits", [(2 ** 61 - 1, True), (2 ** 61, False)])
+def test_sweep_rejects_values_past_int64_headroom(monkeypatch, coefficient, fits):
+    # at depth 2 the form c x_1 >= 0 reaches 2 c, which must stay below 2**62
+    import wallcrystal.zcrystal as zc
+
+    window_forms = zc._window_forms
+
+    def with_big(seq, support_cap, *rest):
+        big = (0, coefficient) + (0,) * (support_cap - 1)
+        return window_forms(seq, support_cap, *rest) | {big}
+
+    monkeypatch.setattr(zc, "_window_forms", with_big)
+    seq = ex1_seq()
+    if fits:
+        assert zc.verify_equivalence(seq, 2)["ok"]
+    else:
+        with pytest.raises(ValueError, match="int64"):
+            zc.verify_equivalence(seq, 2)
