@@ -5,6 +5,7 @@ generated elements against the inequality systems."""
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from wallcrystal.affine_data import cartan_entry, cartan_matrix
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
@@ -47,8 +48,15 @@ class ZElement:
 
     def bump(self, r: int, delta: int) -> "ZElement":
         out = dict(self._entries)
-        out[r] = out.get(r, 0) + delta
-        return ZElement(out)
+        v = out.pop(r, 0) + delta
+        if v:
+            if r < 1:
+                raise ValueError(f"index {r} below 1")
+            out[r] = v
+        b = object.__new__(ZElement)  # the entries are checked already
+        object.__setattr__(b, "_entries", out)
+        object.__setattr__(b, "_hash", hash(tuple(sorted(out.items()))))
+        return b
 
     def as_double(self, seq: AdaptedSequence) -> dict:
         return {seq.reindex(r): v for r, v in self._entries.items()}
@@ -343,7 +351,8 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     forms = _window_forms(seq, box, s_max, lam)
     cut = set(map(tuple, _cut_points(forms, box, depth).tolist()))
 
-    vectors = {a: tuple(a.get(r) for r in range(1, box + 1)) for a in gen}
+    coords = range(1, box + 1)
+    vectors = {a: tuple(map(a._entries.get, coords, repeat(0))) for a in gen}
     gen_vecs = set(vectors.values())
     missing = cut - gen_vecs
     extra = gen_vecs - cut

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wallcrystal
 from wallcrystal.cli import main
@@ -195,3 +197,98 @@ def test_usage_errors_exit_one(capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
     assert "colour 7" in err[0]
+
+
+# --- fuzzing the command line ------------------------------------------
+
+FUZZ_SETTINGS = [("D2", "3", "3,2,1"), ("C1", "3", "3,2,1"),
+                 ("B1", "4", "2,4,3,1"), ("A2odd", "4", "2,4,3,1"),
+                 ("D1", "6", "6,5,4,3,2,1")]
+# each command with the options it needs and the options it takes
+FUZZ_COMMANDS = {
+    ("ineq", "binf"): ([], ["--k", "--s", "--support-max", "--format", "--bare"]),
+    ("ineq", "blam"): (["--k", "--lambda"], ["--format", "--bare"]),
+    ("epsstar",): (["--k", "--elem"], []),
+    ("walls", "enum"): (["--k"], []),
+    ("walls", "render"): (["--wall"], []),
+    ("verify", "closure"): ([], ["--s-max"]),
+    ("verify", "crystal"): ([], ["--seed"]),
+    ("verify", "props"): ([], []),
+    ("verify", "positivity"): (["--lambda"], []),
+}
+# nonzero elements can stall epsilon_star's stop rule, so the only element
+# that must succeed is zero; the others are literals the command rejects
+FUZZ_BAD_ELEMENTS = ["a[1,1]=-1", "a[1,9]=1", "a[0,1]=1", "a[1,1]=", "nonsense",
+                     "a[1,1]=1;;"]
+FUZZ_WALLS = ["ground=pair:C1:k=1;sup=[1];cov=[1]", "ground=yw:D2:k=1;cols=[2]",
+              "ground=pair:C1:k=1;sup=[];cov=[]"]
+FUZZ_BAD_WALLS = ["ground=yw:D2:k=9;cols=[1]", "ground=yw:D2:k=1;cols=[-1]",
+                  "nonsense", ""]
+FUZZ_JUNK = ["--bogus", "zz", "-5", "", "1,2", "--bare", "--format", "json",
+             "--k", "--type", "--help", "a[1,1]=1", "9" * 30, "-"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    odd = st.sampled_from([False] * 5 + [True])  # true one time in six
+
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(odd) else list(good)))
+
+    def small(low, high):
+        return pick(map(str, range(low, high + 1)), [str(low - 1), "x"])
+
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    needed, taken = FUZZ_COMMANDS[command]
+    family, rank, order = draw(st.sampled_from(FUZZ_SETTINGS))
+    n = int(rank)
+    values = {
+        "--k": lambda: small(1, n), "--s": lambda: small(1, 3),
+        "--s-max": lambda: small(1, 2), "--support-max": lambda: small(1, 2 * n),
+        "--seed": lambda: small(0, 3),
+        "--format": lambda: pick(["text", "json"], ["xml"]),
+        "--elem": lambda: pick([""], FUZZ_BAD_ELEMENTS),
+        "--wall": lambda: pick(FUZZ_WALLS, FUZZ_BAD_WALLS),
+        "--lambda": lambda: ",".join(draw(st.lists(
+            st.sampled_from("012"), min_size=n, max_size=n))
+            if not draw(odd) else ["1"] * (n - 1) + [draw(st.sampled_from(["-1", ""]))]),
+    }
+    argv = list(command)
+    if command == ("walls", "render"):
+        argv += ["--rank", rank]
+    elif not draw(odd):
+        argv += ["--type", pick([family], ["E8"]), "--rank", pick([rank], ["0", "99"]),
+                 "--order", pick([order], ["1,1,2", "a,b"])]
+    flags = [f for f in needed if not draw(odd)]
+    flags += draw(st.lists(st.sampled_from(taken or needed or ["--k"]), max_size=2))
+    if draw(odd):
+        flags.append(draw(st.sampled_from(sorted(values) + ["--bare"])))
+    for flag in flags:
+        argv += [flag] if flag == "--bare" else [flag, values[flag]()]
+    if draw(odd):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_JUNK)))
+    # the sizes last, so that they bound every run whatever came before
+    if command[0] != "epsstar":
+        argv += ["--blocks", small(0, 3)]
+    if command[0] == "verify":
+        argv += ["--depth", small(0, 3), "--periods", small(1, 4),
+                 "--samples", small(0, 5)]
+    return argv
+
+
+@given(argv=fuzz_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz(argv):
+    # any argv exits 0, 1 or 2 with at most one error line and no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as e:  # --help
+            code = e.code or 0
+    assert code in (0, 1, 2), (argv, code)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error:") for line in lines) <= 1, (argv, lines)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
