@@ -263,7 +263,8 @@ def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
 def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
                      window: int, op: str = "S'",
                      lam: DominantWeight | None = None):
-    """The closure search on dense integer vectors (see `_dense`).
+    """The closure search on dense integer vectors (see `_dense`); a step
+    adds a beta vector kept as a sparse (index, coefficient) list.
 
     `window` is the last single index a certified form may touch: the
     operator acts at every r <= window + n, successors supported past

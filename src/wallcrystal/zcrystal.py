@@ -26,7 +26,9 @@ class ZElement:
                     if r < 1:
                         raise ValueError(f"index {r} below 1")
                     items[r] = items.get(r, 0) + v
-        items = {r: v for r, v in items.items() if v}
+        self._fill({r: v for r, v in items.items() if v})
+
+    def _fill(self, items: dict):
         object.__setattr__(self, "_entries", items)
         object.__setattr__(self, "_hash", hash(tuple(sorted(items.items()))))
 
@@ -54,8 +56,7 @@ class ZElement:
                 raise ValueError(f"index {r} below 1")
             out[r] = v
         b = object.__new__(ZElement)  # the entries are checked already
-        object.__setattr__(b, "_entries", out)
-        object.__setattr__(b, "_hash", hash(tuple(sorted(out.items()))))
+        b._fill(out)
         return b
 
     def as_double(self, seq: AdaptedSequence) -> dict:
@@ -114,13 +115,14 @@ def _sigma_profile(seq: AdaptedSequence, a: ZElement):
 
     For colour k, epsilon is the largest sigma_j over the positions j of
     colour k up to one period past the support, first and last are the
-    smallest and largest such j attaining it, and weight is
-    sum_r a_{k, i_r} a_r.  One downward pass keeps, for every colour k,
-    w[k] = sum_{l > j} a_{k, i_l} a_l; between two support positions
-    sigma_j = w[colour of j] is constant, so each gap costs one check per
-    colour at its first and last position of that colour.  The last
-    period past the support has sigma = 0 at every colour, so epsilon is
-    never negative.
+    smallest and largest such j attaining it (used by f_tilde and
+    e_tilde), and weight is sum_r C[k, i_r] a_r, with C the Cartan
+    matrix.  One downward pass keeps w[k] = sum_{l > j} C[k, i_l] a_l for
+    every colour k, updated at each support position.  Between two
+    support positions sigma_j = w[colour of j] is constant, so a gap costs
+    one check per colour, at that colour's first and last position in
+    it.  The last period past the support has sigma = 0 at every colour,
+    so epsilon is never negative.
     """
     n = seq.n
     perm = seq.period_perm
@@ -210,7 +212,7 @@ def generate(seq: AdaptedSequence, depth: int,
         for a in frontier:
             eps, first, _, weight = _sigma_profile(seq, a)
             for k in colours:
-                # phi_k = epsilon_k + <h_k, lam> - sum_r a_{k, i_r} a_r
+                # phi_k = epsilon_k + <h_k, lam> - sum_r C[k, i_r] a_r
                 if lam is not None and eps[k] + lam.values[k] <= weight[k]:
                     continue
                 b = a.bump(first[k], 1)
