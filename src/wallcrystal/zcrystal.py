@@ -270,7 +270,6 @@ def _cut_points(forms, box: int, depth: int):
     """
     import numpy as np
 
-    forms = list(forms)
     if forms:
         bound = max(abs(v[0]) for v in forms) + \
             depth * max(max(map(abs, v[1:]), default=0) for v in forms)
