@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -346,3 +348,89 @@ def test_atoms_additive_along_transitions(case):
                 assert nxt.atoms == w.atoms + delta
             else:
                 assert nxt.atoms == w.atoms - delta
+
+
+# --- a golden of the enumeration --------------------------------------
+
+# the wall types of tests/test_site_kernel.py
+GOLDEN_TYPES = [
+    AffineType(Family.A1, 3), AffineType(Family.C1, 3),
+    AffineType(Family.D2, 3), AffineType(Family.B1, 4),
+    AffineType(Family.A2ODD, 4), AffineType(Family.D1, 6),
+    AffineType(Family.A2EVEN, 3), AffineType(Family.A2EVEN_DAGGER, 3),
+]
+
+# (family, rank, colour) -> (walls at budgets 0..8, sha256 of the sorted
+# literals of the walls at budget 8, one per line)
+ENUMERATION_GOLDEN = {
+    ("A1", 3, 1): ([1, 2, 4, 7, 12, 19, 30, 45, 67],
+        "c97b7c39ae437ba8e094574fffb9c5beaabb2246b9f02a0b0a3564c754617cf3"),
+    ("A1", 3, 2): ([1, 2, 4, 7, 12, 19, 30, 45, 67],
+        "46b4a4e638c53ada97fb02ee42695c8040277050d7178b9ace35408ce3fa0986"),
+    ("A1", 3, 3): ([1, 2, 4, 7, 12, 19, 30, 45, 67],
+        "9722cd8ae2245e6418947bd73b8f3ec754930753bce4851c415ad3e17c20371b"),
+    ("C1", 3, 1): ([1, 1, 2, 4, 7, 11, 17, 25, 37],
+        "5c61d9ef381b6466ddebc980a5eabf5d05333ae01ca6a990d6c301231659d86f"),
+    ("C1", 3, 2): ([1, 1, 2, 4, 7, 11, 17, 25, 37],
+        "f6e3edfe13d76f43fb6068f1daf305c5fdebd6000b925aca6bc3c3b6a0641a21"),
+    ("C1", 3, 3): ([1, 1, 2, 4, 7, 11, 17, 25, 37],
+        "1f033adcf09f971e04443c95d409fb47aa863dd9dbaedda63cc38942b5f7e162"),
+    ("D2", 3, 1): ([1, 2, 3, 5, 7, 10, 15, 21, 28],
+        "dffa9bf2144bd2c6d891d4fb4a5cb9675051d25cb8dc5bede66a2388025e5abe"),
+    ("D2", 3, 2): ([1, 1, 2, 4, 7, 11, 17, 27, 42],
+        "ead73963cdf3fe92cf4bdfb14af7ffd1d1da73c78cacb7a6588334a0fa14c166"),
+    ("D2", 3, 3): ([1, 2, 3, 5, 7, 10, 15, 21, 28],
+        "508ee679d86abbdaa70a01a7c88c7606d45ddb90ad2c50114c13b2d0169e949c"),
+    ("B1", 4, 1): ([1, 2, 3, 5, 7, 10, 16, 23, 31],
+        "8710fb034f76ce1d9471fd40cf9e9715d9098988321a1b4c5032a42109ec1cc0"),
+    ("B1", 4, 2): ([1, 2, 3, 5, 7, 10, 16, 23, 31],
+        "c2a611f0fa9d80ad9ff1ce3ee82c9f45140713ef2d458a648508af0b06cad7ee"),
+    ("B1", 4, 3): ([1, 1, 2, 5, 9, 14, 23, 39, 61],
+        "7e4739ff4a59b4bf4dc884146a62978b43579ae4b6a1da1a05166b00b960023f"),
+    ("B1", 4, 4): ([1, 2, 3, 6, 9, 13, 20, 28, 38],
+        "e9c754f1af61330cc552ca2cf5b35d5ae082ebc2fad7e13bdb257f65e1f4bf9d"),
+    ("A2odd", 4, 1): ([1, 2, 3, 5, 7, 11, 16, 22, 30],
+        "2639c1e3ec4d50a9fee32f7836f9499296d1a234392bc4341fd3670e399c7342"),
+    ("A2odd", 4, 2): ([1, 2, 3, 5, 7, 11, 16, 22, 30],
+        "001980106e773725f915d0a8ccc28a0ec6841311a78e855dc46ca7319d192f96"),
+    ("A2odd", 4, 3): ([1, 1, 2, 5, 9, 15, 25, 38, 60],
+        "3b3312180fd54cdb5d7df9d78dfea6227c10dcabdf1dfd144302ceeede74aeae"),
+    ("A2odd", 4, 4): ([1, 1, 2, 4, 9, 15, 24, 36, 55],
+        "7dd41555cd8cd2339baffab1c4acdfeb96f7c6b2aff6fec72270a76a9d9a04bd"),
+    ("D1", 6, 1): ([1, 2, 3, 5, 8, 12, 17, 24, 34],
+        "2b5ecca4d1022e1779705d668de1f59e6fe63afea031883963c1cb66e20b017c"),
+    ("D1", 6, 2): ([1, 2, 3, 5, 8, 12, 17, 24, 34],
+        "fa35d77e0bfa682182d5dca913ca30b1eff1372ce4b2038b4d16619b5265db05"),
+    ("D1", 6, 3): ([1, 1, 2, 5, 10, 17, 26, 42, 68],
+        "49c18d3958d788cc837bd4a002d28e070ecea3dcb97043e3acd304f5738f0bd4"),
+    ("D1", 6, 4): ([1, 1, 2, 5, 10, 17, 26, 42, 68],
+        "5ca0bfe3e1cc60e05d93103899fc06f26db55256c92d43ea8dafcbff1aa89bd7"),
+    ("D1", 6, 5): ([1, 2, 3, 5, 8, 12, 17, 24, 34],
+        "3847bc5100e786ca2f6c6b798e0db7234086cf460ed92c7ff9fd592fac59f6ca"),
+    ("D1", 6, 6): ([1, 2, 3, 5, 8, 12, 17, 24, 34],
+        "54d2e1c10433edae9d1e54492e03ea4d9b58894bac0b407804ed69ea00a4a497"),
+    ("A2even", 3, 1): ([1, 2, 3, 5, 7, 10, 14, 19, 25],
+        "84f83d4589e77b4e43e0a5bcd49a5f0172b690eeabec8f735e089303fa614cf1"),
+    ("A2even", 3, 2): ([1, 1, 2, 4, 7, 11, 17, 26, 39],
+        "10c9942ee249651563f097c7cc4294d37ecf03814c2b26a944b9a38426b06e86"),
+    ("A2even", 3, 3): ([1, 1, 2, 4, 7, 11, 17, 25, 37],
+        "cc7bc2b46ba961c64072fcc07f9663e7769f8f4d0349fdbc8a0e83a4a9bb79cc"),
+    ("A2evenDagger", 3, 1): ([1, 2, 3, 5, 7, 10, 14, 19, 25],
+        "ed6195cc400e20ad361f21b38a2649ef14c4abeb539b48487541fad50a05c03d"),
+    ("A2evenDagger", 3, 2): ([1, 1, 2, 4, 7, 11, 17, 26, 39],
+        "2b3d76511810fbd0a29e96a7acadd6d9d38a3af9f06a05e8cada3437ba5165f0"),
+    ("A2evenDagger", 3, 3): ([1, 1, 2, 4, 7, 11, 17, 25, 37],
+        "ae2818e0776e25771308de1dc4eea7ef3effb9d71b70e43117877ffec871ef0e"),
+}
+
+
+@pytest.mark.parametrize("X", GOLDEN_TYPES, ids=lambda X: f"{X.family.value}{X.n}")
+def test_enumeration_golden(X):
+    # the counts and walls recorded from the enumeration, which also pin
+    # its completeness: no other test compares it with an independent one
+    for k in X.index_set:
+        counts, digest = ENUMERATION_GOLDEN[(X.family.value, X.n, k)]
+        assert [len(enumerate_walls(X, k, b)) for b in range(9)] == counts, k
+        literals = sorted(wall_literal(w) for w in enumerate_walls(X, k, 8))
+        got = hashlib.sha256("\n".join(literals).encode()).hexdigest()
+        assert got == digest, k
