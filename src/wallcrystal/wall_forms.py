@@ -167,15 +167,16 @@ def _meta(seq, **extra):
 def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
     """{L_{s,k}(Y)} over 1 <= s <= s_max and walls within the block budget.
 
-    With support_max given, the block budget is ignored: the forms are
-    those supported within that single-index window, over every wall.
-    The walls are searched depth-first from the ground state, and a wall
-    whose s = 1 form leaves the window is cut with all its extensions,
-    since extending a wall never lowers the largest support index of its
-    s = 1 form (pinned in tests/test_wall_forms.py).  The search tree
-    being exhausted is the certificate that no wall was missed.  Each
-    wall reached is formed once, and a form's provenance is its first
-    witness in depth-first order.
+    Each colour's walls are searched depth-first from the ground state
+    (walls.search_walls), cut past block_max added atoms, and each wall
+    reached is formed once.  With support_max given, the block budget is
+    ignored: the forms are those supported within that single-index
+    window, over every wall, and a wall whose s = 1 form leaves the
+    window is cut with all its extensions, since extending a wall never
+    lowers the largest support index of its s = 1 form (pinned in
+    tests/test_wall_forms.py).  The search tree being exhausted is the
+    certificate that no wall was missed.  In both modes a form's
+    provenance is its first witness in the one depth-first order.
     """
     s_max, block_max = window
     if s_max < 1 or block_max < 0:
@@ -209,11 +210,8 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
         return True
 
     for kk in colours:
-        if support_max is None:
-            for w in enumerate_walls(seq.wall_type, kk, block_max):
-                form(kk, w)
-        else:
-            search_walls(seq.wall_type, kk, lambda w, kk=kk: form(kk, w))
+        search_walls(seq.wall_type, kk, lambda w, atoms, kk=kk: (
+            (support_max is not None or atoms <= block_max) and form(kk, w)))
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
     return IneqSet(prov, prov, meta)
 
@@ -381,17 +379,22 @@ def _wall_family(seq, s, j, hk, budget, exclude_first=False):
 
 
 def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
-                window) -> IneqSet:
+                budget: int) -> IneqSet:
     """COMB_k[lambda] from the written case analysis.
 
-    window is either an integer budget or a (s_max, budget) pair as in
-    comb_infinity; the budget bounds both the box-chain length and the
-    wall-enumeration block count.
+    The budget bounds both the box-chain length and the wall-enumeration
+    block count.  A negative budget, a colour outside the index set or a
+    weight of the wrong rank raises ValueError.
     """
-    budget = window[1] if isinstance(window, tuple) else window
     X = seq.wall_type
     fam = X.family
     n = X.n
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
+    if k not in seq.base_type.index_set:
+        raise ValueError(f"colour {k} is not in the index set 1..{n}")
+    if len(lam.values) != n:
+        raise ValueError(f"lambda has {len(lam.values)} entries, not {n}")
     hk = lam.pairing(k)
     singleton = LinearForm(hk, {DoubleIndex(1, k): -1})
     meta = _meta(seq, k=k, **{"lambda": tuple(lam.values)})
@@ -448,7 +451,7 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
             return walls()
         branch = (k == 3) or (fam is Family.D1 and k == n - 2)
         if fam is Family.D1 and n == 5 and k == 3:
-            return comb_lambda_d1_middle(seq, k, lam, window)
+            return comb_lambda_d1_middle(seq, k, lam, budget)
         if not branch:
             below_next = _below(seq, periodic_map(X, k), k)
             below_prev = _below(seq, periodic_map(X, k - 2), k)
@@ -490,10 +493,9 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
 
 
 def comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
-                          window) -> IneqSet:
+                          budget: int) -> IneqSet:
     """The middle colour of the smallest two-fork type: both fork pairs
     are adjacent to k=3, so the case split runs over the four neighbours."""
-    budget = window[1] if isinstance(window, tuple) else window
     X = seq.wall_type
     if not (X.family is Family.D1 and X.n == 5 and k == 3):
         raise Unsupported((X, k))

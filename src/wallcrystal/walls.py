@@ -585,10 +585,17 @@ def _fitting(groups, prev, last_full, a1):
             yield c, fit
 
 
-def _by_total(left, right):
-    """Pairs from two streams of cost groups, grouped by total cost in
-    increasing order; within a total, by left cost, then in group order."""
-    streams = [iter(left), iter(right)]
+def _by_total(streams):
+    """Steps of one state per member, from each member's stream of cost
+    groups, grouped by total cost in increasing order.  One stream's
+    groups pass through, each state as a 1-tuple; two streams are paired
+    by total, within a total by the first member's cost, then in group
+    order."""
+    if len(streams) == 1:
+        for c, group in streams[0]:
+            yield c, [(st,) for st in group]
+        return
+    streams = [iter(s) for s in streams]
     listed = ([], [])
     for total in itertools.count(2):  # every state adds an atom
         for side in (0, 1):
@@ -612,85 +619,18 @@ def _by_total(left, right):
             yield total, group
 
 
-def _wall_unchecked(X, k, ground, states):
-    """Internal constructor bypassing validation for known-valid states."""
-    w = object.__new__(Wall)
-    object.__setattr__(w, "wall_type", X)
-    object.__setattr__(w, "k", k)
-    object.__setattr__(w, "ground", ground)
-    object.__setattr__(w, "states", states)
-    return w
-
-
-def _enumerate_single(X, k, ground, max_blocks=None, keep=None):
-    """Walls over one ground, depth-first over column states from right
-    to left, each column's states in increasing added atoms: those with
-    at most max_blocks added atoms, or those keep accepts.
-
-    keep(w) is asked once per wall reached.  A rejected wall is not
-    extended, and a column's scan ends at the first cost group whose
-    every fitting state is rejected."""
-    if max_blocks is None:
-        groups = _CostGroups(X, k, ground)
-    else:
-        groups = list(itertools.takewhile(lambda g: g[0] <= max_blocks,
-                                          _cost_groups(X, k, ground)))
-    a1 = X.family is Family.A1
-    root = _wall_unchecked(X, k, ground, ())
-    found = {}
-    if keep is not None and not keep(root):
-        return found
-    found[root] = 0
-
-    def extend(prefix, prev, last_full, spent):
-        for c, group in _fitting(groups, prev, last_full, a1):
-            if max_blocks is not None and spent + c > max_blocks:
-                return
-            kept = False
-            for st in group:
-                nxt = prefix + (st,)
-                w = _wall_unchecked(X, k, ground, nxt)
-                if keep is not None and not keep(w):
-                    continue
-                kept = True
-                found[w] = spent + c
-                m, top = st
-                full = not a1 and top == NONE
-                extend(nxt, st, m if full else last_full, spent + c)
-            if not kept:
-                return
-
-    extend((), None, 0, 0)
-    return found
-
-
-def enumerate_walls(X: AffineType, k: int, max_blocks: int):
-    """All proper walls (class 1) or wall pairs (class 2) with at most
-    max_blocks added atoms, as a set-like view in depth-first order (so
-    iteration does not depend on hashing)."""
-    if max_blocks < 0:
-        raise ValueError(max_blocks)
-    if index_class(X, k) == 1:
-        return _enumerate_single(X, k, LEVEL1, max_blocks).keys()
-    sups = _enumerate_single(X, k, SUPPORTING, max_blocks)
-    covs = _enumerate_single(X, k, COVERING, max_blocks)
-    # synchronization: bare columns form a suffix, so the pair condition
-    # is simply an equal number of non-bare columns
-    by_len = {}
-    for c, ca in covs.items():
-        by_len.setdefault(len(c.states), []).append((c, ca))
-    out = {}
-    for s, sa in sups.items():
-        for c, ca in by_len.get(len(s.states), ()):
-            if sa + ca <= max_blocks:
-                out[WallPair(s, c)] = None
-    return out.keys()
+def _unchecked(cls, **values):
+    """A frozen dataclass built without validation, for values known to
+    be valid."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 def search_walls(X: AffineType, k: int, keep):
     """Visit the proper walls (class 1) or wall pairs (class 2) of colour
-    k depth-first from the ground state, calling keep(w) once on each
-    wall reached.
+    k depth-first from the ground state, calling keep(w, atoms) once on
+    each wall w reached, with atoms its added atoms.
 
     Columns are fixed from right to left, each in increasing added
     atoms; a pair fixes one column of both members at a time, in
@@ -699,34 +639,60 @@ def search_walls(X: AffineType, k: int, keep):
     first cost group whose every fitting state keep rejects.  The search
     ends when this tree is exhausted; it has then reached every wall
     keep accepts, provided keep rejects every extension of a rejected
-    wall and every cost group after a wholly rejected one."""
-    if index_class(X, k) == 1:
-        _enumerate_single(X, k, LEVEL1, keep=keep)
-        return
-    sups = _CostGroups(X, k, SUPPORTING)
-    covs = _CostGroups(X, k, COVERING)
+    wall and every cost group after a wholly rejected one.  A budget on
+    atoms is such a cut (enumerate_walls), and so is the support window
+    of comb_infinity."""
+    grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
+    groups = [_CostGroups(X, k, ground) for ground in grounds]
+    a1 = X.family is Family.A1
 
-    def pair(sup, cov):
-        return WallPair(_wall_unchecked(X, k, SUPPORTING, sup),
-                        _wall_unchecked(X, k, COVERING, cov))
+    def member(ground, states):
+        return _unchecked(Wall, wall_type=X, k=k, ground=ground, states=states)
 
-    def extend(sup, cov, prev, last_full):
-        for _, group in _by_total(_fitting(sups, prev[0], last_full[0], False),
-                                  _fitting(covs, prev[1], last_full[1], False)):
+    def wall(states):
+        """The node at states; the walk keeps every invariant itself."""
+        if len(states) == 1:
+            return member(LEVEL1, states[0])
+        return _unchecked(WallPair, supporting=member(SUPPORTING, states[0]),
+                          covering=member(COVERING, states[1]))
+
+    def extend(states, prev, last_full, spent):
+        for c, group in _by_total([_fitting(g, p, f, a1) for g, p, f
+                                   in zip(groups, prev, last_full)]):
             kept = False
             for st in group:
-                nsup, ncov = sup + (st[0],), cov + (st[1],)
-                if not keep(pair(nsup, ncov)):
+                nxt = tuple([s + (x,) for s, x in zip(states, st)])
+                if not keep(wall(nxt), spent + c):
                     continue
                 kept = True
-                extend(nsup, ncov, st, tuple(
-                    m if top == NONE else last
-                    for (m, top), last in zip(st, last_full)))
+                extend(nxt, st, tuple([m if top == NONE else f
+                                       for (m, top), f in zip(st, last_full)]),
+                       spent + c)
             if not kept:
                 return
 
-    if keep(pair((), ())):
-        extend((), (), (None, None), (0, 0))
+    root = ((),) * len(grounds)
+    if keep(wall(root), 0):
+        extend(root, (None,) * len(grounds), (0,) * len(grounds), 0)
+
+
+def enumerate_walls(X: AffineType, k: int, max_blocks: int):
+    """All proper walls (class 1) or wall pairs (class 2) with at most
+    max_blocks added atoms: search_walls cut at that budget, as a
+    set-like view in depth-first order (so iteration does not depend on
+    hashing)."""
+    if max_blocks < 0:
+        raise ValueError(max_blocks)
+    found = {}
+
+    def keep(w, atoms):
+        if atoms > max_blocks:
+            return False
+        found[w] = None
+        return True
+
+    search_walls(X, k, keep)
+    return found.keys()
 
 
 # --- rendering and literals ------------------------------------------

@@ -360,6 +360,37 @@ def test_windowed_forms_equal_all_forms_at_a_fixed_budget(g, order):
             assert deepest + seq.n <= budget, (k, W, deepest)
 
 
+@pytest.mark.parametrize("g,order", SETTINGS)
+def test_block_and_window_modes_give_one_provenance(g, order, monkeypatch):
+    # both modes cut one depth-first walk, so a form both keep has one
+    # first witness whenever the window's witness is within the budget;
+    # and the atoms the walk hands to keep are the wall's added atoms
+    import wallcrystal.wall_forms as wall_forms
+
+    walk = wall_forms.search_walls
+
+    def checked(X, k, keep):
+        def keep_checked(w, atoms):
+            assert atoms == w.atoms, wall_literal(w)
+            return keep(w, atoms)
+        walk(X, k, keep_checked)
+
+    monkeypatch.setattr(wall_forms, "search_walls", checked)
+    seq = from_permutation(g, order)
+    budget = 8
+    for k in seq.base_type.index_set:
+        blocks = comb_infinity(seq, (3, budget), k=k)
+        window = comb_infinity(seq, (3, budget), k=k, support_max=3 * seq.n)
+        shared = 0
+        for phi in blocks.forms & window.forms:
+            witness = window.provenance[phi]
+            literal = re.fullmatch(r"L\[\d+,\d+\]\((.*)\)", witness).group(1)
+            if parse_wall(literal, seq.n).atoms <= budget:
+                shared += 1
+                assert blocks.provenance[phi] == witness, (k, witness)
+        assert shared > 0, k
+
+
 # --- box forms --------------------------------------------------------
 
 
@@ -454,6 +485,21 @@ def test_comb_lambda_matches_operator_closure():
         windowed = {f for f in comb.forms if support_bound(seq, f) <= 9}
         windowed.add(LinearForm(0, {}))
         assert {f for f in cert if support_bound(seq, f) <= 9} == windowed
+
+
+def test_comb_lambda_rejects_bad_input():
+    # a negative budget, a colour outside 1..n and a weight of the wrong
+    # rank each raise one ValueError, whatever the colour's case
+    seq = ex1_seq()
+    lam = DominantWeight((1, 1, 1))
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="budget -1 is negative"):
+            comb_lambda(seq, k, lam, -1)
+        with pytest.raises(ValueError, match="lambda has 2 entries, not 3"):
+            comb_lambda(seq, k, DominantWeight((1, 1)), 4)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"colour {k} is not in"):
+            comb_lambda(seq, k, lam, 4)
 
 
 def test_comb_lambda_d1_middle_rank():
