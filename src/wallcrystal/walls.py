@@ -623,7 +623,8 @@ def _unchecked(cls, **values):
     """A frozen dataclass built without validation, for values known to
     be valid."""
     obj = object.__new__(cls)
-    obj.__dict__.update(values)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -649,12 +650,15 @@ def search_walls(X: AffineType, k: int, keep):
     def member(ground, states):
         return _unchecked(Wall, wall_type=X, k=k, ground=ground, states=states)
 
+    shared = ({}, {})  # states -> member wall, one per member of the pairs
+
     def wall(states):
         """The node at states; the walk keeps every invariant itself."""
         if len(states) == 1:
             return member(LEVEL1, states[0])
-        return _unchecked(WallPair, supporting=member(SUPPORTING, states[0]),
-                          covering=member(COVERING, states[1]))
+        sup, cov = [seen.get(s) or seen.setdefault(s, member(ground, s))
+                    for seen, ground, s in zip(shared, grounds, states)]
+        return _unchecked(WallPair, supporting=sup, covering=cov)
 
     def extend(states, prev, last_full, spent):
         for c, group in _by_total([_fitting(g, p, f, a1) for g, p, f
