@@ -650,7 +650,7 @@ def search_walls(X: AffineType, k: int, keep):
     def member(ground, states):
         return _unchecked(Wall, wall_type=X, k=k, ground=ground, states=states)
 
-    shared = ({}, {})  # states -> member wall, one per member of the pairs
+    shared = ({}, {})  # per member, states -> wall, so pairs share members
 
     def wall(states):
         """The node at states; the walk keeps every invariant itself."""
@@ -664,14 +664,15 @@ def search_walls(X: AffineType, k: int, keep):
         for c, group in _by_total([_fitting(g, p, f, a1) for g, p, f
                                    in zip(groups, prev, last_full)]):
             kept = False
+            atoms = spent + c
             for st in group:
                 nxt = tuple([s + (x,) for s, x in zip(states, st)])
-                if not keep(wall(nxt), spent + c):
+                if not keep(wall(nxt), atoms):
                     continue
                 kept = True
                 extend(nxt, st, tuple([m if top == NONE else f
                                        for (m, top), f in zip(st, last_full)]),
-                       spent + c)
+                       atoms)
             if not kept:
                 return
 
