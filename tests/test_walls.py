@@ -434,3 +434,113 @@ def test_enumeration_golden(X):
         literals = sorted(wall_literal(w) for w in enumerate_walls(X, k, 8))
         got = hashlib.sha256("\n".join(literals).encode()).hexdigest()
         assert got == digest, k
+
+
+# --- a golden of the column states -------------------------------------
+
+_TOPS = ("none", "front", "back", "lower")
+_KINDS = {LEVEL1: "yw", SUPPORTING: "sup", COVERING: "cov"}
+
+
+def _outcome(make):
+    """repr of what make() returns, or the name of the error it raises."""
+    try:
+        return repr(make())
+    except ValueError as e:
+        return type(e).__name__
+
+
+def _column_lines(X, k):
+    """Everything a wall layer says about the columns of colour k: for
+    each wall at budget 8, its sites, atoms, picture and literal round
+    trip; for each ground, which one-column walls construct and what
+    each one-column literal parses to."""
+    walls = sorted(enumerate_walls(X, k, 8), key=wall_literal)
+    for w in walls:
+        yield (f"{wall_literal(w)} atoms={w.atoms} sites={sites(w)!r} "
+               f"round_trip={parse_wall(wall_literal(w), X.n) == w}")
+        yield render(w)
+    grounds = [LEVEL1] if index_class(X, k) == 1 else [SUPPORTING, COVERING]
+    for ground in grounds:
+        for m in range(-1, 14):
+            for top in _TOPS:
+                yield f"{ground} state ({m}, {top}): " + _outcome(
+                    lambda: Wall(X, k, ground, ((m, top),)).states)
+        for c in range(12):
+            for code in ("", "f", "b", "l"):
+                text = f"ground={_KINDS[ground]}:{X.family.value}:k={k};cols=[{c}{code}]"
+                yield f"{text}: " + _outcome(lambda: parse_wall(text, X.n).states)
+
+
+# (family, rank, colour) -> sha256 of _column_lines, one per line
+COLUMN_GOLDEN = {
+    ("A1", 3, 1):
+        "5233e432abed09f6a6d9baa4985210d2e93ddc4beaa9598a3bf32826b2e68b7e",
+    ("A1", 3, 2):
+        "2489cc830e5eabad3862f33514d11651c246a71ab9c9217d0c500f9b573b5b2a",
+    ("A1", 3, 3):
+        "88e76d26ffb1b600240f260ddf7f465db749765235575586546a33a4a6e7cd0d",
+    ("C1", 3, 1):
+        "7d9fb9f98b6403be72ea5626f6ebd07174c24f614d013407c5d60f2180cb6aa4",
+    ("C1", 3, 2):
+        "a6730625ec9f5c5b85bf1556db1b2fb7219680b579117ef34e58360a35c9d2c3",
+    ("C1", 3, 3):
+        "e3c57d1cdc393486076e836d19ff3289868320b1286eb586bd7f677f3f29e6d1",
+    ("D2", 3, 1):
+        "dd527a57a4053e2b2ec822a45a28f3c16eaeb0733cb63406cf4ee1d710706557",
+    ("D2", 3, 2):
+        "eac6b0c8998b3daf6de8622af659ea358adb529be26d2339e9f1864195be4a6a",
+    ("D2", 3, 3):
+        "a1aef0868942bf1335ed7428dc286c04f54d87ab5b3b4da0ffedcdd4f96ccc07",
+    ("B1", 4, 1):
+        "7e3320e566a7d9f88b3e148a62b8abfb835ae0b70a128aaeaa82961cc31ab8c7",
+    ("B1", 4, 2):
+        "fb0a5ae072c79fa5ca8cb76d06e968be968f0c7cb36a368d540170b8ba4f267e",
+    ("B1", 4, 3):
+        "98298fa5f9e19091c5c0f3ee58f64a935b2c7f1fb58b737bb2005d3f6845b28a",
+    ("B1", 4, 4):
+        "b62bc0b7ce41c070ebbd0b00875eef336a696265d366e0c93d8759bf6cd68a7d",
+    ("A2odd", 4, 1):
+        "d7e59e29897aa974b964583b0a2a270bcee0aa7ff15c378e773c86f3aed57d29",
+    ("A2odd", 4, 2):
+        "8db822cb26d93328f4350fb228e91a59b18d4753334546389e6bc041c15a1997",
+    ("A2odd", 4, 3):
+        "9b398b07769e31fbec1e84c6236188750cc1e865f284dbefc4d7059d0dc349a4",
+    ("A2odd", 4, 4):
+        "f0f44a365a341e8c746be2b2d588a872c02c0de2fe3d99056ac7b287105b3da8",
+    ("D1", 6, 1):
+        "9692b8d443647db1ea11f40d9013fa4ad3fc543f7673208ce12e404b03db284f",
+    ("D1", 6, 2):
+        "26547d32c2e36a2842a14cabbe1397e3cf4d72851a6b92ad598032306fcf5cf9",
+    ("D1", 6, 3):
+        "cc5ac894a8e6ff0d3dbd2538ae0def9a2facb67f23697632b1bd3fa64331fd2e",
+    ("D1", 6, 4):
+        "6cdd5564c9066805f7622ce63c4a0f2da2349c35dd0f072e4b47dedbfdd817f3",
+    ("D1", 6, 5):
+        "8804bc50d6dedd782544aaa1dcd31427d2050ed02dda53add494fcc803d5d764",
+    ("D1", 6, 6):
+        "5e971165e8a78819ef8013680c1e840f09facc1ef6d78e69a14b50187395165d",
+    ("A2even", 3, 1):
+        "1115c15b2656f30223543fb21fa8211e025026b6a63458d13db342fc0b9441eb",
+    ("A2even", 3, 2):
+        "0875ab3af80a174e4d0b8706ba8ad9cec25462c43e2c2cf66b40733c3518594f",
+    ("A2even", 3, 3):
+        "0209f7b939cc2d4c861b3a1afcdc44d1ca9062c93aa10120cd7d0c7b97ab0424",
+    ("A2evenDagger", 3, 1):
+        "c0117fdcc81159820b5b0ce417729c24c5f4cb2ba75e2fa0e79701f49cb680c0",
+    ("A2evenDagger", 3, 2):
+        "5d4e1a95e9ad7650069a2eb1a8b3feaf468ec678b20068dc40df587859d47ab1",
+    ("A2evenDagger", 3, 3):
+        "feb973389815f3f0774460e1d74ada40b5e03ccb850e4e2441c94c7717548b27",
+}
+
+
+@pytest.mark.parametrize("X", GOLDEN_TYPES, ids=lambda X: f"{X.family.value}{X.n}")
+def test_column_golden(X):
+    # sites, atoms, pictures, literals and the accepted column states and
+    # literals, recorded: the enumeration golden pins only counts and
+    # literals, and the site kernel test only compares its paths
+    for k in X.index_set:
+        text = "\n".join(_column_lines(X, k))
+        got = hashlib.sha256(text.encode()).hexdigest()
+        assert got == COLUMN_GOLDEN[(X.family.value, X.n, k)], k
