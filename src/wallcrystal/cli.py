@@ -10,7 +10,7 @@ import sys
 from wallcrystal.affine_data import parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, _closure_vectors, _forms, beta, positivity_report,
+    DominantWeight, _forms, beta, closure, positivity_report,
     render_form, x,
 )
 from wallcrystal.walls import (
@@ -21,8 +21,8 @@ from wallcrystal.wall_forms import (
     wall_form,
 )
 from wallcrystal.zcrystal import (
-    ZElement, e_tilde, epsilon, f_tilde, parse_element, phi, verify_equivalence,
-    wt_pairing,
+    ZElement, check_in_binf, e_tilde, epsilon, f_tilde, parse_element, phi,
+    verify_equivalence, wt_pairing,
 )
 
 
@@ -114,14 +114,9 @@ def _cmd_epsstar(args, out):
     _colour(seq, args.k)
     try:
         a = parse_element(seq, args.elem)
+        check_in_binf(seq, a)
     except ValueError as e:
         raise UsageError(str(e))
-    # entries may be negative in Z^infinity, never in B(infinity)
-    for r, v in a.items():
-        if v < 0:
-            d = seq.reindex(r)
-            raise UsageError(f"a[{d.s},{d.k}]={v} is negative, so the element "
-                             f"is not in B(infinity)")
     out.write(f"{epsilon_star(seq, args.k, a.as_double(seq))}\n")
     return 0
 
@@ -147,7 +142,7 @@ def _verify_closure(args, seq, out):
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
-        vectors, _ = _closure_vectors(
+        vectors, _ = closure(
             seq, [x(s, k) for s in range(1, args.s_max + 1)], window)
         certs = _forms(seq, vectors)
         ineqs = comb_infinity(seq, (args.s_max, 2), k=k, support_max=window)

@@ -260,18 +260,24 @@ def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
     return tuple(v)
 
 
-def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
-                     window: int, op: str = "S'",
-                     lam: DominantWeight | None = None):
-    """The closure search on dense integer vectors (see `_dense`); a step
-    adds a beta vector kept as a sparse (index, coefficient) list.
+def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
+            op: str = "S'", lam: DominantWeight | None = None):
+    """The S' (or S-hat') closure of the seeds, certified on a window.
 
-    `window` is the last single index a certified form may touch: the
-    operator acts at every r <= window + n, successors supported past
-    window + n are dropped, and a seed with no coefficient at or below
-    window + n stays unexpanded in the frontier.  Returns (certified,
-    frontier) as lists of tuples of width window + 2n + 1, so every beta
-    vector fits, or wider when a seed reaches further.
+    `window` is the last single index a certified form may touch; it must
+    be at least one period n.  Returns (certified, frontier) as lists of
+    dense vectors (see `_dense`; `_forms` reads them as LinearForm): the
+    certified forms are supported within single indices <= window and
+    are exactly the window-supported members of the infinite closure.
+    The search applies the operator at every r <= window + n and drops
+    forms supported more than one period past the window: the operator
+    at r only touches coefficients within a period of r, so paths
+    wandering further out never re-enter the window (checked against
+    wider searches in the tests).  A seed supported past window + n
+    (no coefficient at or below it) stays unexpanded in the frontier.
+    A step adds a beta vector kept as a sparse (index, coefficient)
+    list.  The vectors have width window + 2n + 1, so every beta vector
+    fits, or more when a seed reaches further.
     """
     n = seq.n
     if window < n:
@@ -321,29 +327,6 @@ def _closure_vectors(seq: AdaptedSequence, seeds: Iterable[LinearForm],
     return certified, frontier
 
 
-def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
-            op: str = "S'", lam: DominantWeight | None = None):
-    """The S' (or S-hat') closure of the seeds, certified on a window.
-
-    `window` is the last single index a certified form may touch; it must
-    be at least one period n.  Returns (certified, frontier): the
-    certified forms are supported within single indices <= window and
-    are exactly the window-supported members of the infinite closure.
-    The search applies the operator at every r <= window + n and drops
-    forms supported more than one period past the window: the operator
-    at r only touches coefficients within a period of r, so paths
-    wandering further out never re-enter the window (checked against
-    wider searches in the tests).  A seed supported past window + n
-    (no coefficient at or below it) stays unexpanded in the frontier.
-
-    The search runs on dense integer vectors over single indices
-    (`_closure_vectors`); LinearForm is only the type of the seeds and of
-    the returned sets.
-    """
-    certified, frontier = _closure_vectors(seq, seeds, window, op, lam)
-    return _forms(seq, certified), _forms(seq, frontier)
-
-
 def _forms(seq: AdaptedSequence, vectors: list) -> set:
     """Dense vectors (see `_dense`) as a set of LinearForm."""
     width = max(map(len, vectors), default=1)
@@ -364,18 +347,18 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) ->
     def first_occ_ok(vectors):
         return all(min(v[1:n + 1]) >= 0 for v in vectors)  # r^(-) = 0
 
-    xi_closure, _ = _closure_vectors(seq, first_seeds, window)
+    xi_closure, _ = closure(seq, first_seeds, window)
     xi_positive = first_occ_ok(xi_closure)
 
     strict_positive = xi_positive
     for k in seq.base_type.index_set:
         xk = xi_form(seq, k)
-        cert, _ = _closure_vectors(seq, [xk], window)
+        cert, _ = closure(seq, [xk], window)
         xk = _dense(seq, xk, window + 2 * n + 1)  # the width of a seed within the window
         strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
     hat_seeds = first_seeds + [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-    hat_closure, _ = _closure_vectors(seq, hat_seeds, window, op="Shat'", lam=lam)
+    hat_closure, _ = closure(seq, hat_seeds, window, op="Shat'", lam=lam)
     ample = all(v[0] >= 0 for v in hat_closure)
 
     return {"xi_positive": xi_positive, "strict_positive": strict_positive, "ample": ample}

@@ -451,7 +451,7 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
             return walls()
         branch = (k == 3) or (fam is Family.D1 and k == n - 2)
         if fam is Family.D1 and n == 5 and k == 3:
-            return comb_lambda_d1_middle(seq, k, lam, budget)
+            return _comb_lambda_d1_middle(seq, k, lam, budget)
         if not branch:
             below_next = _below(seq, periodic_map(X, k), k)
             below_prev = _below(seq, periodic_map(X, k - 2), k)
@@ -492,8 +492,8 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
     raise Unsupported(f"no written highest-weight case for {X}")
 
 
-def comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
-                          budget: int) -> IneqSet:
+def _comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
+                           budget: int) -> IneqSet:
     """The middle colour of the smallest two-fork type: both fork pairs
     are adjacent to k=3, so the case split runs over the four neighbours."""
     X = seq.wall_type

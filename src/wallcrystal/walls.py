@@ -179,29 +179,111 @@ def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tup
 
 
 def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int = 8):
-    """The first `count` pattern cells of the given column."""
+    """The first `count` pattern cells of the given column.  An A1 column
+    is its neighbour's pattern one level lower, and its cells carry the
+    level less the column as their argument."""
     if X.family is Family.A1:
         cells = []
         for m in range(count):
             lvl = HalfInt.of(k - column + m)
-            cells.append(Cell("full", lvl, (periodic_map(X, lvl),), (lvl,)))
+            cells.append(Cell("full", lvl, (periodic_map(X, lvl),),
+                              (lvl - column,)))
         return tuple(cells)
     cells = _pattern(X, k, ground, column % 2, 1 << (count - 1).bit_length())
     return cells if len(cells) == count else cells[:count]
 
 
 def _base_top(X: AffineType, k: int, ground: str) -> str:
-    """Partial code of a bare column (ground atoms only)."""
-    if X.family is Family.A1:
-        return NONE
+    """Partial code of a bare column: its ground atom is the front atom
+    of a split base cell or the lower atom of a doubled one, and a full
+    base cell (A1) has none."""
     if ground == LEVEL1 and index_class(X, k) != 1:
         raise ClassMismatch(f"{k} is not class 1 in {X}")
     if ground != LEVEL1 and index_class(X, k) != 2:
         raise ClassMismatch(f"{k} is not class 2 in {X}")
     if ground == LEVEL1:
-        base = column_pattern(X, k, ground, 0, 1)[0]
-        return FRONT if base.kind == "split" else LOWER
+        kind = column_pattern(X, k, ground, 0, 1)[0].kind
+        return {"split": FRONT, "double": LOWER, "full": NONE}[kind]
     return LOWER
+
+
+def _cost_groups(X, k, ground, base):
+    """The non-bare states of one column, grouped by added atoms in
+    increasing order; endless, since a column has no top."""
+    cells = ()
+    atoms = 0 if base[1] == NONE else -1  # the ground atom
+    for m in itertools.count():
+        if m == len(cells):
+            cells = column_pattern(X, k, ground, 0, 2 * m + 8)
+        cell = cells[m]
+        partials = ()
+        if cell.kind == "split":
+            # the base split cell of a level-1 ground always keeps its
+            # front atom, so its only partial state is the bare one
+            partials = () if (m == 0 and ground == LEVEL1) else (FRONT, BACK)
+        elif cell.kind == "double":
+            partials = (LOWER,)
+        group = tuple((m, code) for code in partials if (m, code) != base)
+        if group:
+            yield atoms + 1, group
+        atoms += cell.natoms
+        yield atoms, ((m + 1, NONE),)
+
+
+class _Column:
+    """The states a column of one (type, colour, ground) may take: the
+    bare state and the others grouped by added atoms, listed on demand
+    from _cost_groups.  One table serves every column of a wall, since a
+    column's parity only decides which atom of a split cell sits at the
+    back, never the kinds of its cells."""
+
+    def __init__(self, X, k, ground):
+        self.base = (0, _base_top(X, k, ground))
+        self._source = _cost_groups(X, k, ground, self.base)
+        self._listed = []
+        self._atoms = {self.base: 0}
+        self._rows = 0  # every state of a lower row is listed
+
+    def _more(self):
+        c, group = next(self._source)
+        self._listed.append((c, group))
+        for st in group:
+            self._atoms[st] = c
+        if group[0][1] == NONE:  # a row is listed once its cell is full
+            self._rows = group[0][0]
+
+    def __iter__(self):
+        listed = self._listed
+        for i in itertools.count():
+            if i == len(listed):
+                self._more()
+            yield listed[i]
+
+    def atoms(self, state):
+        """The atoms state adds to the bare column, or None if no column
+        takes state."""
+        while self._rows <= state[0]:
+            self._more()
+        return self._atoms.get(state)
+
+    def state(self, count: int, code: str = ""):
+        """The state adding count atoms; a split cell's lone atom is the
+        back one unless code is 'f', and code 'l' does not fit it."""
+        if count == 0:
+            return self.base
+        for c, group in self:  # the costs run 1, 2, 3, ...
+            if c >= count:
+                break
+        if len(group) == 1:
+            return group[0]
+        if code == "l":
+            raise ValueError(f"column code {code!r} does not fit")
+        return group[0] if code == "f" else group[1]  # (front, back)
+
+
+@lru_cache(maxsize=None)
+def _column(X: AffineType, k: int, ground: str) -> _Column:
+    return _Column(X, k, ground)
 
 
 @dataclass(frozen=True)
@@ -214,56 +296,37 @@ class Wall:
     states: tuple  # ((m, top), ...) for columns 0.. ; trailing bare states trimmed
 
     def __post_init__(self):
-        base = _base_top(self.wall_type, self.k, self.ground)
+        column = self.column_table
         states = tuple(self.states)
-        while states and states[-1] == (0, base):
+        while states and states[-1] == column.base:
             states = states[:-1]
         object.__setattr__(self, "states", states)
         for st in states:
-            self._check_state(st)
+            if column.atoms(st) is None:
+                raise ValueError(f"no column takes the state {st}")
         if not self._spaces_ok():
             raise ValueError("free space to the right of a block")
 
     @property
-    def base_state(self):
-        return (0, _base_top(self.wall_type, self.k, self.ground))
+    def column_table(self) -> _Column:
+        """The states each column of this wall may take."""
+        return _column(self.wall_type, self.k, self.ground)
 
-    def _check_state(self, st):
-        m, top = st
-        if m < 0:
-            raise ValueError(st)
-        a1 = self.wall_type.family is Family.A1
-        if top == NONE:
-            if m == 0 and not a1:
-                raise ValueError("a bare column carries its ground atom")
-            return
-        if a1:
-            raise ValueError("A1 columns have no partial atoms")
-        cell = column_pattern(self.wall_type, self.k, self.ground, 0, m + 1)[m]
-        if top == LOWER and cell.kind != "double":
-            raise ValueError(st)
-        if top in (FRONT, BACK) and cell.kind != "split":
-            raise ValueError(st)
-        if (m, top) == (0, BACK) and self.ground == LEVEL1 and cell.kind == "split":
-            raise ValueError("the front base atom is part of the ground")
+    @property
+    def base_state(self):
+        return self.column_table.base
 
     def state(self, i: int):
         return self.states[i] if i < len(self.states) else self.base_state
 
     def _spaces_ok(self):
-        a1 = self.wall_type.family is Family.A1
         for i in range(1, len(self.states)):
-            if not _covers(self.states[i - 1], self.states[i], a1):
+            if not _covers(self.states[i - 1], self.states[i]):
                 return False
         return True
 
     def column_atoms(self, i: int) -> int:
-        m, top = self.state(i)
-        if self.wall_type.family is Family.A1:
-            return m
-        cells = column_pattern(self.wall_type, self.k, self.ground, i, m + 1)
-        total = sum(c.natoms for c in cells[:m]) + (0 if top == NONE else 1)
-        return total - 1  # the single ground atom
+        return self.column_table.atoms(self.state(i))
 
     @property
     def atoms(self) -> int:
@@ -283,12 +346,10 @@ class Wall:
         return Wall(self.wall_type, self.k, self.ground, tuple(states))
 
 
-def _covers(left, right, a1: bool) -> bool:
+def _covers(left, right) -> bool:
     """right (nearer column) fits under left per the no-free-space rule."""
     ml, tl = left
     mr, tr = right
-    if a1:
-        return mr <= ml
     if mr < ml:
         return True
     if mr > ml:
@@ -355,8 +416,6 @@ def ground_state(X: AffineType, k: int):
 def is_proper(w) -> bool:
     if isinstance(w, WallPair):
         return is_proper(w.supporting) and is_proper(w.covering)
-    if w.wall_type.family is Family.A1:
-        return True
     hs = w.full_heights()
     return len(hs) == len(set(hs))
 
@@ -366,24 +425,20 @@ def _local_view(w: Wall):
     column i, and fits(i, st) tells whether column i may take state st,
     judged from its two neighbours and the heights of the other full
     columns only (no wall is built)."""
-    X, k, ground, states = w.wall_type, w.k, w.ground, w.states
-    a1 = X.family is Family.A1
-    base = w.base_state
-    heights = set() if a1 else {m for m, top in states if top == NONE and m >= 1}
+    states, column = w.states, w.column_table
+    base = column.base
+    heights = set(w.full_heights())
 
     def stat(i):
         return states[i] if i < len(states) else base
 
     def fits(i, st):
         m, top = st
-        if m == 0 and top == NONE and not a1:
+        if column.atoms(st) is None:
             return False
-        if (m, top) == (0, BACK) and ground == LEVEL1 and \
-                column_pattern(X, k, ground, i, 1)[0].kind == "split":
+        if i > 0 and not _covers(stat(i - 1), st):
             return False
-        if i > 0 and not _covers(stat(i - 1), st, a1):
-            return False
-        if not _covers(st, stat(i + 1), a1):
+        if not _covers(st, stat(i + 1)):
             return False
         if top == NONE and m >= 1 and m in heights:
             old = stat(i)
@@ -408,18 +463,6 @@ def _wall_moves(w: Wall, host: str):
                          cell.args[idx], host), st))
         return True
 
-    if X.family is Family.A1:
-        for i in range(len(states) + 1):
-            c = stat(i)[0]
-            lvl = HalfInt.of(k - i + c)
-            if fits(i, (c + 1, NONE)):
-                out.append((Site("add", "single", periodic_map(X, lvl), i, lvl,
-                                 lvl - i, host), (c + 1, NONE)))
-            lvl = HalfInt.of(k - i + c - 1)
-            if c >= 1 and fits(i, (c - 1, NONE)):
-                out.append((Site("remove", "single", periodic_map(X, lvl), i,
-                                 lvl, lvl - i, host), (c - 1, NONE)))
-        return out
     truncated = ground in (SUPPORTING, COVERING)
     for i in range(len(states) + 1):
         m, top = stat(i)
@@ -528,48 +571,6 @@ def apply(w, site: Site):
     raise SiteNotPresent(site)
 
 
-def _cost_groups(X, k, ground):
-    """The non-bare states of one column, grouped by added atoms in
-    increasing order; endless, since a column has no top."""
-    if X.family is Family.A1:
-        for c in itertools.count(1):
-            yield c, ((c, NONE),)
-    base = (0, _base_top(X, k, ground))
-    cells = ()
-    atoms = -1  # the ground atom
-    for m in itertools.count():
-        if m == len(cells):
-            cells = column_pattern(X, k, ground, 0, 2 * m + 8)
-        cell = cells[m]
-        partials = ()
-        if cell.kind == "split":
-            # the base split cell of a level-1 ground always keeps its
-            # front atom, so its only partial state is the bare one
-            partials = () if (m == 0 and ground == LEVEL1) else (FRONT, BACK)
-        elif cell.kind == "double":
-            partials = (LOWER,)
-        group = tuple((m, code) for code in partials if (m, code) != base)
-        if group:
-            yield atoms + 1, group
-        atoms += cell.natoms
-        yield atoms, ((m + 1, NONE),)
-
-
-class _CostGroups:
-    """_cost_groups listed on demand and shared by every node of a search."""
-
-    def __init__(self, X, k, ground):
-        self._source = _cost_groups(X, k, ground)
-        self._listed = []
-
-    def __iter__(self):
-        listed = self._listed
-        for i in itertools.count():
-            if i == len(listed):
-                listed.append(next(self._source))
-            yield listed[i]
-
-
 def _fitting(groups, prev, last_full, a1):
     """The non-empty cost groups of the states a column may take when the
     column to its right has state prev (None for column 0) and the
@@ -578,7 +579,7 @@ def _fitting(groups, prev, last_full, a1):
         if prev is not None and group[0][0] > prev[0]:
             return  # no column is taller than the one to its right
         fit = [st for st in group
-               if (prev is None or _covers(prev, st, a1))
+               if (prev is None or _covers(prev, st))
                # two full columns of equal height: improper
                and (a1 or st[1] != NONE or st[0] != last_full)]
         if fit:
@@ -644,7 +645,7 @@ def search_walls(X: AffineType, k: int, keep):
     atoms is such a cut (enumerate_walls), and so is the support window
     of comb_infinity."""
     grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
-    groups = [_CostGroups(X, k, ground) for ground in grounds]
+    groups = [_column(X, k, ground) for ground in grounds]
     a1 = X.family is Family.A1
 
     def member(ground, states):
@@ -707,7 +708,6 @@ def _render_wall(w: Wall) -> str:
     X, k, ground = w.wall_type, w.k, w.ground
     ncols = max(len(w.states), 1)
     cols = []
-    a1 = X.family is Family.A1
     height = max([w.state(i)[0] + (0 if w.state(i)[1] == NONE else 1)
                   for i in range(ncols)] + [1])
     for i in range(ncols + 1):  # one extra bare column on the left
@@ -723,7 +723,7 @@ def _render_wall(w: Wall) -> str:
             else:
                 have = 0
             t = cell.colors[0]
-            if cell.kind == "full" or a1:
+            if cell.kind == "full":
                 mark = f"{t:>2} " if have else " . "
                 rows.extend([mark, mark])
             elif cell.kind == "double":
@@ -749,7 +749,7 @@ def _render_wall(w: Wall) -> str:
         lines.append(" ".join(col[r] for col in cols))
     tk, tbar, tbarbar = thresholds(X, k)
     if ground == LEVEL1:
-        baseline = tk if X.family is not Family.A1 else k
+        baseline = tk
     else:
         baseline = tbar if ground == SUPPORTING else tbarbar
     lines.append(f"(0,{baseline})")
@@ -765,51 +765,23 @@ def render(w) -> str:
     return _render_wall(w)
 
 
-_CODE = {"": None, "f": FRONT, "b": BACK, "l": LOWER}
 _KIND = {"yw": LEVEL1, "sup": SUPPORTING, "cov": COVERING}
 
 
 def _states_from_counts(X, k, ground, tokens):
+    """Column states from added-atom counts; an optional trailing code
+    f/b/l picks the partial atom when ambiguous."""
+    column = _column(X, k, ground)
     states = []
     for tok in tokens:
         m = re.fullmatch(r"(\d+)([fbl]?)", tok.strip())
         if not m:
             raise ValueError(f"bad column token {tok!r}")
         count, code = int(m.group(1)), m.group(2)
-        states.append(_state_from_count(X, k, ground, count, code))
-    return tuple(states)
-
-
-def _state_from_count(X, k, ground, count, code=""):
-    """Translate an added-atom count into a column state; an optional
-    trailing code f/b/l picks the partial atom when ambiguous."""
-    if X.family is Family.A1:
-        if code:
+        if code and X.family is Family.A1:
             raise ValueError("A1 columns take plain counts")
-        return (count, NONE)
-    total = count + 1  # count the ground atom too
-    cells = column_pattern(X, k, ground, 0, count + 2)  # each cell holds an atom
-    acc = 0
-    m = 0
-    while True:
-        cell = cells[m]
-        if acc == total:
-            return (m, NONE)
-        if acc + cell.natoms <= total:
-            acc += cell.natoms
-            m += 1
-            continue
-        # exactly one atom of this cell is present
-        if cell.kind == "split":
-            if m == 0 and ground == LEVEL1:
-                top = FRONT  # the ground atom
-            else:
-                top = _CODE[code] if code else BACK
-            if top not in (FRONT, BACK):
-                raise ValueError(f"column code {code!r} does not fit")
-        else:
-            top = LOWER
-        return (m, top)
+        states.append(column.state(count, code))
+    return tuple(states)
 
 
 def parse_wall(text: str, n: int):

@@ -9,7 +9,7 @@ from itertools import repeat
 
 from wallcrystal.affine_data import cartan_entry, cartan_matrix
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
-from wallcrystal.linear_forms import (DominantWeight, _closure_vectors,
+from wallcrystal.linear_forms import (DominantWeight, closure,
                                       lambda_form, x)
 
 
@@ -186,6 +186,31 @@ def e_tilde(seq: AdaptedSequence, a: ZElement, k: int):
     return a.bump(last[k - 1], -1)
 
 
+def check_in_binf(seq: AdaptedSequence, a: ZElement) -> None:
+    """Raise ValueError unless a lies in B(infinity).
+
+    B(infinity) is the closure of 0 under f_tilde, and f_tilde inverts
+    e_tilde, so a lies in it exactly when applying e_tilde, at any colour
+    where it applies, leads down to 0 with no negative entry on the way.
+    Each step lowers the total by one, so the walk ends."""
+    for r, v in a.items():
+        if v < 0:
+            d = seq.reindex(r)
+            raise ValueError(f"a[{d.s},{d.k}]={v} is negative, so the element "
+                             f"is not in B(infinity)")
+    while a.total():
+        eps, _, last, _ = _sigma_profile(seq, a)
+        k = next((k for k in range(seq.n) if eps[k] > 0), None)
+        if k is None:
+            raise ValueError(f"no e_tilde applies to {render_element(seq, a)}, "
+                             f"so the element is not in B(infinity)")
+        if not a.get(last[k]):
+            raise ValueError(f"e_tilde at colour {k + 1} "
+                             f"takes {render_element(seq, a)} below zero, so "
+                             f"the element is not in B(infinity)")
+        a = a.bump(last[k], -1)
+
+
 def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
                    lam: DominantWeight):
     """The tensor-rule action on a x r_lambda: the move dies when phi
@@ -235,11 +260,11 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     width = support_cap + 1
     seeds = [x(s, k) for s in range(1, s_max + 1)
              for k in seq.base_type.index_set]
-    cert, _ = _closure_vectors(seq, seeds, window)
+    cert, _ = closure(seq, seeds, window)
     out = {v[:width] for v in cert if not any(v[width:])}
     if lam is not None:
         hw_seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-        cert2, _ = _closure_vectors(seq, hw_seeds, window, op="Shat'", lam=lam)
+        cert2, _ = closure(seq, hw_seeds, window, op="Shat'", lam=lam)
         out |= {v[:width] for v in cert2 if any(v) and not any(v[width:])}
     return out
 

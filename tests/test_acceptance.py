@@ -9,8 +9,8 @@ from contextlib import contextmanager
 from wallcrystal.affine_data import AffineType, Family, HalfInt, cartan_entry
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, closure, beta, lambda_form, parse_form, positivity_report,
-    render_form, support_bound, x,
+    DominantWeight, _forms, closure, beta, lambda_form, parse_form,
+    positivity_report, render_form, support_bound, x,
 )
 from wallcrystal.walls import enumerate_walls, ground_state, parse_wall, transitions
 from wallcrystal.wall_forms import (
@@ -232,7 +232,7 @@ def test_criterion_6_closure_equals_wall_image(capsys):
                 certs = {}
                 for s in (1, 2):
                     cert, _ = closure(seq, [x(s, k)], cutoff)
-                    certs[s] = {f for f in cert
+                    certs[s] = {f for f in _forms(seq, cert)
                                 if support_bound(seq, f) <= cutoff}
                 images = {1: set(), 2: set()}
                 for w in enumerate_walls(X, k, WALL_BUDGETS[name][k]):
@@ -256,7 +256,7 @@ def test_criterion_7_highest_weight_closure(capsys):
                     if support_bound(seq, f) <= cutoff}
             cert, _ = closure(seq, [lambda_form(seq, k, lam)], cutoff,
                               op="Shat'", lam=lam)
-            got = {f for f in cert
+            got = {f for f in _forms(seq, cert)
                    if not f.is_zero() and support_bound(seq, f) <= cutoff}
             assert got == want, (seq.base_type, k, lam.values)
 

@@ -76,6 +76,16 @@ def test_epsstar():
     assert (code, text) == (0, "0\n")
 
 
+def test_epsstar_rejects_elements_outside_binf(capsys):
+    # both are nonnegative, yet e_tilde does not lead them down to 0
+    d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")
+    for k, elem in (("3", "a[2,3]=1"), ("2", "a[2,1]=1")):
+        assert run("epsstar", *d2, "--k", k, "--elem", elem) == (1, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert err[0].endswith("is not in B(infinity)"), err
+
+
 def test_walls_enum_and_render():
     code, text = run("walls", "enum", "--type", "D2", "--rank", "3",
                      "--order", "3,2,1", "--k", "1", "--blocks", "2")
@@ -130,9 +140,9 @@ def test_verify_closure_prints_witnesses(monkeypatch):
     # drop one certified form: the MISMATCH names it with its wall witness
     import wallcrystal.cli as cli
 
-    real, dropped = cli._closure_vectors, []
+    real, dropped = cli.closure, []
 
-    def closure_vectors(seq, *args, **kwargs):
+    def closure(seq, *args, **kwargs):
         certs, frontier = real(seq, *args, **kwargs)
         if not dropped:
             v = min(certs, key=lambda v: render_form(*_forms(seq, [v])))
@@ -140,7 +150,7 @@ def test_verify_closure_prints_witnesses(monkeypatch):
             certs = [u for u in certs if u != v]
         return certs, frontier
 
-    monkeypatch.setattr(cli, "_closure_vectors", closure_vectors)
+    monkeypatch.setattr(cli, "closure", closure)
     code, text = run("verify", "closure", "--type", "D2", "--rank", "3",
                      "--order", "3,2,1", "--periods", "4")
     assert code == 2
@@ -219,7 +229,7 @@ FUZZ_COMMANDS = {
 # nonzero elements can stall epsilon_star's stop rule, so the only element
 # that must succeed is zero; the others are literals the command rejects
 FUZZ_BAD_ELEMENTS = ["a[1,1]=-1", "a[1,9]=1", "a[0,1]=1", "a[1,1]=", "nonsense",
-                     "a[1,1]=1;;"]
+                     "a[1,1]=1;;", "a[2,1]=1"]
 FUZZ_WALLS = ["ground=pair:C1:k=1;sup=[1];cov=[1]", "ground=yw:D2:k=1;cols=[2]",
               "ground=pair:C1:k=1;sup=[];cov=[]"]
 FUZZ_BAD_WALLS = ["ground=yw:D2:k=9;cols=[1]", "ground=yw:D2:k=1;cols=[-1]",

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from wallcrystal.affine_data import AffineType, Family, HalfInt, langlands_dual
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, LinearForm, beta, closure, lambda_form, parse_form,
-    support_bound, x,
+    DominantWeight, LinearForm, _forms, beta, closure, lambda_form,
+    parse_form, support_bound, x,
 )
 from wallcrystal.walls import (
     Site, Wall, WallPair, enumerate_walls, ground_state, parse_wall, sites,
@@ -208,7 +208,8 @@ def test_comb_infinity_windowed_matches_closure():
     cap = 9
     cert, _ = closure(seq, [x(1, 1)], 9)
     got = comb_infinity(seq, (1, 3), k=1, support_max=cap)
-    assert set(got.forms) == {f for f in cert if support_bound(seq, f) <= cap}
+    assert set(got.forms) == {f for f in _forms(seq, cert)
+                              if support_bound(seq, f) <= cap}
 
 
 def test_a1_windowed_matches_closure():
@@ -216,7 +217,8 @@ def test_a1_windowed_matches_closure():
     for k in (1, 3):
         cert, _ = closure(seq, [x(1, k)], 9)
         got = comb_infinity(seq, (1, 3), k=k, support_max=9)
-        assert set(got.forms) == {f for f in cert if support_bound(seq, f) <= 9}
+        assert set(got.forms) == {f for f in _forms(seq, cert)
+                                  if support_bound(seq, f) <= 9}
 
 
 def reference_windowed(seq, s_max, block_max, k, support_max):
@@ -484,7 +486,7 @@ def test_comb_lambda_matches_operator_closure():
         comb = comb_lambda(seq, k, lam, budget)
         windowed = {f for f in comb.forms if support_bound(seq, f) <= 9}
         windowed.add(LinearForm(0, {}))
-        assert {f for f in cert if support_bound(seq, f) <= 9} == windowed
+        assert {f for f in _forms(seq, cert) if support_bound(seq, f) <= 9} == windowed
 
 
 def test_comb_lambda_rejects_bad_input():

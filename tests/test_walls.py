@@ -468,7 +468,8 @@ def _column_lines(X, k):
                     lambda: Wall(X, k, ground, ((m, top),)).states)
         for c in range(12):
             for code in ("", "f", "b", "l"):
-                text = f"ground={_KINDS[ground]}:{X.family.value}:k={k};cols=[{c}{code}]"
+                text = (f"ground={_KINDS[ground]}:{X.family.value}:k={k};"
+                        f"cols=[{c}{code}]")
                 yield f"{text}: " + _outcome(lambda: parse_wall(text, X.n).states)
 
 

@@ -8,8 +8,9 @@ from wallcrystal.affine_data import AffineType, Family, cartan_entry
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import DominantWeight
 from wallcrystal.zcrystal import (
-    ZElement, e_tilde, epsilon, f_tilde, f_tilde_lambda, generate,
-    parse_element, phi, render_element, sigma, verify_equivalence, wt_pairing,
+    ZElement, check_in_binf, e_tilde, epsilon, f_tilde, f_tilde_lambda,
+    generate, parse_element, phi, render_element, sigma, verify_equivalence,
+    wt_pairing,
 )
 
 
@@ -159,6 +160,31 @@ def test_generate_closed_under_raising():
             b = e_tilde(seq, a, k)
             if b is not None:
                 assert b in gen
+
+
+@pytest.mark.parametrize("g,order", [
+    (AffineType(Family.D2, 3), (3, 2, 1)),
+    (AffineType(Family.C1, 3), (3, 2, 1)),
+    (AffineType(Family.B1, 4), (2, 4, 3, 1)),
+    (AffineType(Family.A2ODD, 4), (2, 4, 3, 1)),
+    (AffineType(Family.A1, 3), (3, 1, 2)),
+    (AffineType(Family.D1, 5), (1, 2, 3, 4, 5)),
+], ids=str)
+def test_binf_check_matches_generate(g, order):
+    # generate(seq, 4) is every element of B(infinity) with total <= 4
+    seq = from_permutation(g, order)
+    n = seq.n
+    gen = generate(seq, 4)
+    for v in itertools.product(range(3), repeat=2 * n):
+        if sum(v) > 4:
+            continue
+        a = ZElement({r + 1: c for r, c in enumerate(v)})
+        try:
+            check_in_binf(seq, a)
+            inside = True
+        except ValueError:
+            inside = False
+        assert inside == (a in gen), v
 
 
 def test_highest_weight_generation_is_smaller():
