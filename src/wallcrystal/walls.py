@@ -571,11 +571,11 @@ def apply(w, site: Site):
     raise SiteNotPresent(site)
 
 
-def _fitting(groups, prev, last_full, a1):
+def _fitting(column, prev, last_full, a1):
     """The non-empty cost groups of the states a column may take when the
     column to its right has state prev (None for column 0) and the
     nearest full column to its right has height last_full."""
-    for c, group in groups:
+    for c, group in column:
         if prev is not None and group[0][0] > prev[0]:
             return  # no column is taller than the one to its right
         fit = [st for st in group
@@ -645,7 +645,7 @@ def search_walls(X: AffineType, k: int, keep):
     atoms is such a cut (enumerate_walls), and so is the support window
     of comb_infinity."""
     grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
-    groups = [_column(X, k, ground) for ground in grounds]
+    columns = [_column(X, k, ground) for ground in grounds]
     a1 = X.family is Family.A1
 
     def member(ground, states):
@@ -662,8 +662,8 @@ def search_walls(X: AffineType, k: int, keep):
         return _unchecked(WallPair, supporting=sup, covering=cov)
 
     def extend(states, prev, last_full, spent):
-        for c, group in _by_total([_fitting(g, p, f, a1) for g, p, f
-                                   in zip(groups, prev, last_full)]):
+        for c, group in _by_total([_fitting(col, p, f, a1) for col, p, f
+                                   in zip(columns, prev, last_full)]):
             kept = False
             atoms = spent + c
             for st in group:

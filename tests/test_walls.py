@@ -253,6 +253,13 @@ def test_free_space_rejected():
         Wall(X, 1, LEVEL1, ((0, "front"), (1, "none")))
 
 
+def test_unknown_partial_code_rejected():
+    # no column takes a state whose partial-top code is not one of the four
+    X = AffineType(Family.B1, 4)
+    with pytest.raises(ValueError):
+        Wall(X, 1, LEVEL1, ((2, "garbage"),))
+
+
 def test_site_not_present():
     g = ground_state(AffineType(Family.C1, 3), 1)
     with pytest.raises(SiteNotPresent):
