@@ -9,8 +9,7 @@ from itertools import repeat
 
 from wallcrystal.affine_data import cartan_entry, cartan_matrix
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
-from wallcrystal.linear_forms import (DominantWeight, closure,
-                                      lambda_form, x)
+from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, x
 
 
 class ZElement:
@@ -205,9 +204,9 @@ def check_in_binf(seq: AdaptedSequence, a: ZElement) -> None:
             raise ValueError(f"no e_tilde applies to {render_element(seq, a)}, "
                              f"so the element is not in B(infinity)")
         if not a.get(last[k]):
-            raise ValueError(f"e_tilde at colour {k + 1} "
-                             f"takes {render_element(seq, a)} below zero, so "
-                             f"the element is not in B(infinity)")
+            raise ValueError(f"e_tilde at colour {k + 1} takes "
+                             f"{render_element(seq, a)} below zero, so the "
+                             f"element is not in B(infinity)")
         a = a.bump(last[k], -1)
 
 
