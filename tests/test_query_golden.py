@@ -1,0 +1,238 @@
+"""Goldens of the small verifier and epsstar queries, and mutation checks
+showing that `verify crystal` and `verify props` catch a broken operator."""
+
+import io
+
+import pytest
+
+import wallcrystal.cli as cli
+import wallcrystal.zcrystal as zcrystal
+from wallcrystal.linear_forms import x
+
+SETTINGS = {
+    "D2": ("--type", "D2", "--rank", "3", "--order", "3,2,1"),
+    "C1": ("--type", "C1", "--rank", "3", "--order", "3,2,1"),
+    "B1": ("--type", "B1", "--rank", "4", "--order", "2,4,3,1"),
+    "A2odd": ("--type", "A2odd", "--rank", "4", "--order", "2,4,3,1"),
+    "D1": ("--type", "D1", "--rank", "6", "--order", "6,5,4,3,2,1"),
+}
+
+# `verify props --blocks 1, 2, 3`: the number of block additions checked
+PROPS_CHECKED = {
+    "D2": [6, 21, 52], "C1": [11, 27, 53], "B1": [13, 36, 86],
+    "A2odd": [15, 42, 94], "D1": [22, 59, 141],
+}
+
+# (colour, element, printed value) of epsstar on the elements the benchmark
+# draws, recorded where the query finished within 2 s
+EPSSTAR = {
+    "D2": [
+        (1, "a[1,3]=2", 0),
+        (2, "a[1,1]=2", 0),
+        (2, "a[1,2]=1", 1),
+        (2, "a[1,1]=1;a[2,2]=1", 0),
+        (2, "a[1,2]=1;a[1,1]=1", 1),
+        (2, "a[1,3]=1;a[1,2]=1", 0),
+        (2, "a[1,3]=2", 0),
+        (2, "a[1,2]=1;a[1,1]=2", 1),
+        (2, "a[1,2]=1;a[1,1]=1;a[2,2]=1", 1),
+        (3, "a[1,1]=2", 0),
+        (3, "a[1,2]=1", 0),
+        (3, "a[1,1]=1;a[2,2]=1", 0),
+        (3, "a[1,2]=1;a[1,1]=1", 0),
+        (3, "a[1,3]=1;a[1,2]=1", 1),
+        (3, "a[1,3]=2", 2),
+        (3, "a[1,2]=1;a[1,1]=2", 0),
+        (3, "a[1,2]=1;a[1,1]=1;a[2,2]=1", 0),
+    ],
+    "C1": [
+        (1, "a[1,2]=2", 0),
+        (1, "a[1,3]=2", 0),
+        (1, "a[1,2]=3", 0),
+        (2, "a[1,1]=1;a[2,2]=1", 0),
+        (2, "a[1,3]=1;a[1,2]=1;a[2,3]=1", 1),
+        (2, "a[1,2]=2", 2),
+        (2, "a[1,1]=1;a[2,2]=1;a[3,3]=1", 0),
+        (2, "a[1,3]=2", 0),
+        (2, "a[1,2]=1;a[2,3]=1", 1),
+        (2, "a[1,2]=3", 3),
+        (2, "a[1,1]=2", 0),
+        (3, "a[1,1]=1;a[2,2]=1", 0),
+        (3, "a[1,3]=1;a[1,2]=1;a[2,3]=1", 1),
+        (3, "a[1,2]=2", 0),
+        (3, "a[1,1]=1;a[2,2]=1;a[3,3]=1", 0),
+        (3, "a[1,3]=2", 2),
+        (3, "a[1,2]=1;a[2,3]=1", 0),
+        (3, "a[1,2]=3", 0),
+        (3, "a[1,1]=2", 0),
+    ],
+    "B1": [
+        (1, "a[1,4]=2", 0),
+        (1, "a[1,4]=1;a[1,3]=1;a[1,1]=1", 0),
+        (1, "a[1,3]=1;a[2,4]=1", 0),
+        (1, "a[1,3]=1;a[2,4]=2", 0),
+        (1, "a[1,2]=2", 0),
+        (1, "a[1,4]=3", 0),
+        (1, "a[1,4]=2;a[1,3]=1", 0),
+        (2, "a[1,4]=2", 0),
+        (2, "a[1,4]=1;a[1,3]=1;a[1,1]=1", 0),
+        (2, "a[1,3]=1;a[2,4]=1", 0),
+        (2, "a[1,3]=1;a[2,4]=2", 0),
+        (2, "a[1,2]=2", 2),
+        (2, "a[1,3]=1;a[1,1]=1;a[2,3]=1", 0),
+        (2, "a[1,4]=3", 0),
+        (2, "a[1,4]=2;a[1,3]=1", 0),
+        (3, "a[1,4]=2", 0),
+        (3, "a[1,4]=3", 0),
+        (4, "a[1,4]=2", 2),
+        (4, "a[1,4]=1;a[1,3]=1;a[1,1]=1", 1),
+        (4, "a[1,3]=1;a[2,4]=1", 0),
+        (4, "a[1,3]=1;a[2,4]=2", 0),
+        (4, "a[1,2]=2", 0),
+        (4, "a[1,3]=1;a[1,1]=1;a[2,3]=1", 0),
+        (4, "a[1,4]=3", 3),
+        (4, "a[1,4]=2;a[1,3]=1", 2),
+    ],
+    "A2odd": [
+        (1, "a[1,1]=1", 1),
+        (1, "a[1,4]=1;a[1,3]=1;a[1,1]=1", 0),
+        (1, "a[1,3]=3", 0),
+        (1, "a[1,2]=1;a[1,4]=2", 0),
+        (1, "a[1,2]=1;a[1,1]=2", 2),
+        (1, "a[1,3]=1;a[1,1]=2", 1),
+        (1, "a[1,2]=2;a[1,4]=1", 0),
+        (1, "a[1,2]=2;a[1,3]=1", 0),
+        (2, "a[1,1]=1", 0),
+        (2, "a[1,4]=1;a[1,3]=1;a[1,1]=1", 0),
+        (2, "a[1,3]=3", 0),
+        (2, "a[1,2]=1;a[1,4]=2", 1),
+        (2, "a[1,2]=1;a[1,1]=2", 1),
+        (2, "a[1,3]=1;a[1,1]=2", 0),
+        (2, "a[1,2]=2;a[1,4]=1", 2),
+        (2, "a[1,2]=2;a[1,3]=1", 2),
+        (3, "a[1,1]=1", 0),
+        (4, "a[1,1]=1", 0),
+        (4, "a[1,4]=1;a[1,3]=1;a[1,1]=1", 1),
+        (4, "a[1,3]=3", 0),
+        (4, "a[1,2]=1;a[1,4]=2", 2),
+        (4, "a[1,2]=1;a[1,1]=2", 0),
+        (4, "a[1,3]=1;a[1,1]=2", 0),
+        (4, "a[1,2]=2;a[1,4]=1", 1),
+        (4, "a[1,2]=2;a[1,3]=1", 0),
+    ],
+    "D1": [
+        (1, "a[1,3]=2;a[2,4]=1", 0),
+        (1, "a[1,6]=2", 0),
+        (1, "a[1,1]=3", 3),
+        (2, "a[1,4]=1;a[1,2]=1;a[2,5]=1", 1),
+        (2, "a[1,5]=1;a[1,3]=1;a[1,2]=1", 0),
+        (2, "a[1,3]=2;a[2,4]=1", 0),
+        (2, "a[1,4]=1;a[1,2]=1;a[2,6]=1", 1),
+        (2, "a[1,6]=2", 0),
+        (2, "a[1,3]=2;a[1,2]=1", 0),
+        (3, "a[1,4]=1;a[1,2]=1;a[2,5]=1", 0),
+        (3, "a[1,5]=1;a[1,3]=1;a[1,2]=1", 1),
+        (3, "a[1,3]=2;a[2,4]=1", 2),
+        (3, "a[1,1]=1;a[2,3]=1", 0),
+        (3, "a[1,4]=1;a[1,2]=1;a[2,6]=1", 0),
+        (3, "a[1,6]=2", 0),
+        (3, "a[1,1]=3", 0),
+        (3, "a[1,3]=2;a[1,2]=1", 2),
+        (4, "a[1,4]=1;a[1,2]=1;a[2,5]=1", 1),
+        (4, "a[1,5]=1;a[1,3]=1;a[1,2]=1", 0),
+        (4, "a[1,3]=2;a[2,4]=1", 0),
+        (4, "a[1,1]=1;a[2,3]=1", 0),
+        (4, "a[1,4]=1;a[1,2]=1;a[2,6]=1", 1),
+        (4, "a[1,6]=2", 0),
+        (4, "a[1,1]=3", 0),
+        (4, "a[1,3]=2;a[1,2]=1", 0),
+        (5, "a[1,4]=1;a[1,2]=1;a[2,5]=1", 0),
+        (5, "a[1,5]=1;a[1,3]=1;a[1,2]=1", 1),
+        (5, "a[1,3]=2;a[2,4]=1", 0),
+        (5, "a[1,1]=1;a[2,3]=1", 0),
+        (5, "a[1,4]=1;a[1,2]=1;a[2,6]=1", 0),
+        (5, "a[1,6]=2", 0),
+        (5, "a[1,1]=3", 0),
+        (5, "a[1,3]=2;a[1,2]=1", 0),
+        (6, "a[1,4]=1;a[1,2]=1;a[2,5]=1", 0),
+        (6, "a[1,5]=1;a[1,3]=1;a[1,2]=1", 0),
+        (6, "a[1,3]=2;a[2,4]=1", 0),
+        (6, "a[1,1]=1;a[2,3]=1", 0),
+        (6, "a[1,4]=1;a[1,2]=1;a[2,6]=1", 0),
+        (6, "a[1,6]=2", 2),
+        (6, "a[1,1]=3", 0),
+        (6, "a[1,3]=2;a[1,2]=1", 0),
+    ],
+}
+
+
+def run(*argv):
+    out = io.StringIO()
+    code = cli.main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_verify_crystal_golden(name):
+    for seed in range(4):
+        assert run("verify", "crystal", *SETTINGS[name], "--samples", "50",
+                   "--seed", str(seed)) == (0, "crystal samples=50 violations=0\n")
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_verify_props_golden(name):
+    for blocks, checked in zip((1, 2, 3), PROPS_CHECKED[name]):
+        assert run("verify", "props", *SETTINGS[name], "--blocks", str(blocks)) \
+            == (0, f"props checked={checked} violations=0\n")
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_epsstar_golden(name):
+    for k, elem, value in EPSSTAR[name]:
+        assert run("epsstar", *SETTINGS[name], "--k", str(k), "--elem", elem) \
+            == (0, f"{value}\n"), (k, elem)
+
+
+def _patch_profile(monkeypatch, change):
+    """Replace the sigma profile, wherever it is bound, by one that change
+    edits in place."""
+    real = zcrystal._sigma_profile
+
+    def profile(seq, a):
+        eps, first, last, w = (list(v) for v in real(seq, a))
+        change(a, eps, first, last)
+        return eps, first, last, w
+
+    for module in (zcrystal, cli):
+        if hasattr(module, "_sigma_profile"):
+            monkeypatch.setattr(module, "_sigma_profile", profile)
+
+
+def _last_one_up(a, eps, first, last):
+    last[0] += 1  # e_tilde at colour 1 lowers the wrong position
+
+
+def _epsilon_one_up(a, eps, first, last):
+    if a.total():
+        eps[0] += 1  # epsilon at colour 1 is one too large off 0
+
+
+@pytest.mark.parametrize("change", [_last_one_up, _epsilon_one_up])
+@pytest.mark.parametrize("name", ["D2", "B1"])
+def test_verify_crystal_catches_a_wrong_operator(monkeypatch, name, change):
+    _patch_profile(monkeypatch, change)
+    code, text = run("verify", "crystal", *SETTINGS[name], "--samples", "20")
+    assert code == 2
+    assert text.startswith("crystal samples=20 violations=")
+    assert int(text.split("violations=")[1]) > 0
+
+
+@pytest.mark.parametrize("name", ["D2", "B1"])
+def test_verify_props_catches_a_wrong_root(monkeypatch, name):
+    real = cli.beta
+    monkeypatch.setattr(cli, "beta", lambda seq, d: real(seq, d) + x(d.s, d.k))
+    code, text = run("verify", "props", *SETTINGS[name], "--blocks", "2")
+    assert code == 2
+    first = text.splitlines()[0]
+    assert first.startswith("props checked=") and not first.endswith(" violations=0")
+    assert text.splitlines()[1].startswith("  violation: (0, ")
