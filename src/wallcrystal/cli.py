@@ -8,7 +8,7 @@ import json
 import sys
 
 from wallcrystal.affine_data import parse_type
-from wallcrystal.adapted_sequence import from_permutation
+from wallcrystal.adapted_sequence import DoubleIndex, from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, _forms, beta, closure, positivity_report,
     render_form, x,
@@ -17,13 +17,16 @@ from wallcrystal.walls import (
     enumerate_walls, parse_wall, render, transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
-    NotStabilized, comb_infinity, comb_lambda, epsilon_star, site_form,
-    wall_form,
+    NotStabilized, _form_at, _wall_terms, comb_infinity, comb_lambda,
+    epsilon_star, site_offsets,
 )
 from wallcrystal.zcrystal import (
-    ZElement, check_in_binf, e_tilde, epsilon, f_tilde, parse_element, phi,
-    verify_equivalence, wt_pairing,
+    ZElement, _sigma_profile, f_tilde, generate, parse_element,
+    weight_pairings,
 )
+# the crystal operators, bound here under their names for callers and
+# tracers that look them up on this module
+from wallcrystal.zcrystal import e_tilde, epsilon, phi, wt_pairing  # noqa: F401
 
 
 class UsageError(Exception):
@@ -114,10 +117,10 @@ def _cmd_epsstar(args, out):
     _colour(seq, args.k)
     try:
         a = parse_element(seq, args.elem)
-        check_in_binf(seq, a)
+        value = epsilon_star(seq, args.k, a.as_double(seq))
     except ValueError as e:
         raise UsageError(str(e))
-    out.write(f"{epsilon_star(seq, args.k, a.as_double(seq))}\n")
+    out.write(f"{value}\n")
     return 0
 
 
@@ -162,24 +165,39 @@ def _verify_closure(args, seq, out):
 
 
 def _verify_props(args, seq, out):
+    """For every colour's walls within --blocks, s in {0, 1, 3} and every
+    block addition at a site of shift s + offset >= 1, the wall form drops
+    by the site's root (twice it for a double site).  Each wall's sites and
+    moves are found once and its terms shared across the shifts."""
     X = seq.wall_type
-    bad = []
+    shifts = (0, 1, 3)
+    bad = {s: [] for s in shifts}
     total = 0
-    for s in (0, 1, 3):
-        for k in X.index_set:
-            for w in enumerate_walls(X, k, args.blocks):
-                base = wall_form(seq, s, k, w)
-                for st, nxt in transitions(w):
-                    if st.action != "add":
+    offset = site_offsets()
+    terms = {}
+
+    def terms_of(k, w):
+        t = terms.get(w)
+        if t is None:
+            t = terms[w] = _wall_terms(seq, k, w, offset)
+        return t
+
+    for k in X.index_set:
+        for w in enumerate_walls(X, k, args.blocks):
+            here = terms_of(k, w)
+            adds = [(st, offset(seq, k, st), terms_of(k, nxt))
+                    for st, nxt in transitions(w) if st.action == "add"]
+            for s in shifts:
+                base = _form_at(here, s)
+                for st, off, there in adds:
+                    if s + off < 1:
                         continue
-                    sf = site_form(seq, s, k, st)
-                    if sf.coordinate.s < 1:
-                        continue
-                    b = beta(seq, sf.coordinate)
-                    want = b + b if sf.weight == 2 else b
+                    b = beta(seq, DoubleIndex(s + off, st.color))
+                    want = b + b if st.grade == "double" else b
                     total += 1
-                    if base - wall_form(seq, s, k, nxt) != want:
-                        bad.append((s, k, wall_literal(w), st))
+                    if base - _form_at(there, s) != want:
+                        bad[s].append((s, k, wall_literal(w), st))
+    bad = [item for s in shifts for item in bad[s]]
     out.write(f"props checked={total} violations={len(bad)}\n")
     for item in bad[:20]:
         out.write(f"  violation: {item}\n")
@@ -187,6 +205,11 @@ def _verify_props(args, seq, out):
 
 
 def _verify_crystal(args, seq, out):
+    """For sampled elements a and every colour k with b = f_tilde_k a:
+    e_tilde_k b = a, epsilon_k rises by one, phi_k falls by one, and the
+    weight pairings change by the Cartan column of k.  epsilon, f_tilde
+    and e_tilde are read from one sigma profile of a and one of each b;
+    the pairings from a separate pass over the support."""
     import random
     from wallcrystal.affine_data import cartan_entry
 
@@ -197,19 +220,40 @@ def _verify_crystal(args, seq, out):
         a = ZElement()
         for _ in range(rng.randint(0, args.depth)):
             a = f_tilde(seq, a, rng.choice(colours))
+        eps_a, first_a, _, _ = _sigma_profile(seq, a)
+        wt_a = weight_pairings(seq, a)
         for k in colours:
-            b = f_tilde(seq, a, k)
-            ok = (e_tilde(seq, b, k) == a
-                  and epsilon(seq, b, k) == epsilon(seq, a, k) + 1
-                  and phi(seq, b, k) == phi(seq, a, k) - 1)
-            if ok:
-                for j in colours:
-                    if wt_pairing(seq, a, j) - wt_pairing(seq, b, j) != \
-                            cartan_entry(seq.base_type, j, k):
-                        ok = False
+            i = k - 1
+            b = a.bump(first_a[i], 1)
+            eps_b, _, last_b, _ = _sigma_profile(seq, b)
+            wt_b = weight_pairings(seq, b)
+            ok = (eps_b[i] > 0 and b.bump(last_b[i], -1) == a
+                  and eps_b[i] == eps_a[i] + 1
+                  and eps_b[i] + wt_b[i] == eps_a[i] + wt_a[i] - 1
+                  and all(wt_a[j - 1] - wt_b[j - 1]
+                          == cartan_entry(seq.base_type, j, k) for j in colours))
             if not ok:
                 bad += 1
     out.write(f"crystal samples={args.samples} violations={bad}\n")
+    return bad
+
+
+def _verify_star(args, seq, out):
+    """epsilon_star's wall formula against the value read from Kashiwara's
+    chart, on every element of generate(seq, --depth) and every colour."""
+    colours = seq.base_type.index_set
+    checked, bad = 0, []
+    for a in sorted(generate(seq, args.depth), key=ZElement.items):
+        v = a.as_double(seq)
+        for k in colours:
+            checked += 1
+            try:
+                epsilon_star(seq, k, v)
+            except NotStabilized as e:
+                bad.append(str(e))
+    out.write(f"star checked={checked} violations={len(bad)}\n")
+    for line in bad[:20]:
+        out.write(f"  violation: {line}\n")
     return bad
 
 
@@ -231,6 +275,8 @@ def _cmd_verify(args, out):
         return 2 if _verify_props(args, seq, out) else 0
     if args.mode == "crystal":
         return 2 if _verify_crystal(args, seq, out) else 0
+    if args.mode == "star":
+        return 2 if _verify_star(args, seq, out) else 0
     lam = _weight(seq, args.lam)
     report = positivity_report(seq, lam, (args.periods - 1) * seq.n)
     for key, val in report.items():
@@ -280,7 +326,8 @@ def build_parser():
     p.set_defaults(run=_cmd_walls)
 
     p = sub.add_parser("verify")
-    p.add_argument("mode", choices=["closure", "crystal", "props", "positivity"])
+    p.add_argument("mode", choices=["closure", "crystal", "props", "positivity",
+                                    "star"])
     common(p)
     p.add_argument("--s-max", type=_at_least(1), default=2, dest="s_max")
     p.add_argument("--periods", type=int, default=6)

@@ -18,6 +18,7 @@ from wallcrystal.walls import (
     Site, apply, enumerate_walls, ground_state, search_walls, sites,
     wall_literal,
 )
+from wallcrystal.zcrystal import ZElement, render_element, star_length
 
 
 class HostMismatch(ValueError):
@@ -93,6 +94,19 @@ def _wall_terms(seq, k, w, offset=_site_offset):
     """(offset, colour, signed weight) per site of w; shared across shifts s."""
     return [(offset(seq, k, st), st.color, _direction(st) * _weight(st))
             for st in sites(w)]
+
+
+def site_offsets():
+    """_site_offset memoized per (colour, site), for use with one sequence."""
+    offsets = {}
+
+    def offset(seq, k, site):
+        key = (k, site)
+        off = offsets.get(key)
+        if off is None:
+            off = offsets[key] = _site_offset(seq, k, site)
+        return off
+    return offset
 
 
 def _form_at(terms, s) -> LinearForm:
@@ -182,15 +196,8 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     if s_max < 1 or block_max < 0:
         raise ValueError(window)
     colours = [k] if k is not None else list(seq.base_type.index_set)
-    offsets = {}  # (colour, site) -> offset, shared by every wall below
+    offset = site_offsets()  # shared by every wall below
     prov = {}  # kept form -> its first witness
-
-    def offset(seq, colour, site):
-        key = (colour, site)
-        off = offsets.get(key)
-        if off is None:
-            off = offsets[key] = _site_offset(seq, colour, site)
-        return off
 
     def kept(phi):
         return support_max is None or all(
@@ -210,8 +217,11 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
         return True
 
     for kk in colours:
-        search_walls(seq.wall_type, kk, lambda w, atoms, kk=kk: (
-            (support_max is not None or atoms <= block_max) and form(kk, w)))
+        def keep(w, atoms, kk=kk):
+            return (support_max is not None or atoms <= block_max) and form(kk, w)
+        if support_max is None:
+            keep.max_atoms = block_max
+        search_walls(seq.wall_type, kk, keep)
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
     return IneqSet(prov, prov, meta)
 
@@ -546,21 +556,26 @@ def _comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
 
 
 def epsilon_star(seq: AdaptedSequence, k: int, a, max_budget: int = 60) -> int:
-    """max{-phi(a)} over COMB_k[0], grown until the frontier certifies
-    that every further form evaluates to zero on a."""
+    """max(0, -phi(a)) over COMB_k[0], for a in B(infinity) given by its
+    double-index entries.
+
+    The family is built at budgets 0, 2, 4, ... until its value reaches
+    epsilon*_k(a) as read from Kashiwara's chart (zcrystal.star_length).
+    No form exceeds that value, so reaching it certifies the answer; a
+    form exceeding it, or max_budget passed first, raises NotStabilized.
+    ValueError if a is not in B(infinity)."""
     amap = dict(a)
-    supp = {d for d, v in amap.items() if v}
-    budget = 2
-    prev = None
-    while budget <= max_budget:
-        forms = comb_lambda(seq, k, DominantWeight.zero(seq.n), budget).forms
-        if prev is not None:
-            frontier = forms - prev
-            vals = [-phi.evaluate(amap) for phi in forms]
-            if not frontier:
-                return max(vals)  # the family is finite and complete
-            if all(not (set(phi.support) & supp) for phi in frontier):
-                return max(vals + [0])
-        prev = forms
+    elem = ZElement({seq.single_index(d): v for d, v in amap.items()})
+    want = star_length(seq, k, elem)
+    zero = DominantWeight.zero(seq.n)
+    budget = 0
+    while True:
+        forms = comb_lambda(seq, k, zero, budget).forms
+        got = max([0] + [-phi.evaluate(amap) for phi in forms])
+        if got == want:
+            return got
+        if got > want or budget + 2 > max_budget:
+            raise NotStabilized(
+                f"epsilon*_{k} of {render_element(seq, elem)}: the wall "
+                f"formula gives {got} at budget {budget}, the chart {want}")
         budget += 2
-    raise NotStabilized(f"no certificate for colour {k} within {max_budget}")

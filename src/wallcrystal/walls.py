@@ -643,10 +643,13 @@ def search_walls(X: AffineType, k: int, keep):
     keep accepts, provided keep rejects every extension of a rejected
     wall and every cost group after a wholly rejected one.  A budget on
     atoms is such a cut (enumerate_walls), and so is the support window
-    of comb_infinity."""
+    of comb_infinity.  A keep that rejects every wall past a budget says
+    so by a max_atoms attribute: a column's scan then ends before the
+    walls of the first cost group past it are built."""
     grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
     columns = [_column(X, k, ground) for ground in grounds]
     a1 = X.family is Family.A1
+    max_atoms = getattr(keep, "max_atoms", None)
 
     def member(ground, states):
         return _unchecked(Wall, wall_type=X, k=k, ground=ground, states=states)
@@ -664,8 +667,10 @@ def search_walls(X: AffineType, k: int, keep):
     def extend(states, prev, last_full, spent):
         for c, group in _by_total([_fitting(col, p, f, a1) for col, p, f
                                    in zip(columns, prev, last_full)]):
-            kept = False
             atoms = spent + c
+            if max_atoms is not None and atoms > max_atoms:
+                return
+            kept = False
             for st in group:
                 nxt = tuple([s + (x,) for s, x in zip(states, st)])
                 if not keep(wall(nxt), atoms):
@@ -697,6 +702,7 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
         found[w] = None
         return True
 
+    keep.max_atoms = max_blocks
     search_walls(X, k, keep)
     return found.keys()
 

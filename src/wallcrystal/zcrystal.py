@@ -161,12 +161,24 @@ def epsilon(seq: AdaptedSequence, a: ZElement, k: int) -> int:
     return _sigma_profile(seq, a)[0][k - 1]
 
 
+def weight_pairings(seq: AdaptedSequence, a: ZElement,
+                    lam: DominantWeight | None = None) -> list:
+    """<h_k, lam + wt(a)> = lam_k - sum_r C[k, i_r] a_r for every colour k,
+    as a list indexed by colour - 1, from one pass over the support."""
+    n = seq.n
+    perm = seq.period_perm
+    cartan = cartan_matrix(seq.base_type)
+    out = list(lam.values) if lam is not None else [0] * n
+    for r, v in a._entries.items():
+        c = perm[(r - 1) % n] - 1
+        for k in range(n):
+            out[k] -= cartan[k][c] * v
+    return out
+
+
 def wt_pairing(seq: AdaptedSequence, a: ZElement, k: int,
                lam: DominantWeight | None = None) -> int:
-    out = lam.pairing(k) if lam is not None else 0
-    for r, v in a.items():
-        out -= cartan_entry(seq.base_type, k, seq.entry(r)) * v
-    return out
+    return weight_pairings(seq, a, lam)[k - 1]
 
 
 def phi(seq: AdaptedSequence, a: ZElement, k: int,
@@ -185,8 +197,9 @@ def e_tilde(seq: AdaptedSequence, a: ZElement, k: int):
     return a.bump(last[k - 1], -1)
 
 
-def check_in_binf(seq: AdaptedSequence, a: ZElement) -> None:
-    """Raise ValueError unless a lies in B(infinity).
+def _descent(seq: AdaptedSequence, a: ZElement) -> list:
+    """The colours of the e_tilde steps leading a down to 0, first step
+    first, or ValueError if a is not in B(infinity).
 
     B(infinity) is the closure of 0 under f_tilde, and f_tilde inverts
     e_tilde, so a lies in it exactly when applying e_tilde, at any colour
@@ -197,6 +210,7 @@ def check_in_binf(seq: AdaptedSequence, a: ZElement) -> None:
             d = seq.reindex(r)
             raise ValueError(f"a[{d.s},{d.k}]={v} is negative, so the element "
                              f"is not in B(infinity)")
+    word = []
     while a.total():
         eps, _, last, _ = _sigma_profile(seq, a)
         k = next((k for k in range(seq.n) if eps[k] > 0), None)
@@ -207,7 +221,31 @@ def check_in_binf(seq: AdaptedSequence, a: ZElement) -> None:
             raise ValueError(f"e_tilde at colour {k + 1} takes "
                              f"{render_element(seq, a)} below zero, so the "
                              f"element is not in B(infinity)")
+        word.append(k + 1)
         a = a.bump(last[k], -1)
+    return word
+
+
+def check_in_binf(seq: AdaptedSequence, a: ZElement) -> None:
+    """Raise ValueError unless a lies in B(infinity)."""
+    _descent(seq, a)
+
+
+def star_length(seq: AdaptedSequence, k: int, a: ZElement) -> int:
+    """epsilon*_k(a), read from Kashiwara's embedding Psi_k: the first
+    coordinate of a in the chart whose period starts with k (the rest of
+    the period in its order here).  a is led down to 0 by e_tilde, and
+    the recorded word is replayed with f_tilde in that chart.  Every
+    permutation period is adapted, so the chart exists.  ValueError if a
+    is not in B(infinity) or k is not a colour."""
+    rest = tuple(c for c in seq.period_perm if c != k)
+    if len(rest) == seq.n:
+        raise ValueError(f"colour {k} is not in the index set 1..{seq.n}")
+    chart = AdaptedSequence(seq.base_type, (k,) + rest)
+    b = ZElement()
+    for c in reversed(_descent(seq, a)):
+        b = f_tilde(chart, b, c)
+    return b.get(1)
 
 
 def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wallcrystal
-from wallcrystal.cli import main
+from wallcrystal.adapted_sequence import from_permutation
+from wallcrystal.affine_data import parse_type
+from wallcrystal.cli import _int_list, main
 from wallcrystal.linear_forms import _forms, parse_form, render_form
+from wallcrystal.zcrystal import generate, render_element
 
 
 def run(*argv):
@@ -74,6 +77,46 @@ def test_epsstar():
     code, text = run("epsstar", "--type", "D2", "--rank", "3",
                      "--order", "3,2,1", "--k", "2", "--elem", "")
     assert (code, text) == (0, "0\n")
+
+
+def test_epsstar_decides_where_the_quiet_step_rule_stalled():
+    # the stop rule this replaced ran past 10 s on this element
+    start = time.monotonic()
+    code, text = run("epsstar", "--type", "D2", "--rank", "3",
+                     "--order", "3,2,1", "--k", "1",
+                     "--elem", "a[1,1]=1;a[2,2]=1")
+    assert (code, text) == (0, "1\n")
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("setting", ["D2 3 3,2,1", "C1 3 3,2,1", "B1 4 2,4,3,1",
+                                     "A2odd 4 2,4,3,1", "D1 6 6,5,4,3,2,1"])
+def test_verify_star(setting):
+    family, rank, order = setting.split()
+    code, text = run("verify", "star", "--type", family, "--rank", rank,
+                     "--order", order, "--depth", "4")
+    assert code == 0
+    (line,) = text.splitlines()
+    assert line.startswith("star checked=") and line.endswith(" violations=0")
+    assert int(line.split()[1].split("=")[1]) > 0
+
+
+def test_verify_star_prints_witnesses(monkeypatch):
+    # a chart value one too low is exceeded by the wall formula wherever
+    # the value is 0
+    import wallcrystal.wall_forms as wall_forms
+
+    real = wall_forms.star_length
+    monkeypatch.setattr(wall_forms, "star_length",
+                        lambda seq, k, a: real(seq, k, a) - 1)
+    code, text = run("verify", "star", "--type", "D2", "--rank", "3",
+                     "--order", "3,2,1", "--depth", "1")
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[0] == "star checked=12 violations=10"
+    assert lines[1] == ("  violation: epsilon*_1 of 0: the wall formula gives "
+                        "0 at budget 0, the chart -1")
+    assert len(lines) == 11
 
 
 def test_epsstar_rejects_elements_outside_binf(capsys):
@@ -224,10 +267,20 @@ FUZZ_COMMANDS = {
     ("verify", "closure"): ([], ["--s-max"]),
     ("verify", "crystal"): ([], ["--seed"]),
     ("verify", "props"): ([], []),
+    ("verify", "star"): ([], []),
     ("verify", "positivity"): (["--lambda"], []),
 }
-# nonzero elements can stall epsilon_star's stop rule, so the only element
-# that must succeed is zero; the others are literals the command rejects
+def _member(family, rank, order):
+    """An element of B(infinity) of total 3 with the most entries, as a
+    literal."""
+    seq = from_permutation(parse_type(family, int(rank)), _int_list(order))
+    return render_element(seq, max(generate(seq, 3), key=lambda a: (
+        len(a.support), a.items())))
+
+
+# elements epsstar must answer; the bad ones are literals it rejects
+FUZZ_ELEMENTS = {family: ["", _member(family, rank, order)]
+                 for family, rank, order in FUZZ_SETTINGS}
 FUZZ_BAD_ELEMENTS = ["a[1,1]=-1", "a[1,9]=1", "a[0,1]=1", "a[1,1]=", "nonsense",
                      "a[1,1]=1;;", "a[2,1]=1"]
 FUZZ_WALLS = ["ground=pair:C1:k=1;sup=[1];cov=[1]", "ground=yw:D2:k=1;cols=[2]",
@@ -257,7 +310,7 @@ def fuzz_argv(draw):
         "--s-max": lambda: small(1, 2), "--support-max": lambda: small(1, 2 * n),
         "--seed": lambda: small(0, 3),
         "--format": lambda: pick(["text", "json"], ["xml"]),
-        "--elem": lambda: pick([""], FUZZ_BAD_ELEMENTS),
+        "--elem": lambda: pick(FUZZ_ELEMENTS[family], FUZZ_BAD_ELEMENTS),
         "--wall": lambda: pick(FUZZ_WALLS, FUZZ_BAD_WALLS),
         "--lambda": lambda: ",".join(draw(st.lists(
             st.sampled_from("012"), min_size=n, max_size=n))

@@ -19,6 +19,7 @@ from wallcrystal.wall_forms import (
     HostMismatch, NotStabilized, OutOfRange, box_form, comb_infinity,
     comb_lambda, epsilon_star, site_form, wall_form,
 )
+from wallcrystal.zcrystal import ZElement, check_in_binf, generate
 
 
 def ex1_seq():
@@ -517,7 +518,22 @@ def test_comb_lambda_d1_middle_rank():
 # --- epsilon star -----------------------------------------------------
 
 
+def _wall_formula(seq, k, a, budget=6):
+    """max(0, -phi(a)) over COMB_k[0] at a fixed budget, for any vector a."""
+    forms = comb_lambda(seq, k, DominantWeight.zero(seq.n), budget).forms
+    return max([0] + [-phi.evaluate(a) for phi in forms])
+
+
+def _printed(a):
+    """Criterion 4's formulas for colours 3 and 2 of D2 rank 3, order 3,2,1."""
+    g = lambda s, k: a.get(D(s, k), 0)
+    return g(1, 3), max(g(1, 2) - g(1, 3), g(2, 3) - g(1, 2),
+                        g(2, 2) - g(1, 1), g(2, 1) - g(2, 2), 0)
+
+
 def test_epsilon_star_printed_formulas():
+    # the wall formula matches the printed formulas on arbitrary vectors,
+    # most of them outside B(infinity), where epsilon_star is not defined
     seq = ex1_seq()
     rng = random.Random(11)
     cap = seq.single_index(D(2, 1))
@@ -527,10 +543,13 @@ def test_epsilon_star_printed_formulas():
             for j in (1, 2, 3):
                 if seq.single_index(D(m, j)) <= cap:
                     a[D(m, j)] = rng.randint(0, 4)
-        assert epsilon_star(seq, 3, a) == a.get(D(1, 3), 0)
-        want = max(a[D(1, 2)] - a[D(1, 3)], a[D(2, 3)] - a[D(1, 2)],
-                   a[D(2, 2)] - a[D(1, 1)], a[D(2, 1)] - a[D(2, 2)], 0)
-        assert epsilon_star(seq, 2, a) == want
+        assert (_wall_formula(seq, 3, a), _wall_formula(seq, 2, a)) == _printed(a)
+    # and epsilon_star matches them on members of B(infinity)
+    members = sorted((b for b in generate(seq, 7)
+                      if all(r <= cap for r in b.support)), key=lambda b: b.items())
+    for b in rng.sample(members, 40):
+        a = b.as_double(seq)
+        assert (epsilon_star(seq, 3, a), epsilon_star(seq, 2, a)) == _printed(a)
 
 
 def test_epsilon_star_zero_vector():
@@ -540,9 +559,18 @@ def test_epsilon_star_zero_vector():
 
 
 def test_epsilon_star_budget_cap():
+    # the chart gives 1; at budget 0 the family is empty and gives 0
     seq = ex1_seq()
-    with pytest.raises(NotStabilized):
-        epsilon_star(seq, 1, {D(1, 1): 1}, max_budget=2)
+    assert epsilon_star(seq, 1, {D(1, 1): 1}) == 1
+    with pytest.raises(NotStabilized, match="gives 0 at budget 0, the chart 1"):
+        epsilon_star(seq, 1, {D(1, 1): 1}, max_budget=0)
+
+
+def test_epsilon_star_rejects_non_members():
+    seq = ex1_seq()
+    for k, a in ((3, {D(2, 3): 1}), (2, {D(2, 1): 1}), (1, {D(1, 1): -1})):
+        with pytest.raises(ValueError, match="not in B\\(infinity\\)"):
+            epsilon_star(seq, k, a)
 
 
 @st.composite
@@ -558,6 +586,16 @@ def supported_vectors(draw):
 @given(a=supported_vectors())
 @settings(max_examples=30, deadline=None)
 def test_epsilon_star_nonnegative(a):
+    # on B(infinity) the value is nonnegative and at least the wall
+    # formula at a fixed budget; off it, epsilon_star raises ValueError
     seq = ex1_seq()
+    elem = ZElement({seq.single_index(d): v for d, v in a.items()})
+    try:
+        check_in_binf(seq, elem)
+    except ValueError:
+        for k in (2, 3):
+            with pytest.raises(ValueError, match="not in B"):
+                epsilon_star(seq, k, a)
+        return
     for k in (2, 3):
-        assert epsilon_star(seq, k, a) >= 0
+        assert epsilon_star(seq, k, a) >= _wall_formula(seq, k, a) >= 0

@@ -8,9 +8,9 @@ from wallcrystal.affine_data import AffineType, Family, cartan_entry
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import DominantWeight
 from wallcrystal.zcrystal import (
-    ZElement, check_in_binf, e_tilde, epsilon, f_tilde, f_tilde_lambda,
-    generate, parse_element, phi, render_element, sigma, verify_equivalence,
-    wt_pairing,
+    ZElement, _sigma_profile, check_in_binf, e_tilde, epsilon, f_tilde,
+    f_tilde_lambda, generate, parse_element, phi, render_element, sigma,
+    star_length, verify_equivalence, weight_pairings, wt_pairing,
 )
 
 
@@ -185,6 +185,57 @@ def test_binf_check_matches_generate(g, order):
         except ValueError:
             inside = False
         assert inside == (a in gen), v
+
+
+def test_star_length_in_the_sequence_own_chart():
+    # when the period starts with k the chart is the sequence itself:
+    # replaying the descent rebuilds a, and its first entry is read
+    for g, order in [(AffineType(Family.D2, 3), (3, 2, 1)),
+                     (AffineType(Family.B1, 4), (2, 4, 3, 1))]:
+        seq = from_permutation(g, order)
+        for a in generate(seq, 5):
+            assert star_length(seq, order[0], a) == a.get(1), a
+
+
+def test_star_length_matches_criterion_4():
+    # criterion 4's printed formulas: colour 3 reads a[1,3], colour 2 is a
+    # max of four differences while the support stays within (2,1)
+    seq = ex1_seq()
+    cap = seq.single_index(D(2, 1))
+    for a in generate(seq, 6):
+        v = lambda s, k: a.get(seq.single_index(D(s, k)))
+        assert star_length(seq, 3, a) == v(1, 3)
+        if all(r <= cap for r in a.support):
+            assert star_length(seq, 2, a) == max(
+                v(1, 2) - v(1, 3), v(2, 3) - v(1, 2), v(2, 2) - v(1, 1),
+                v(2, 1) - v(2, 2), 0), a
+
+
+def test_star_length_rejects_what_check_in_binf_rejects():
+    seq = ex1_seq()
+    for text in ("a[2,3]=1", "a[2,1]=1", "a[1,1]=-1"):
+        a = parse_element(seq, text)
+        with pytest.raises(ValueError) as caught:
+            check_in_binf(seq, a)
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match="not in B") as got:
+                star_length(seq, k, a)
+            assert str(got.value) == str(caught.value)
+    with pytest.raises(ValueError, match="colour 4"):
+        star_length(seq, 4, ZElement())
+
+
+def test_weight_pairings_match_the_sum_and_the_profile():
+    seq = ex2_seq()
+    lam = DominantWeight((0, 1, 1, 0))
+    colours = seq.base_type.index_set
+    for a in generate(seq, 4):
+        want = [lam.pairing(k) - sum(cartan_entry(seq.base_type, k, seq.entry(r)) * v
+                                     for r, v in a.items()) for k in colours]
+        assert weight_pairings(seq, a, lam) == want
+        assert [wt_pairing(seq, a, k, lam) for k in colours] == want
+        # the profile's running sums, computed in its own downward pass
+        assert [-w for w in _sigma_profile(seq, a)[3]] == weight_pairings(seq, a)
 
 
 def test_highest_weight_generation_is_smaller():
