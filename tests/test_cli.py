@@ -270,6 +270,8 @@ FUZZ_COMMANDS = {
     ("verify", "star"): ([], []),
     ("verify", "positivity"): (["--lambda"], []),
 }
+
+
 def _member(family, rank, order):
     """An element of B(infinity) of total 3 with the most entries, as a
     literal."""
