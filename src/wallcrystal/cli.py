@@ -7,8 +7,8 @@ import argparse
 import json
 import sys
 
-from wallcrystal.affine_data import parse_type
-from wallcrystal.adapted_sequence import DoubleIndex, from_permutation
+from wallcrystal.affine_data import Family, parse_type
+from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, _forms, beta, closure, positivity_report,
     render_form, x,
@@ -17,8 +17,7 @@ from wallcrystal.walls import (
     enumerate_walls, parse_wall, render, transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
-    NotStabilized, _form_at, _wall_terms, comb_infinity, comb_lambda,
-    epsilon_star, site_offsets,
+    NotStabilized, WallFormMap, comb_infinity, comb_lambda, epsilon_star,
 )
 from wallcrystal.zcrystal import (
     ZElement, _sigma_profile, f_tilde, generate, parse_element,
@@ -61,6 +60,9 @@ def _sequence(args):
         g = parse_type(args.type, args.rank)
     except Exception as e:
         raise UsageError(str(e))
+    if g.family is Family.A2EVEN_DAGGER:  # A2even's wall type, not a paper g
+        raise UsageError(f"type {args.type!r} is not one of the seven families "
+                         "A1, B1, C1, D1, A2even, A2odd, D2")
     order = _int_list(args.order)
     try:
         return from_permutation(g, order)
@@ -166,36 +168,29 @@ def _verify_closure(args, seq, out):
 
 def _verify_props(args, seq, out):
     """For every colour's walls within --blocks, s in {0, 1, 3} and every
-    block addition at a site of shift s + offset >= 1, the wall form drops
-    by the site's root (twice it for a double site).  Each wall's sites and
-    moves are found once and its terms shared across the shifts."""
+    block addition at a site of single index r + s n >= 1, the wall form
+    drops by the site's root (twice it for a double site).  Each wall's
+    sites, moves and terms are found once."""
     X = seq.wall_type
     shifts = (0, 1, 3)
     bad = {s: [] for s in shifts}
     total = 0
-    offset = site_offsets()
-    terms = {}
-
-    def terms_of(k, w):
-        t = terms.get(w)
-        if t is None:
-            t = terms[w] = _wall_terms(seq, k, w, offset)
-        return t
-
+    fmap = WallFormMap(seq)
     for k in X.index_set:
         for w in enumerate_walls(X, k, args.blocks):
-            here = terms_of(k, w)
-            adds = [(st, offset(seq, k, st), terms_of(k, nxt))
+            here = fmap.terms(k, w)
+            adds = [(st, fmap.index(k, st), fmap.terms(k, nxt))
                     for st, nxt in transitions(w) if st.action == "add"]
             for s in shifts:
-                base = _form_at(here, s)
-                for st, off, there in adds:
-                    if s + off < 1:
+                base = fmap.form(here, s)
+                for st, r, there in adds:
+                    r += s * seq.n
+                    if r < 1:
                         continue
-                    b = beta(seq, DoubleIndex(s + off, st.color))
+                    b = beta(seq, fmap.coordinate(r))
                     want = b + b if st.grade == "double" else b
                     total += 1
-                    if base - _form_at(there, s) != want:
+                    if base - fmap.form(there, s) != want:
                         bad[s].append((s, k, wall_literal(w), st))
     bad = [item for s in shifts for item in bad[s]]
     out.write(f"props checked={total} violations={len(bad)}\n")

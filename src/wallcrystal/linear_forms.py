@@ -197,12 +197,7 @@ def beta_signed(seq: AdaptedSequence, r: int, sign: str, lam: DominantWeight) ->
     rm = r_minus(seq, r)
     if rm > 0:
         return beta_at(seq, rm)
-    k = seq.entry(r)
-    acc = {DoubleIndex(1, seq.entry(j)): cartan_entry(seq.base_type, k, seq.entry(j))
-           for j in range(1, r)}
-    d = DoubleIndex(1, k)
-    acc[d] = acc.get(d, 0) + 1
-    return LinearForm(-lam.pairing(k), acc)
+    return -lambda_form(seq, seq.entry(r), lam)
 
 
 def s_prime(seq: AdaptedSequence, r: int, phi: LinearForm) -> LinearForm:

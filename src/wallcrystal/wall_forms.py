@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from wallcrystal.affine_data import (
     AffineType, Family, HalfInt, cartan_entry, half_height_colors,
@@ -90,38 +91,45 @@ def site_form(seq: AdaptedSequence, s: int, k: int, site: Site) -> SiteForm:
     )
 
 
-def _wall_terms(seq, k, w, offset=_site_offset):
-    """(offset, colour, signed weight) per site of w; shared across shifts s."""
-    return [(offset(seq, k, st), st.color, _direction(st) * _weight(st))
-            for st in sites(w)]
+class WallFormMap:
+    """The wall-to-form map of one sequence: L_{s,k}(w) for every wall w
+    and shift s.  A site's coordinate at shift s has single index
+    r + s n, with r its single index at s = 0, so the map finds r once
+    per (colour, site) and a wall's terms, the pairs (r, signed weight)
+    summed per r and sorted by r, once per wall.  Coordinates with index
+    below 1 vanish."""
 
+    def __init__(self, seq: AdaptedSequence):
+        self.seq = seq
+        self._terms = {}  # wall -> its terms
+        # (colour, site) -> r, and single index -> DoubleIndex
+        self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
+            DoubleIndex(_site_offset(seq, k, site), site.color)))
+        self.coordinate = lru_cache(maxsize=None)(seq.reindex)
 
-def site_offsets():
-    """_site_offset memoized per (colour, site), for use with one sequence."""
-    offsets = {}
+    def terms(self, k: int, w) -> tuple:
+        """The nonzero (r, coefficient) pairs of w, a wall of colour k, by r."""
+        t = self._terms.get(w)
+        if t is None:
+            acc = {}
+            for st in sites(w):
+                r = self.index(k, st)
+                acc[r] = acc.get(r, 0) + _direction(st) * _weight(st)
+            t = self._terms[w] = tuple(sorted(it for it in acc.items() if it[1]))
+        return t
 
-    def offset(seq, k, site):
-        key = (k, site)
-        off = offsets.get(key)
-        if off is None:
-            off = offsets[key] = _site_offset(seq, k, site)
-        return off
-    return offset
-
-
-def _form_at(terms, s) -> LinearForm:
-    acc = {}
-    for off, t, c in terms:
-        if s + off >= 1:
-            d = DoubleIndex(s + off, t)
-            acc[d] = acc.get(d, 0) + c
-    return LinearForm(0, acc)
+    def form(self, terms: tuple, s: int) -> LinearForm:
+        """L_{s,k}(w), given w's terms."""
+        shift = s * self.seq.n
+        return LinearForm(0, [(self.coordinate(r + shift), c)
+                              for r, c in terms if r + shift >= 1])
 
 
 def wall_form(seq: AdaptedSequence, s: int, k: int, w) -> LinearForm:
     """L_{s,k}(w): signed weighted sum over admissible slots and removable
     blocks; coordinates with index below 1 vanish."""
-    return _form_at(_wall_terms(seq, k, w), s)
+    fmap = WallFormMap(seq)
+    return fmap.form(fmap.terms(k, w), s)
 
 
 class IneqSet:
@@ -190,38 +198,37 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     lowers the largest support index of its s = 1 form (pinned in
     tests/test_wall_forms.py).  The search tree being exhausted is the
     certificate that no wall was missed.  In both modes a form's
-    provenance is its first witness in the one depth-first order.
+    provenance is its first witness in the one depth-first order.  A
+    support_max below 1 raises ValueError.
     """
     s_max, block_max = window
     if s_max < 1 or block_max < 0:
         raise ValueError(window)
+    if support_max is not None and support_max < 1:
+        raise ValueError(f"support_max {support_max} is below 1")
     colours = [k] if k is not None else list(seq.base_type.index_set)
-    offset = site_offsets()  # shared by every wall below
-    prov = {}  # kept form -> its first witness
+    fmap = WallFormMap(seq)
+    prov = {}  # form -> its first witness
 
-    def kept(phi):
-        return support_max is None or all(
-            seq.single_index(d) <= support_max for d in phi.support)
-
-    def form(kk, w):
+    def keep(kk, w):
         """Keep w's forms at s = 1..s_max that lie in the window; report
         whether its s = 1 form does.  A form's support moves up by a
         period with s, so the first form past the window ends the scan."""
-        terms = _wall_terms(seq, kk, w, offset)
+        terms = fmap.terms(kk, w)
         for s in range(1, s_max + 1):
-            phi = _form_at(terms, s)
-            if not kept(phi):
+            # the form's largest index with a nonzero coefficient, or at
+            # most 0 when every term falls below index 1
+            if support_max is not None and terms \
+                    and terms[-1][0] + s * seq.n > support_max:
                 return s > 1
+            phi = fmap.form(terms, s)
             if phi not in prov:
                 prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
         return True
 
     for kk in colours:
-        def keep(w, atoms, kk=kk):
-            return (support_max is not None or atoms <= block_max) and form(kk, w)
-        if support_max is None:
-            keep.max_atoms = block_max
-        search_walls(seq.wall_type, kk, keep)
+        search_walls(seq.wall_type, kk, lambda w, atoms, kk=kk: keep(kk, w),
+                     max_atoms=block_max if support_max is None else None)
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
     return IneqSet(prov, prov, meta)
 
@@ -378,14 +385,23 @@ def _wall_family(seq, s, j, hk, budget, exclude_first=False):
         first = [st for st in first if st.level == lowest]
         assert len(first) == 1
         skip.add(apply(g, first[0]))
+    fmap = WallFormMap(seq)
     forms, prov = [], {}
     for w in enumerate_walls(X, j, budget):
         if w in skip:
             continue
-        phi = wall_form(seq, s, j, w).shift_constant(hk)
+        phi = fmap.form(fmap.terms(j, w), s).shift_constant(hk)
         forms.append(phi)
         prov.setdefault(phi, f"L[{s},{j}]({wall_literal(w)})")
     return forms, prov
+
+
+def _fork_pair(hk, k, j):
+    """The fork-pair forms hk - x[1,k] + x[1,j] and hk - x[2,j], tagged
+    pair[j]."""
+    pair = [LinearForm(hk, {DoubleIndex(1, k): -1, DoubleIndex(1, j): 1}),
+            LinearForm(hk, {DoubleIndex(2, j): -1})]
+    return pair, dict.fromkeys(pair, f"pair[{j}]")
 
 
 def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
@@ -484,10 +500,7 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         if not c1 and not c2 and not c3:
             return result([singleton], {singleton: "singleton"})
         if c1 != c2 and not c3:
-            j = j1 if c1 else j2
-            pair = [LinearForm(hk, {DoubleIndex(1, k): -1, DoubleIndex(1, j): 1}),
-                    LinearForm(hk, {DoubleIndex(2, j): -1})]
-            return result(pair, {pair[0]: f"pair[{j}]", pair[1]: f"pair[{j}]"})
+            return result(*_fork_pair(hk, k, j1 if c1 else j2))
         kinds = ("plain", "half", "tilde")
         if c1 and c2 and c3:
             return walls()
@@ -518,10 +531,7 @@ def _comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
     if len(below) == 0:
         return IneqSet([singleton], {singleton: "singleton"}, meta)
     if len(below) == 1:
-        a = below[0]
-        pair = [LinearForm(hk, {DoubleIndex(1, 3): -1, DoubleIndex(1, a): 1}),
-                LinearForm(hk, {DoubleIndex(2, a): -1})]
-        return IneqSet(pair, {pair[0]: f"pair[{a}]", pair[1]: f"pair[{a}]"}, meta)
+        return IneqSet(*_fork_pair(hk, k, below[0]), meta)
     if len(below) == 2:
         pairs = [(below[0], below[1]), (above[0], above[1])]
         forms, prov = [], {}
@@ -555,26 +565,28 @@ def _comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
 # --- star-twisted string length ---------------------------------------
 
 
-def epsilon_star(seq: AdaptedSequence, k: int, a, max_budget: int = 60) -> int:
+def epsilon_star(seq: AdaptedSequence, k: int, a) -> int:
     """max(0, -phi(a)) over COMB_k[0], for a in B(infinity) given by its
     double-index entries.
 
     The family is built at budgets 0, 2, 4, ... until its value reaches
     epsilon*_k(a) as read from Kashiwara's chart (zcrystal.star_length).
     No form exceeds that value, so reaching it certifies the answer; a
-    form exceeding it, or max_budget passed first, raises NotStabilized.
-    ValueError if a is not in B(infinity)."""
+    form exceeding it, or no agreement by budget 2|a| (|a| the sum of
+    the entries, a measured bound), raises NotStabilized.  ValueError if
+    a is not in B(infinity)."""
     amap = dict(a)
     elem = ZElement({seq.single_index(d): v for d, v in amap.items()})
     want = star_length(seq, k, elem)
     zero = DominantWeight.zero(seq.n)
+    cap = 2 * sum(amap.values())
     budget = 0
     while True:
         forms = comb_lambda(seq, k, zero, budget).forms
         got = max([0] + [-phi.evaluate(amap) for phi in forms])
         if got == want:
             return got
-        if got > want or budget + 2 > max_budget:
+        if got > want or budget + 2 > cap:
             raise NotStabilized(
                 f"epsilon*_{k} of {render_element(seq, elem)}: the wall "
                 f"formula gives {got} at budget {budget}, the chart {want}")

@@ -629,7 +629,7 @@ def _unchecked(cls, **values):
     return obj
 
 
-def search_walls(X: AffineType, k: int, keep):
+def search_walls(X: AffineType, k: int, keep, max_atoms=None):
     """Visit the proper walls (class 1) or wall pairs (class 2) of colour
     k depth-first from the ground state, calling keep(w, atoms) once on
     each wall w reached, with atoms its added atoms.
@@ -642,14 +642,15 @@ def search_walls(X: AffineType, k: int, keep):
     ends when this tree is exhausted; it has then reached every wall
     keep accepts, provided keep rejects every extension of a rejected
     wall and every cost group after a wholly rejected one.  A budget on
-    atoms is such a cut (enumerate_walls), and so is the support window
-    of comb_infinity.  A keep that rejects every wall past a budget says
-    so by a max_atoms attribute: a column's scan then ends before the
-    walls of the first cost group past it are built."""
+    atoms is such a cut, and so is the support window of comb_infinity.
+    With max_atoms given, no wall past that many added atoms is built or
+    handed to keep: a column's scan ends before the first cost group
+    past it (enumerate_walls).  A negative max_atoms raises ValueError."""
+    if max_atoms is not None and max_atoms < 0:
+        raise ValueError(max_atoms)
     grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
     columns = [_column(X, k, ground) for ground in grounds]
     a1 = X.family is Family.A1
-    max_atoms = getattr(keep, "max_atoms", None)
 
     def member(ground, states):
         return _unchecked(Wall, wall_type=X, k=k, ground=ground, states=states)
@@ -670,16 +671,16 @@ def search_walls(X: AffineType, k: int, keep):
             atoms = spent + c
             if max_atoms is not None and atoms > max_atoms:
                 return
-            kept = False
+            accepted = False
             for st in group:
                 nxt = tuple([s + (x,) for s, x in zip(states, st)])
                 if not keep(wall(nxt), atoms):
                     continue
-                kept = True
+                accepted = True
                 extend(nxt, st, tuple([m if top == NONE else f
                                        for (m, top), f in zip(st, last_full)]),
                        atoms)
-            if not kept:
+            if not accepted:
                 return
 
     root = ((),) * len(grounds)
@@ -691,19 +692,14 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
     """All proper walls (class 1) or wall pairs (class 2) with at most
     max_blocks added atoms: search_walls cut at that budget, as a
     set-like view in depth-first order (so iteration does not depend on
-    hashing)."""
-    if max_blocks < 0:
-        raise ValueError(max_blocks)
+    hashing).  A negative max_blocks raises ValueError."""
     found = {}
 
     def keep(w, atoms):
-        if atoms > max_blocks:
-            return False
         found[w] = None
         return True
 
-    keep.max_atoms = max_blocks
-    search_walls(X, k, keep)
+    search_walls(X, k, keep, max_atoms=max_blocks)
     return found.keys()
 
 

@@ -224,6 +224,21 @@ def test_verify_positivity():
     assert text == "xi_positive: true\nstrict_positive: true\nample: true\n"
 
 
+def test_cli_imports_no_private_wall_forms_name():
+    # the CLI reads walls' forms through the public wall-to-form map
+    import ast
+    from pathlib import Path
+
+    source = Path(__file__).parent.parent / "src" / "wallcrystal" / "cli.py"
+    tree = ast.parse(source.read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "wallcrystal.wall_forms"
+             for alias in node.names]
+    assert names, "cli.py imports nothing from wallcrystal.wall_forms"
+    assert not [name for name in names if name.startswith("_")], names
+
+
 def test_usage_errors_exit_one(capsys):
     d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")
     cases = [
@@ -242,6 +257,10 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "closure", *d2, "--periods", "1"),
         ("verify", "crystal", *d2, "--depth", "-1"),
         ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
+        ("verify", "closure", "--type", "A2evenDagger", "--rank", "3",
+         "--order", "1,2,3", "--periods", "5"),
+        ("walls", "enum", "--type", "A2dagger", "--rank", "3",
+         "--order", "1,2,3", "--k", "1"),
         ("epsstar", *d2, "--k", "1", "--elem", "a[1,1]=-1"),
         ("epsstar", *d2, "--k", "1", "--elem", "a[1,7]=1"),
     ]
@@ -249,6 +268,8 @@ def test_usage_errors_exit_one(capsys):
         assert run(*argv)[0] == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        if "--type" in argv and "dagger" in argv[argv.index("--type") + 1].lower():
+            assert "A1, B1, C1, D1, A2even, A2odd, D2" in err[0], err
     assert "colour 7" in err[0]
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallcrystal.affine_data import AffineType, Family
+from wallcrystal.affine_data import AffineType, Family, cartan_entry
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
     ConstantPresent, DominantWeight, LinearForm, beta, beta_at, beta_signed,
@@ -84,6 +84,31 @@ def test_beta_signed():
     # deeper occurrences agree with plain beta
     assert beta_signed(seq, 5, "-", lam) == beta_at(seq, 2)
     assert beta_signed(seq, 4, "+", lam) == beta_at(seq, 4)
+
+
+@pytest.mark.parametrize("g,order", [
+    (AffineType(Family.D2, 3), (3, 2, 1)),
+    (AffineType(Family.C1, 3), (3, 2, 1)),
+    (AffineType(Family.B1, 4), (2, 4, 3, 1)),
+    (AffineType(Family.A2ODD, 4), (2, 4, 3, 1)),
+    (AffineType(Family.D1, 6), (6, 5, 4, 3, 2, 1)),
+])
+def test_beta_signed_minus_at_a_first_occurrence_is_minus_lambda_form(g, order):
+    # for r <= n, beta^-_r = x[1,k] + sum_{j<r} a_{k,i_j} x[1,i_j] - <h_k,lam>
+    # with k = i_r, which is -lambda^(k)
+    seq = from_permutation(g, order)
+    n = seq.n
+    for lam in (DominantWeight.zero(n), DominantWeight(tuple(range(n)))):
+        for r in range(1, n + 1):
+            k = seq.entry(r)
+            want = {D(1, k): 1}
+            for j in range(1, r):
+                c = cartan_entry(g, k, seq.entry(j))
+                if c:
+                    want[D(1, seq.entry(j))] = c
+            got = beta_signed(seq, r, "-", lam)
+            assert got == -lambda_form(seq, k, lam), (lam, r)
+            assert got == LinearForm(-lam.pairing(k), want), (lam, r)
 
 
 def test_s_prime_ex1():

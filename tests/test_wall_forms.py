@@ -187,6 +187,13 @@ def test_comb_infinity_ground_only():
     assert got.forms == frozenset(x(s, k) for s in (1, 2) for k in (1, 2, 3))
 
 
+def test_comb_infinity_rejects_a_window_below_one():
+    seq = ex1_seq()
+    for W in (0, -5):
+        with pytest.raises(ValueError, match=f"support_max {W} is below 1"):
+            comb_infinity(seq, (2, 0), support_max=W)
+
+
 def test_comb_infinity_provenance_and_export():
     seq = ex1_seq()
     got = comb_infinity(seq, (1, 2), k=1)
@@ -372,11 +379,11 @@ def test_block_and_window_modes_give_one_provenance(g, order, monkeypatch):
 
     walk = wall_forms.search_walls
 
-    def checked(X, k, keep):
+    def checked(X, k, keep, max_atoms=None):
         def keep_checked(w, atoms):
             assert atoms == w.atoms, wall_literal(w)
             return keep(w, atoms)
-        walk(X, k, keep_checked)
+        walk(X, k, keep_checked, max_atoms)
 
     monkeypatch.setattr(wall_forms, "search_walls", checked)
     seq = from_permutation(g, order)
@@ -558,12 +565,18 @@ def test_epsilon_star_zero_vector():
         assert epsilon_star(seq, k, {}) == 0
 
 
-def test_epsilon_star_budget_cap():
-    # the chart gives 1; at budget 0 the family is empty and gives 0
+def test_epsilon_star_budget_cap(monkeypatch):
+    # the chart gives 1 and the formula reaches it; with the chart raised
+    # to 2 the formula stays at 1 up to the cap 2|a| = 2, then gives up
+    import wallcrystal.wall_forms as wall_forms
+
     seq = ex1_seq()
     assert epsilon_star(seq, 1, {D(1, 1): 1}) == 1
-    with pytest.raises(NotStabilized, match="gives 0 at budget 0, the chart 1"):
-        epsilon_star(seq, 1, {D(1, 1): 1}, max_budget=0)
+    real = wall_forms.star_length
+    monkeypatch.setattr(wall_forms, "star_length",
+                        lambda seq, k, a: real(seq, k, a) + 1)
+    with pytest.raises(NotStabilized, match="gives 1 at budget 2, the chart 2"):
+        epsilon_star(seq, 1, {D(1, 1): 1})
 
 
 def test_epsilon_star_rejects_non_members():
