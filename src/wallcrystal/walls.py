@@ -56,6 +56,8 @@ NONE = "none"
 FRONT = "front"  # lone half-thickness atom at the front of a split cell
 BACK = "back"    # lone half-thickness atom at the back of a split cell
 LOWER = "lower"  # lone lower half-height atom of a doubled cell
+# the partial top each code of a wall literal names
+_CODE_TOP = {"f": FRONT, "b": BACK, "l": LOWER}
 
 
 @dataclass(frozen=True)
@@ -268,17 +270,19 @@ class _Column:
 
     def state(self, count: int, code: str = ""):
         """The state adding count atoms; a split cell's lone atom is the
-        back one unless code is 'f', and code 'l' does not fit it."""
+        back one unless code is 'f'.  A code must name the chosen state's
+        lone atom (f front, b back, l lower), else ValueError."""
         if count == 0:
-            return self.base
-        for c, group in self:  # the costs run 1, 2, 3, ...
-            if c >= count:
-                break
-        if len(group) == 1:
-            return group[0]
-        if code == "l":
-            raise ValueError(f"column code {code!r} does not fit")
-        return group[0] if code == "f" else group[1]  # (front, back)
+            st = self.base
+        else:
+            for c, group in self:  # the costs run 1, 2, 3, ...
+                if c >= count:
+                    break
+            st = group[0] if len(group) == 1 or code == "f" else group[1]
+        if code and _CODE_TOP[code] != st[1]:
+            raise ValueError(
+                f"column code {code!r} does not fit the count {count}")
+        return st
 
 
 @lru_cache(maxsize=None)
@@ -772,7 +776,7 @@ _KIND = {"yw": LEVEL1, "sup": SUPPORTING, "cov": COVERING}
 
 def _states_from_counts(X, k, ground, tokens):
     """Column states from added-atom counts; an optional trailing code
-    f/b/l picks the partial atom when ambiguous."""
+    f/b/l names the partial atom, picking it when ambiguous."""
     column = _column(X, k, ground)
     states = []
     for tok in tokens:
@@ -788,8 +792,8 @@ def _states_from_counts(X, k, ground, tokens):
 
 def parse_wall(text: str, n: int):
     """Parse literals like 'ground=cov:C1:k=1;cols=[3,1]' (counts are
-    added atoms per column, right to left; a trailing f/b on a count
-    picks the front/back atom of a split cell)."""
+    added atoms per column, right to left; a trailing f/b/l on a count
+    names the column's lone front, back or lower atom)."""
     text = text.strip()
     m = re.fullmatch(
         r"ground=(yw|sup|cov|pair):([A-Za-z0-9]+):k=(\d+);(.*)", text

@@ -257,6 +257,9 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "closure", *d2, "--periods", "1"),
         ("verify", "crystal", *d2, "--depth", "-1"),
         ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
+        # a code must name the lone atom of the state its count picks
+        ("walls", "render", "--rank", "4", "--wall", "ground=yw:B1:k=1;cols=[1l]"),
+        ("walls", "render", "--rank", "4", "--wall", "ground=cov:B1:k=3;cols=[8l]"),
         ("verify", "closure", "--type", "A2evenDagger", "--rank", "3",
          "--order", "1,2,3", "--periods", "5"),
         ("walls", "enum", "--type", "A2dagger", "--rank", "3",

@@ -489,57 +489,57 @@ COLUMN_GOLDEN = {
     ("A1", 3, 3):
         "88e76d26ffb1b600240f260ddf7f465db749765235575586546a33a4a6e7cd0d",
     ("C1", 3, 1):
-        "7d9fb9f98b6403be72ea5626f6ebd07174c24f614d013407c5d60f2180cb6aa4",
+        "6db750d981a8ed3226693d3fc5ff612f165d59d3c4888eee5b37c228b2f5a687",
     ("C1", 3, 2):
-        "a6730625ec9f5c5b85bf1556db1b2fb7219680b579117ef34e58360a35c9d2c3",
+        "fd415f13bd854cb9eee20c68fb2d6e3976faa4bb551a164781c1cf3098868805",
     ("C1", 3, 3):
-        "e3c57d1cdc393486076e836d19ff3289868320b1286eb586bd7f677f3f29e6d1",
+        "1a0f22c01f366a603482b8aaa4a2a9cd4a254cf33e61b8f7800c94e9f51389d2",
     ("D2", 3, 1):
-        "dd527a57a4053e2b2ec822a45a28f3c16eaeb0733cb63406cf4ee1d710706557",
+        "ee77a121c9cebabe1f651ae99d4257f949712f5f6bf48079c853235f3787e519",
     ("D2", 3, 2):
-        "eac6b0c8998b3daf6de8622af659ea358adb529be26d2339e9f1864195be4a6a",
+        "a51305bd9012a69073d097cbe1d2e1eb4f18906c8ad1dcc3057024e321f8ad69",
     ("D2", 3, 3):
-        "a1aef0868942bf1335ed7428dc286c04f54d87ab5b3b4da0ffedcdd4f96ccc07",
+        "d2f204dab93d5153a23fb688c854a3b6112cbc28bf418f12ae7e4af570732bcb",
     ("B1", 4, 1):
-        "7e3320e566a7d9f88b3e148a62b8abfb835ae0b70a128aaeaa82961cc31ab8c7",
+        "5eec77d6d3d0b076b1481e4a2cfb482c6a8802466d568ade8035f60ff4c1c927",
     ("B1", 4, 2):
-        "fb0a5ae072c79fa5ca8cb76d06e968be968f0c7cb36a368d540170b8ba4f267e",
+        "3fbf3d9451f6ec8d72006dc8a10557bc81e22d1f2417abf97b152bac7cf66661",
     ("B1", 4, 3):
-        "98298fa5f9e19091c5c0f3ee58f64a935b2c7f1fb58b737bb2005d3f6845b28a",
+        "e1d23568e88c9ee9649a6736796434358a250880f0c562d2fb832d88ba62351f",
     ("B1", 4, 4):
-        "b62bc0b7ce41c070ebbd0b00875eef336a696265d366e0c93d8759bf6cd68a7d",
+        "8865f8d309ca2c603d69d6358cf1b0ba63b56632579c087242e0a2f9e816f708",
     ("A2odd", 4, 1):
-        "d7e59e29897aa974b964583b0a2a270bcee0aa7ff15c378e773c86f3aed57d29",
+        "16b23c31a58cc8bba2199b4985c367af0ca9f44446fc89a7b8fe27ac926b6ccf",
     ("A2odd", 4, 2):
-        "8db822cb26d93328f4350fb228e91a59b18d4753334546389e6bc041c15a1997",
+        "f0cf5df1f0af8e7bb158fc42575f576f6c41aca9774a4655102dcf508c82d251",
     ("A2odd", 4, 3):
-        "9b398b07769e31fbec1e84c6236188750cc1e865f284dbefc4d7059d0dc349a4",
+        "e2d868dfe1a8808f914ab02f270275ba009e434656ab0dfd37c7dacf03d84781",
     ("A2odd", 4, 4):
-        "f0f44a365a341e8c746be2b2d588a872c02c0de2fe3d99056ac7b287105b3da8",
+        "aa706f21ff05f57aeb94a11c3ee837dd93c4209ad6ac753c28b165de3b1c993f",
     ("D1", 6, 1):
-        "9692b8d443647db1ea11f40d9013fa4ad3fc543f7673208ce12e404b03db284f",
+        "93441fe4d3749b3d2057bb4f0798a8eee2492a2f8ce9d5bfb2f1151546ef7fe0",
     ("D1", 6, 2):
-        "26547d32c2e36a2842a14cabbe1397e3cf4d72851a6b92ad598032306fcf5cf9",
+        "d2af8cc49e7a3a6a235c7b51c143e7fd708da34354d16c1fa3237496907c610e",
     ("D1", 6, 3):
-        "cc5ac894a8e6ff0d3dbd2538ae0def9a2facb67f23697632b1bd3fa64331fd2e",
+        "3b2661a026de8136a39cc928453a5f7f2698a1b08767305ef152642d5faea875",
     ("D1", 6, 4):
-        "6cdd5564c9066805f7622ce63c4a0f2da2349c35dd0f072e4b47dedbfdd817f3",
+        "3bbeb4c4e23bfbed9f38942049e830426accafa68cae038dfad7cb7e7c7cff32",
     ("D1", 6, 5):
-        "8804bc50d6dedd782544aaa1dcd31427d2050ed02dda53add494fcc803d5d764",
+        "0d84cee77a2124e8f48431d0c806afcbc6af7c16f6ecc3ae99705459db64679d",
     ("D1", 6, 6):
-        "5e971165e8a78819ef8013680c1e840f09facc1ef6d78e69a14b50187395165d",
+        "bc48fdf7ad171f8e5db015235536c158a0e3400b0692dadd4fb32ca26dbd4c8b",
     ("A2even", 3, 1):
-        "1115c15b2656f30223543fb21fa8211e025026b6a63458d13db342fc0b9441eb",
+        "a24f3e57ac2031449c968f032a293d1b5768b25e71a6a12144667c0f94c71000",
     ("A2even", 3, 2):
-        "0875ab3af80a174e4d0b8706ba8ad9cec25462c43e2c2cf66b40733c3518594f",
+        "8650374eaff1d72c381e4d0cfbaf2e6f929826b4f4e0dfc95c56c8c43ba10daa",
     ("A2even", 3, 3):
-        "0209f7b939cc2d4c861b3a1afcdc44d1ca9062c93aa10120cd7d0c7b97ab0424",
+        "7100a2fe7e53529a5e1f314aee5dd62204805400ab6cb5e15d9f49574633c25e",
     ("A2evenDagger", 3, 1):
-        "c0117fdcc81159820b5b0ce417729c24c5f4cb2ba75e2fa0e79701f49cb680c0",
+        "4fb1646b2d6450df15016815ea92d5067c0dd7c2242915f4114b7fdf6df242e7",
     ("A2evenDagger", 3, 2):
-        "5d4e1a95e9ad7650069a2eb1a8b3feaf468ec678b20068dc40df587859d47ab1",
+        "e842bfceebb324f0d96178cf0a426725ef359e5b36719c6a172c631288820bc3",
     ("A2evenDagger", 3, 3):
-        "feb973389815f3f0774460e1d74ada40b5e03ccb850e4e2441c94c7717548b27",
+        "4c2ea95325a3dbdc41a7f25bbc51e643b1aa93d1b7ba08d56ba1ce630f27b0d6",
 }
 
 
