@@ -178,8 +178,8 @@ def _verify_props(args, seq, out):
     fmap = WallFormMap(seq)
     for k in X.index_set:
         for w in enumerate_walls(X, k, args.blocks):
-            here = fmap.terms(k, w)
-            adds = [(st, fmap.index(k, st), fmap.terms(k, nxt))
+            here = fmap.terms(w)
+            adds = [(st, fmap.index(k, st), fmap.terms(nxt))
                     for st, nxt in transitions(w) if st.action == "add"]
             for s in shifts:
                 base = fmap.form(here, s)

@@ -16,8 +16,7 @@ from wallcrystal.affine_data import (
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form, x
 from wallcrystal.walls import (
-    Site, apply, enumerate_walls, ground_state, search_walls, sites,
-    wall_literal,
+    Site, apply, ground_state, search_walls, sites, wall_literal,
 )
 from wallcrystal.zcrystal import ZElement, render_element, star_length
 
@@ -107,13 +106,13 @@ class WallFormMap:
             DoubleIndex(_site_offset(seq, k, site), site.color)))
         self.coordinate = lru_cache(maxsize=None)(seq.reindex)
 
-    def terms(self, k: int, w) -> tuple:
-        """The nonzero (r, coefficient) pairs of w, a wall of colour k, by r."""
+    def terms(self, w) -> tuple:
+        """The nonzero (r, coefficient) pairs of the wall w, by r."""
         t = self._terms.get(w)
         if t is None:
             acc = {}
             for st in sites(w):
-                r = self.index(k, st)
+                r = self.index(w.k, st)
                 acc[r] = acc.get(r, 0) + _direction(st) * _weight(st)
             t = self._terms[w] = tuple(sorted(it for it in acc.items() if it[1]))
         return t
@@ -127,17 +126,21 @@ class WallFormMap:
 
 def wall_form(seq: AdaptedSequence, s: int, k: int, w) -> LinearForm:
     """L_{s,k}(w): signed weighted sum over admissible slots and removable
-    blocks; coordinates with index below 1 vanish."""
+    blocks; coordinates with index below 1 vanish.  ValueError unless w
+    has colour k."""
+    if k != w.k:
+        raise ValueError(f"colour {k} given for a wall of colour {w.k}")
     fmap = WallFormMap(seq)
-    return fmap.form(fmap.terms(k, w), s)
+    return fmap.form(fmap.terms(w), s)
 
 
 class IneqSet:
-    """A canonicalized inequality family with per-form provenance."""
+    """A canonicalized inequality family: provenance maps each form to
+    its first witness, and meta is the JSON header."""
 
-    def __init__(self, forms, provenance, meta):
-        self.forms = frozenset(forms)
+    def __init__(self, provenance, meta):
         self.provenance = dict(provenance)
+        self.forms = frozenset(self.provenance)
         self.meta = dict(meta)
 
     def __len__(self):
@@ -153,23 +156,12 @@ class IneqSet:
         return "\n".join(sorted(render_form(phi) for phi in self.forms))
 
     def to_json_doc(self) -> dict:
-        doc = {
-            "type": self.meta["type"],
-            "rank": self.meta["rank"],
-            "order": list(self.meta["order"]),
-        }
-        if "k" in self.meta:
-            doc["k"] = self.meta["k"]
-        if "lambda" in self.meta:
-            doc["lambda"] = list(self.meta["lambda"])
-        entries = []
-        for phi in sorted(self.forms, key=render_form):
-            entries.append({
-                "constant": phi.constant,
-                "terms": [[d.s, d.k, c] for d, c in phi.terms],
-                "provenance": self.provenance.get(phi, ""),
-            })
-        doc["forms"] = entries
+        doc = dict(self.meta)
+        doc["forms"] = [{
+            "constant": phi.constant,
+            "terms": [[d.s, d.k, c] for d, c in phi.terms],
+            "provenance": self.provenance[phi],
+        } for phi in sorted(self.forms, key=render_form)]
         return doc
 
     def to_json(self) -> str:
@@ -177,13 +169,43 @@ class IneqSet:
 
 
 def _meta(seq, **extra):
-    meta = {
+    """The JSON header of a family of seq: type, rank, order, then extra."""
+    return {
         "type": seq.base_type.family.value,
         "rank": seq.base_type.n,
-        "order": tuple(seq.period_perm),
+        "order": list(seq.period_perm),
+        **extra,
     }
-    meta.update(extra)
-    return meta
+
+
+def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
+               skip=()):
+    """Walk the walls of colour k depth-first (walls.search_walls) and add
+    each form L_{s,k}(w) + constant, s in shifts and w not in skip, to
+    prov with its first witness.  The walk is cut past budget added
+    atoms or, with a window given, at each wall whose form at the first
+    shift leaves single indices 1..window.  A form's support moves up by
+    a period with s, so the first form past the window ends a wall's
+    scan of the shifts."""
+    n = fmap.seq.n
+
+    def keep(w, atoms):
+        terms = fmap.terms(w)
+        for s in shifts:
+            # the form's largest index with a nonzero coefficient, or at
+            # most 0 when every term falls below index 1
+            if window is not None and terms and terms[-1][0] + s * n > window:
+                return s != shifts[0]
+            if w in skip:
+                continue
+            phi = fmap.form(terms, s)
+            if constant:
+                phi = phi.shift_constant(constant)
+            if phi not in prov:
+                prov[phi] = f"L[{s},{k}]({wall_literal(w)})"
+        return True
+
+    search_walls(fmap.seq.wall_type, k, keep, max_atoms=budget)
 
 
 def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
@@ -209,28 +231,12 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     colours = [k] if k is not None else list(seq.base_type.index_set)
     fmap = WallFormMap(seq)
     prov = {}  # form -> its first witness
-
-    def keep(kk, w):
-        """Keep w's forms at s = 1..s_max that lie in the window; report
-        whether its s = 1 form does.  A form's support moves up by a
-        period with s, so the first form past the window ends the scan."""
-        terms = fmap.terms(kk, w)
-        for s in range(1, s_max + 1):
-            # the form's largest index with a nonzero coefficient, or at
-            # most 0 when every term falls below index 1
-            if support_max is not None and terms \
-                    and terms[-1][0] + s * seq.n > support_max:
-                return s > 1
-            phi = fmap.form(terms, s)
-            if phi not in prov:
-                prov[phi] = f"L[{s},{kk}]({wall_literal(w)})"
-        return True
-
     for kk in colours:
-        search_walls(seq.wall_type, kk, lambda w, atoms, kk=kk: keep(kk, w),
-                     max_atoms=block_max if support_max is None else None)
+        _wall_walk(fmap, prov, kk, range(1, s_max + 1),
+                   budget=block_max if support_max is None else None,
+                   window=support_max)
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
-    return IneqSet(prov, prov, meta)
+    return IneqSet(prov, meta)
 
 
 # --- box forms (closed chains for highest-weight families) ------------
@@ -356,14 +362,13 @@ def _box_points(X, ell, budget, kinds):
     return out
 
 
-def _box_family(seq, k, ell, budget, hk, kinds):
-    X = seq.wall_type
-    forms, prov = [], {}
-    for r, variant in _box_points(X, ell, budget, kinds):
+def _box_family(seq, ell, hk, points):
+    """{box_form(ell, r, variant) + hk} over the (r, variant) points."""
+    prov = {}
+    for r, variant in points:
         phi = box_form(seq, ell, r, variant).shift_constant(hk)
-        forms.append(phi)
         prov.setdefault(phi, f"{variant}[{ell},{r}]")
-    return forms, prov
+    return prov
 
 
 # --- COMB[lambda] -----------------------------------------------------
@@ -373,35 +378,12 @@ def _below(seq, t, k) -> bool:
     return seq.lt(DoubleIndex(1, t), DoubleIndex(1, k))
 
 
-def _wall_family(seq, s, j, hk, budget, exclude_first=False):
-    """{L_{s,j}(T) + hk} over the enumerated walls minus the ground (and
-    minus the one-block wall when requested)."""
-    X = seq.wall_type
-    skip = {ground_state(X, j)}
-    if exclude_first:
-        g = ground_state(X, j)
-        first = [st for st in sites(g) if st.action == "add" and st.column == 0]
-        lowest = min(st.level for st in first)
-        first = [st for st in first if st.level == lowest]
-        assert len(first) == 1
-        skip.add(apply(g, first[0]))
-    fmap = WallFormMap(seq)
-    forms, prov = [], {}
-    for w in enumerate_walls(X, j, budget):
-        if w in skip:
-            continue
-        phi = fmap.form(fmap.terms(j, w), s).shift_constant(hk)
-        forms.append(phi)
-        prov.setdefault(phi, f"L[{s},{j}]({wall_literal(w)})")
-    return forms, prov
-
-
 def _fork_pair(hk, k, j):
     """The fork-pair forms hk - x[1,k] + x[1,j] and hk - x[2,j], tagged
     pair[j]."""
     pair = [LinearForm(hk, {DoubleIndex(1, k): -1, DoubleIndex(1, j): 1}),
             LinearForm(hk, {DoubleIndex(2, j): -1})]
-    return pair, dict.fromkeys(pair, f"pair[{j}]")
+    return dict.fromkeys(pair, f"pair[{j}]")
 
 
 def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
@@ -422,33 +404,38 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
     if len(lam.values) != n:
         raise ValueError(f"lambda has {len(lam.values)} entries, not {n}")
     hk = lam.pairing(k)
-    singleton = LinearForm(hk, {DoubleIndex(1, k): -1})
-    meta = _meta(seq, k=k, **{"lambda": tuple(lam.values)})
-
-    def result(forms, prov):
-        return IneqSet(forms, prov, meta)
+    meta = _meta(seq, k=k, **{"lambda": list(lam.values)})
+    singleton = IneqSet({LinearForm(hk, {DoubleIndex(1, k): -1}): "singleton"},
+                        meta)
 
     def boxes(ell, kinds):
-        forms, prov = _box_family(seq, k, ell, budget, hk, kinds)
-        return result(forms, prov)
+        points = _box_points(X, ell, budget, kinds)
+        return IneqSet(_box_family(seq, ell, hk, points), meta)
 
-    def walls(s=0, j=None, exclude_first=False):
-        forms, prov = _wall_family(seq, s, j if j is not None else k, hk,
-                                   budget, exclude_first)
-        return result(forms, prov)
+    def walls(s=0, j=k, exclude_first=False):
+        """{L_{s,j}(T) + hk} over the walls within the budget but the
+        ground (and the one-block wall when requested)."""
+        g = ground_state(X, j)
+        skip = [g]
+        if exclude_first:
+            first = [st for st in sites(g) if st.action == "add" and st.column == 0]
+            lowest = min(st.level for st in first)
+            first = [st for st in first if st.level == lowest]
+            assert len(first) == 1
+            skip.append(apply(g, first[0]))
+        prov = {}
+        _wall_walk(WallFormMap(seq), prov, j, (s,), hk, budget=budget,
+                   skip=tuple(skip))
+        return IneqSet(prov, meta)
 
     if fam is Family.A1:
         below_next = _below(seq, periodic_map(X, k + 1), k)
         below_prev = _below(seq, _pi_ext(X, k - 1), k)
         if not below_next and not below_prev:
-            return result([singleton], {singleton: "singleton"})
+            return singleton
         if not below_next and below_prev:
-            forms, prov = [], {}
-            for r in range(k, k - budget, -1):
-                phi = box_form(seq, k, r, "tilde").shift_constant(hk)
-                forms.append(phi)
-                prov.setdefault(phi, f"tilde[{k},{r}]")
-            return result(forms, prov)
+            points = [(r, "tilde") for r in range(k, k - budget, -1)]
+            return IneqSet(_box_family(seq, k, hk, points), meta)
         if below_next and not below_prev:
             return boxes(k, ("plain",))
         return walls()
@@ -459,7 +446,7 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         below_next = _below(seq, _pi_ext(X, k + 1), k)
         below_prev = _below(seq, _pi_ext(X, k - 1), k)
         if not below_next and not below_prev:
-            return result([singleton], {singleton: "singleton"})
+            return singleton
         if not below_next and below_prev:
             return boxes(tbarbar, ("plain", "half"))
         if below_next and not below_prev:
@@ -473,17 +460,51 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
             (j,) = [j for j in neighbors(X, k)
                     if cartan_entry(X, k, j) == -1 and cartan_entry(X, j, k) == -1]
             if _below(seq, k, j):
-                return result([singleton], {singleton: "singleton"})
+                return singleton
             return walls()
-        branch = (k == 3) or (fam is Family.D1 and k == n - 2)
         if fam is Family.D1 and n == 5 and k == 3:
-            return _comb_lambda_d1_middle(seq, k, lam, budget)
+            # the middle colour of the smallest two-fork type: both fork
+            # pairs are adjacent to k, so the case split runs over the
+            # four neighbours
+            ranked = sorted([1, 2, 4, 5],
+                            key=lambda t: seq.single_index(DoubleIndex(1, t)))
+            below = [t for t in ranked if _below(seq, t, k)]
+            above = [t for t in ranked if not _below(seq, t, k)]
+            if len(below) == 0:
+                return singleton
+            if len(below) == 1:
+                return IneqSet(_fork_pair(hk, k, below[0]), meta)
+            if len(below) == 3:
+                return walls(s=-1, j=above[0], exclude_first=True)
+            if len(below) == 4:
+                return walls()
+            # two below and two above: four-form chains over both pairs
+            prov = {}
+            for (r1, r2) in [(below[0], below[1]), (above[0], above[1])]:
+                p31 = seq.p(3, r1)
+                for s in range(1, 2 * budget, 2):  # odd shifts only
+                    chain = [
+                        ("three-up", LinearForm(hk, {
+                            DoubleIndex(s, r1): 1, DoubleIndex(s, r2): 1,
+                            DoubleIndex(s + p31, 3): -1})),
+                        ("step", LinearForm(hk, {
+                            DoubleIndex(s, r1): 1, DoubleIndex(s + 1, r2): -1})),
+                        ("step", LinearForm(hk, {
+                            DoubleIndex(s, r2): 1, DoubleIndex(s + 1, r1): -1})),
+                        ("three-down", LinearForm(hk, {
+                            DoubleIndex(s + p31, 3): 1, DoubleIndex(s + 1, r1): -1,
+                            DoubleIndex(s + 1, r2): -1})),
+                    ]
+                    for tag, phi in chain:
+                        prov.setdefault(phi, f"{tag}[{r1},{r2};{s}]")
+            return IneqSet(prov, meta)
+        branch = (k == 3) or (fam is Family.D1 and k == n - 2)
+        kinds = ("plain", "half", "tilde")
         if not branch:
             below_next = _below(seq, periodic_map(X, k), k)
             below_prev = _below(seq, periodic_map(X, k - 2), k)
             if not below_next and not below_prev:
-                return result([singleton], {singleton: "singleton"})
-            kinds = ("plain", "half", "tilde")
+                return singleton
             if not below_next and below_prev:
                 return boxes(tbarbar, kinds)
             if below_next and not below_prev:
@@ -498,10 +519,9 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         (j3,) = [j for j in neighbors(X, k) if j not in (j1, j2)]
         c1, c2, c3 = (_below(seq, t, k) for t in (j1, j2, j3))
         if not c1 and not c2 and not c3:
-            return result([singleton], {singleton: "singleton"})
+            return singleton
         if c1 != c2 and not c3:
-            return result(*_fork_pair(hk, k, j1 if c1 else j2))
-        kinds = ("plain", "half", "tilde")
+            return IneqSet(_fork_pair(hk, k, j1 if c1 else j2), meta)
         if c1 and c2 and c3:
             return walls()
         if c1 != c2 and c3:
@@ -513,53 +533,6 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         return boxes(tbarbar, kinds)
 
     raise Unsupported(f"no written highest-weight case for {X}")
-
-
-def _comb_lambda_d1_middle(seq: AdaptedSequence, k: int, lam: DominantWeight,
-                           budget: int) -> IneqSet:
-    """The middle colour of the smallest two-fork type: both fork pairs
-    are adjacent to k=3, so the case split runs over the four neighbours."""
-    X = seq.wall_type
-    if not (X.family is Family.D1 and X.n == 5 and k == 3):
-        raise Unsupported((X, k))
-    hk = lam.pairing(k)
-    meta = _meta(seq, k=k, **{"lambda": tuple(lam.values)})
-    singleton = LinearForm(hk, {DoubleIndex(1, k): -1})
-    ranked = sorted([1, 2, 4, 5], key=lambda t: seq.single_index(DoubleIndex(1, t)))
-    below = [t for t in ranked if _below(seq, t, k)]
-    above = [t for t in ranked if not _below(seq, t, k)]
-    if len(below) == 0:
-        return IneqSet([singleton], {singleton: "singleton"}, meta)
-    if len(below) == 1:
-        return IneqSet(*_fork_pair(hk, k, below[0]), meta)
-    if len(below) == 2:
-        pairs = [(below[0], below[1]), (above[0], above[1])]
-        forms, prov = [], {}
-        for (r1, r2) in pairs:
-            p31 = seq.p(3, r1)
-            for s in range(1, 2 * budget, 2):  # odd shifts only
-                chain = [
-                    ("three-up", LinearForm(hk, {
-                        DoubleIndex(s, r1): 1, DoubleIndex(s, r2): 1,
-                        DoubleIndex(s + p31, 3): -1})),
-                    ("step", LinearForm(hk, {
-                        DoubleIndex(s, r1): 1, DoubleIndex(s + 1, r2): -1})),
-                    ("step", LinearForm(hk, {
-                        DoubleIndex(s, r2): 1, DoubleIndex(s + 1, r1): -1})),
-                    ("three-down", LinearForm(hk, {
-                        DoubleIndex(s + p31, 3): 1, DoubleIndex(s + 1, r1): -1,
-                        DoubleIndex(s + 1, r2): -1})),
-                ]
-                for tag, phi in chain:
-                    forms.append(phi)
-                    prov.setdefault(phi, f"{tag}[{r1},{r2};{s}]")
-        return IneqSet(forms, prov, meta)
-    if len(below) == 3:
-        d = above[0]
-        forms, prov = _wall_family(seq, -1, d, hk, budget, exclude_first=True)
-        return IneqSet(forms, prov, meta)
-    forms, prov = _wall_family(seq, 0, 3, hk, budget)
-    return IneqSet(forms, prov, meta)
 
 
 # --- star-twisted string length ---------------------------------------

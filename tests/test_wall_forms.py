@@ -16,8 +16,8 @@ from wallcrystal.walls import (
     transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
-    HostMismatch, NotStabilized, OutOfRange, box_form, comb_infinity,
-    comb_lambda, epsilon_star, site_form, wall_form,
+    HostMismatch, NotStabilized, OutOfRange, WallFormMap, box_form,
+    comb_infinity, comb_lambda, epsilon_star, site_form, wall_form,
 )
 from wallcrystal.zcrystal import ZElement, check_in_binf, generate
 
@@ -110,6 +110,19 @@ def test_wall_form_printed_values_second_setting():
         for s in (1, 2):
             want = parse_form(pattern.format(s=s, a=s + 1, b=s + 2))
             assert wall_form(seq, s, 3, w) == want
+
+
+def test_wall_form_reads_the_colour_from_the_wall():
+    # one map serves walls of every colour, each read by its own colour;
+    # a colour the wall does not have is refused, not formed
+    seq = ex1_seq()
+    w = parse_wall("ground=pair:C1:k=1;sup=[1];cov=[1]", 3)
+    with pytest.raises(ValueError, match="colour 3 given for a wall of colour 1"):
+        wall_form(seq, 1, 3, w)
+    fmap = WallFormMap(seq)
+    for v in (w, ground_state(seq.wall_type, 3), w):
+        assert fmap.form(fmap.terms(v), 1) == wall_form(seq, 1, v.k, v)
+    assert fmap.form(fmap.terms(w), 1) == parse_form("2 x[2,2] - x[2,1]")
 
 
 @pytest.mark.parametrize("g,order", SETTINGS)
