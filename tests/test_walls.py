@@ -206,6 +206,26 @@ def test_tiled_pattern_matches_cell_by_cell_scan(X):
                     (k, ground, parity)
 
 
+def test_split_cell_colours_golden():
+    # the (back, front) colours of every split cell over five periods of
+    # every colour, ground and parity, recorded while each family still
+    # spelled out its own back colours; the reference scan above reads
+    # the very back rule it checks
+    lines = []
+    for X in PATTERN_TYPES:
+        count = 5 * period(X).twice
+        for k in X.index_set:
+            grounds = [LEVEL1] if index_class(X, k) == 1 else [SUPPORTING, COVERING]
+            for ground in grounds:
+                for parity in (0, 1):
+                    cells = column_pattern(X, k, ground, parity, count)
+                    colours = [c.colors for c in cells if c.kind == "split"]
+                    lines.append(f"{X} {k} {ground} {parity} {colours}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "f4c417c0b364c264e979a740eeeeb4d88b7bf334f799a38b8481b0ea588f0d68")
+
+
 def test_class_mismatch():
     X = AffineType(Family.C1, 3)
     with pytest.raises(ClassMismatch):
