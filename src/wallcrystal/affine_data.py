@@ -396,6 +396,24 @@ def half_height_colors(X: AffineType) -> frozenset:
     return frozenset()
 
 
+def cell_atoms(X: AffineType, t) -> tuple:
+    """The domain points of the atoms of the cell holding t, bottom
+    first: (t, t+1/2) for a split cell, whose second atom sits at the
+    half point, (t, t) for a doubled cell and (t,) for a full one.
+    DomainError for t outside D_X."""
+    t = HalfInt.of(t)
+    if not in_domain(X, t):
+        raise DomainError(f"{t} not in the domain of the colour map for {X}")
+    if not t.is_integer:
+        return (t - HalfInt(1), t)
+    half = t + HalfInt(1)
+    if in_domain(X, half):
+        return (t, half)
+    if periodic_map(X, t) in half_height_colors(X):
+        return (t, t)
+    return (t,)
+
+
 def split_cell_pairs(X: AffineType) -> tuple:
     """Colour pairs occupying one cell as two half-thickness blocks.
 

@@ -9,12 +9,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from wallcrystal.affine_data import (
-    AffineType, Family, HalfInt, cartan_entry, half_height_colors,
-    in_domain, index_class, neighbors, next_domain_point, period,
-    periodic_map, split_cell_pairs, thresholds,
+    AffineType, Family, HalfInt, cartan_entry, cell_atoms, domain_points,
+    in_domain, index_class, neighbors, period, periodic_map, thresholds,
 )
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
-from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form, x
+from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form
 from wallcrystal.walls import (
     Site, apply, ground_state, search_walls, sites, wall_literal,
 )
@@ -30,10 +29,6 @@ class OutOfRange(ValueError):
 
 
 class NotStabilized(RuntimeError):
-    pass
-
-
-class Unsupported(NotImplementedError):
     pass
 
 
@@ -252,112 +247,67 @@ def _pi_ext(X: AffineType, t):
 
 
 def box_form(seq: AdaptedSequence, ell, r, variant: str = "plain") -> LinearForm:
+    """A box form of the chain from ell: its upper atoms read at P_ell,
+    less its lower atoms read one row up, at 1 + P_ell.  A cell's atoms
+    are those of affine_data.cell_atoms.  The variants:
+    - 'plain', r >= ell+1: the cell at r over the cell at r-1, or, r a
+      half point, the second atom of its split cell over the first;
+    - 'half', r-1/2 >= ell+1: a doubled cell's point r-1/2 over itself;
+    - 'tilde': the half-point plain form reversed, r >= ell+1; for A1,
+      r-1 over r with integer r <= ell.
+    DomainError for ell outside D_X, OutOfRange for any other r or
+    variant."""
     X = seq.wall_type
-    fam = X.family
-    n = X.n
     ell = HalfInt.of(ell)
     r = HalfInt.of(r)
-
-    if fam is Family.A1:
-        P = seq.shift_table(ell)
-        if not (r.is_integer and ell.is_integer):
-            raise OutOfRange((ell, r))
-        if variant == "plain":
-            if r < ell + 1:
-                raise OutOfRange((ell, r, variant))
-            return (x(P(r), periodic_map(X, r))
-                    - x(1 + P(r - 1), periodic_map(X, r - 1)))
-        if variant == "tilde":
-            if r > ell:
-                raise OutOfRange((ell, r, variant))
-            return (x(P(r - 1), periodic_map(X, r - 1))
-                    - x(1 + P(r), periodic_map(X, r)))
-        raise OutOfRange(variant)
-
     P = seq.shift_table(ell)
 
     if variant == "half":
         base = r - HalfInt(1)
-        if not (base.is_integer and in_domain(X, base) and base >= ell + 1):
+        if not (in_domain(X, base) and base >= ell + 1
+                and cell_atoms(X, base) == (base, base)):
             raise OutOfRange((ell, r, variant))
-        t = periodic_map(X, base)
-        if t not in half_height_colors(X):
+        upper = lower = (base,)
+    elif X.family is Family.A1 and variant == "tilde":
+        if not r.is_integer or r > ell:
             raise OutOfRange((ell, r, variant))
-        return x(P(base), t) - x(1 + P(base), t)
-
-    if not in_domain(X, r) or r < ell + 1:
-        raise OutOfRange((ell, r, variant))
-    pr = periodic_map(X, r)
-
-    if variant == "tilde":
-        seconds = {p[1] for p in split_cell_pairs(X)}
-        if pr not in seconds:
+        upper, lower = (r - 1,), (r,)
+    else:
+        if variant not in ("plain", "tilde") or not in_domain(X, r) \
+                or r < ell + 1:
             raise OutOfRange((ell, r, variant))
-        if pr == 2:
-            return x(P(r - HalfInt(1)), 1) - x(1 + P(r), 2)
-        return x(P(r - HalfInt(1)), n - 1) - x(1 + P(r), n)  # D1 colour n
-    if variant != "plain":
-        raise OutOfRange(variant)
+        atoms = cell_atoms(X, r)
+        if r.is_integer:  # r starts its cell
+            if variant == "tilde":
+                raise OutOfRange((ell, r, variant))
+            upper, lower = atoms, cell_atoms(X, r - 1)
+        else:  # r is the half point of a split cell
+            upper, lower = atoms[1:], atoms[:1]
+            if variant == "tilde":
+                upper, lower = lower, upper
 
-    halfs = half_height_colors(X)
-
-    def scaled(c, m, t):
-        return LinearForm(0, {DoubleIndex(m, t): c} if m >= 1 else {})
-
-    def c_of(t_colour):
-        return 2 if t_colour in halfs else 1
-
-    if fam in (Family.C1, Family.A2EVEN, Family.A2EVEN_DAGGER, Family.D2):
-        prev = r - 1
-        pp = periodic_map(X, prev) if prev >= 1 else _pi_ext(X, prev)
-        return scaled(c_of(pr), P(r), pr) - scaled(c_of(pp), 1 + P(prev), pp)
-
-    if fam in (Family.B1, Family.A2ODD, Family.D1):
-        if pr == 1:
-            return (x(P(r), 1) + x(P(r + HalfInt(1)), 2)
-                    - x(1 + P(r - 1), 3))
-        if pr == 2:
-            return x(P(r), 2) - x(1 + P(r - HalfInt(1)), 1)
-        if pr == 3 and r - 1 >= 1 and in_domain(X, r - 1) \
-                and periodic_map(X, r - 1) == 1:
-            return (x(P(r), 3) - x(1 + P(r - HalfInt(1)), 2)
-                    - x(1 + P(r - 1), 1))
-        if fam is Family.D1:
-            if pr == n - 2 and in_domain(X, r - 1) \
-                    and periodic_map(X, r - 1) == n - 1:
-                return (x(P(r), n - 2) - x(1 + P(r - HalfInt(1)), n)
-                        - x(1 + P(r - 1), n - 1))
-            if pr == n - 1:
-                return (x(P(r), n - 1) + x(P(r + HalfInt(1)), n)
-                        - x(1 + P(r - 1), n - 2))
-            if pr == n:
-                return x(P(r), n) - x(1 + P(r - HalfInt(1)), n - 1)
-        prev = r - 1
-        pp = periodic_map(X, prev)
-        return scaled(c_of(pr), P(r), pr) - scaled(c_of(pp), 1 + P(prev), pp)
-
-    raise Unsupported(f"no box forms for {X}")
+    terms = []
+    for row, sign, atoms in ((0, 1, upper), (1, -1, lower)):
+        for a in atoms:
+            s = row + P(a)
+            if s >= 1:  # x[s,c] is 0 for s < 1
+                terms.append((DoubleIndex(s, periodic_map(X, a)), sign))
+    return LinearForm(0, terms)
 
 
-def _box_points(X, ell, budget, kinds):
-    """Domain points r with ell+1 <= r <= ell+budget, plus the phantom
-    half points for the H family, tagged by variant."""
+def _box_points(X, ell, budget):
+    """The (r, variant) points of the box chain from ell: each domain
+    point r with ell+1 <= r <= ell+budget as plain, then as half one
+    half step above it if its cell is doubled, and as tilde if it is a
+    split cell's half point."""
+    ell = HalfInt.of(ell)
     out = []
-    t = HalfInt.of(ell)
-    stop = HalfInt.of(ell) + budget
-    halfs = half_height_colors(X)
-    seconds = {p[1] for p in split_cell_pairs(X)}
-    while True:
-        t = next_domain_point(X, t)
-        if t > stop:
-            break
-        if t < HalfInt.of(ell) + 1:
-            continue
-        if "plain" in kinds:
-            out.append((t, "plain"))
-        if "half" in kinds and t.is_integer and periodic_map(X, t) in halfs:
+    for t in domain_points(X, ell + 1, ell + budget + HalfInt(1)):
+        out.append((t, "plain"))
+        atoms = cell_atoms(X, t)
+        if atoms == (t, t):
             out.append((t + HalfInt(1), "half"))
-        if "tilde" in kinds and periodic_map(X, t) in seconds:
+        if atoms[0] != t:
             out.append((t, "tilde"))
     return out
 
@@ -388,7 +338,11 @@ def _fork_pair(hk, k, j):
 
 def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
                 budget: int) -> IneqSet:
-    """COMB_k[lambda] from the written case analysis.
+    """COMB_k[lambda]: the singleton, fork pairs, box chains or walls,
+    by which of k's neighbours come before k in the order.  Every colour
+    but the fork colours of B1, A2odd and D1 and the colours next to a
+    fork takes one four-way chain split (chain_split), on the colours one
+    step below and above T-bar_k along the pattern.
 
     The budget bounds both the box-chain length and the wall-enumeration
     block count.  A negative budget, a colour outside the index set or a
@@ -408,8 +362,8 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
     singleton = IneqSet({LinearForm(hk, {DoubleIndex(1, k): -1}): "singleton"},
                         meta)
 
-    def boxes(ell, kinds):
-        points = _box_points(X, ell, budget, kinds)
+    def boxes(ell):
+        points = _box_points(X, ell, budget)
         return IneqSet(_box_family(seq, ell, hk, points), meta)
 
     def walls(s=0, j=k, exclude_first=False):
@@ -428,111 +382,95 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
                    skip=tuple(skip))
         return IneqSet(prov, meta)
 
-    if fam is Family.A1:
-        below_next = _below(seq, periodic_map(X, k + 1), k)
-        below_prev = _below(seq, _pi_ext(X, k - 1), k)
-        if not below_next and not below_prev:
-            return singleton
-        if not below_next and below_prev:
-            points = [(r, "tilde") for r in range(k, k - budget, -1)]
-            return IneqSet(_box_family(seq, k, hk, points), meta)
-        if below_next and not below_prev:
-            return boxes(k, ("plain",))
-        return walls()
-
     tbar, tbarbar = thresholds(X, k)[1:]
 
-    if fam in (Family.C1, Family.A2EVEN, Family.A2EVEN_DAGGER, Family.D2):
-        below_next = _below(seq, _pi_ext(X, k + 1), k)
-        below_prev = _below(seq, _pi_ext(X, k - 1), k)
+    def chain_split():
+        """The singleton, the box chain from tbar or tbarbar, or the
+        walls, by which of the colours one step below and above tbar
+        along the pattern come before k."""
+        below_next = _below(seq, _pi_ext(X, tbar + 1), k)
+        below_prev = _below(seq, _pi_ext(X, tbar - 1), k)
         if not below_next and not below_prev:
             return singleton
-        if not below_next and below_prev:
-            return boxes(tbarbar, ("plain", "half"))
-        if below_next and not below_prev:
-            return boxes(tbar, ("plain", "half"))
-        return walls()
+        if below_next and below_prev:
+            return walls()
+        if below_next:
+            return boxes(tbar)
+        if fam is Family.A1:  # A1's chain runs down from k
+            points = [(r, "tilde") for r in range(k, k - budget, -1)]
+            return IneqSet(_box_family(seq, k, hk, points), meta)
+        return boxes(tbarbar)
 
-    if fam in (Family.B1, Family.A2ODD, Family.D1):
-        fork_low = {1, 2}
-        fork_high = {n - 1, n} if fam is Family.D1 else set()
-        if k in fork_low or k in fork_high:
-            (j,) = [j for j in neighbors(X, k)
-                    if cartan_entry(X, k, j) == -1 and cartan_entry(X, j, k) == -1]
-            if _below(seq, k, j):
-                return singleton
-            return walls()
-        if fam is Family.D1 and n == 5 and k == 3:
-            # the middle colour of the smallest two-fork type: both fork
-            # pairs are adjacent to k, so the case split runs over the
-            # four neighbours
-            ranked = sorted([1, 2, 4, 5],
-                            key=lambda t: seq.single_index(DoubleIndex(1, t)))
-            below = [t for t in ranked if _below(seq, t, k)]
-            above = [t for t in ranked if not _below(seq, t, k)]
-            if len(below) == 0:
-                return singleton
-            if len(below) == 1:
-                return IneqSet(_fork_pair(hk, k, below[0]), meta)
-            if len(below) == 3:
-                return walls(s=-1, j=above[0], exclude_first=True)
-            if len(below) == 4:
-                return walls()
-            # two below and two above: four-form chains over both pairs
-            prov = {}
-            for (r1, r2) in [(below[0], below[1]), (above[0], above[1])]:
-                p31 = seq.p(3, r1)
-                for s in range(1, 2 * budget, 2):  # odd shifts only
-                    chain = [
-                        ("three-up", LinearForm(hk, {
-                            DoubleIndex(s, r1): 1, DoubleIndex(s, r2): 1,
-                            DoubleIndex(s + p31, 3): -1})),
-                        ("step", LinearForm(hk, {
-                            DoubleIndex(s, r1): 1, DoubleIndex(s + 1, r2): -1})),
-                        ("step", LinearForm(hk, {
-                            DoubleIndex(s, r2): 1, DoubleIndex(s + 1, r1): -1})),
-                        ("three-down", LinearForm(hk, {
-                            DoubleIndex(s + p31, 3): 1, DoubleIndex(s + 1, r1): -1,
-                            DoubleIndex(s + 1, r2): -1})),
-                    ]
-                    for tag, phi in chain:
-                        prov.setdefault(phi, f"{tag}[{r1},{r2};{s}]")
-            return IneqSet(prov, meta)
-        branch = (k == 3) or (fam is Family.D1 and k == n - 2)
-        kinds = ("plain", "half", "tilde")
-        if not branch:
-            below_next = _below(seq, periodic_map(X, k), k)
-            below_prev = _below(seq, periodic_map(X, k - 2), k)
-            if not below_next and not below_prev:
-                return singleton
-            if not below_next and below_prev:
-                return boxes(tbarbar, kinds)
-            if below_next and not below_prev:
-                return boxes(tbar, kinds)
-            return walls()
-        # the colour adjacent to a fork: j1, j2 the class-1 fork colours,
-        # j3 the remaining neighbour
-        if k == 3:
-            j1, j2 = 1, 2
-        else:
-            j1, j2 = n - 1, n
-        (j3,) = [j for j in neighbors(X, k) if j not in (j1, j2)]
-        c1, c2, c3 = (_below(seq, t, k) for t in (j1, j2, j3))
-        if not c1 and not c2 and not c3:
+    if fam not in (Family.B1, Family.A2ODD, Family.D1):
+        return chain_split()
+    fork_low = {1, 2}
+    fork_high = {n - 1, n} if fam is Family.D1 else set()
+    if k in fork_low or k in fork_high:
+        (j,) = [j for j in neighbors(X, k)
+                if cartan_entry(X, k, j) == -1 and cartan_entry(X, j, k) == -1]
+        if _below(seq, k, j):
             return singleton
-        if c1 != c2 and not c3:
-            return IneqSet(_fork_pair(hk, k, j1 if c1 else j2), meta)
-        if c1 and c2 and c3:
+        return walls()
+    if fam is Family.D1 and n == 5 and k == 3:
+        # the middle colour of the smallest two-fork type: both fork
+        # pairs are adjacent to k, so the case split runs over the
+        # four neighbours
+        ranked = sorted([1, 2, 4, 5],
+                        key=lambda t: seq.single_index(DoubleIndex(1, t)))
+        below = [t for t in ranked if _below(seq, t, k)]
+        above = [t for t in ranked if not _below(seq, t, k)]
+        if len(below) == 0:
+            return singleton
+        if len(below) == 1:
+            return IneqSet(_fork_pair(hk, k, below[0]), meta)
+        if len(below) == 3:
+            return walls(s=-1, j=above[0], exclude_first=True)
+        if len(below) == 4:
             return walls()
-        if c1 != c2 and c3:
-            j = j2 if c1 else j1
-            return walls(s=-1, j=j, exclude_first=True)
-        if (not c1 and not c2 and c3 and k == 3) or \
-                (c1 and c2 and not c3 and k != 3):
-            return boxes(tbar, kinds)
-        return boxes(tbarbar, kinds)
-
-    raise Unsupported(f"no written highest-weight case for {X}")
+        # two below and two above: four-form chains over both pairs
+        prov = {}
+        for (r1, r2) in [(below[0], below[1]), (above[0], above[1])]:
+            p31 = seq.p(3, r1)
+            for s in range(1, 2 * budget, 2):  # odd shifts only
+                chain = [
+                    ("three-up", LinearForm(hk, {
+                        DoubleIndex(s, r1): 1, DoubleIndex(s, r2): 1,
+                        DoubleIndex(s + p31, 3): -1})),
+                    ("step", LinearForm(hk, {
+                        DoubleIndex(s, r1): 1, DoubleIndex(s + 1, r2): -1})),
+                    ("step", LinearForm(hk, {
+                        DoubleIndex(s, r2): 1, DoubleIndex(s + 1, r1): -1})),
+                    ("three-down", LinearForm(hk, {
+                        DoubleIndex(s + p31, 3): 1, DoubleIndex(s + 1, r1): -1,
+                        DoubleIndex(s + 1, r2): -1})),
+                ]
+                for tag, phi in chain:
+                    prov.setdefault(phi, f"{tag}[{r1},{r2};{s}]")
+        return IneqSet(prov, meta)
+    branch = (k == 3) or (fam is Family.D1 and k == n - 2)
+    if not branch:
+        return chain_split()
+    # the colour adjacent to a fork: j1, j2 the class-1 fork colours,
+    # j3 the remaining neighbour
+    if k == 3:
+        j1, j2 = 1, 2
+    else:
+        j1, j2 = n - 1, n
+    (j3,) = [j for j in neighbors(X, k) if j not in (j1, j2)]
+    c1, c2, c3 = (_below(seq, t, k) for t in (j1, j2, j3))
+    if not c1 and not c2 and not c3:
+        return singleton
+    if c1 != c2 and not c3:
+        return IneqSet(_fork_pair(hk, k, j1 if c1 else j2), meta)
+    if c1 and c2 and c3:
+        return walls()
+    if c1 != c2 and c3:
+        j = j2 if c1 else j1
+        return walls(s=-1, j=j, exclude_first=True)
+    if (not c1 and not c2 and c3 and k == 3) or \
+            (c1 and c2 and not c3 and k != 3):
+        return boxes(tbar)
+    return boxes(tbarbar)
 
 
 # --- star-twisted string length ---------------------------------------

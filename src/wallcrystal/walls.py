@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from wallcrystal.affine_data import (
     AffineType,
     Family,
     HalfInt,
-    half_height_colors,
-    in_domain,
+    cell_atoms,
     index_class,
     next_domain_point,
     parse_type,
@@ -80,42 +79,16 @@ class Cell:
         return 1 if self.kind == "full" else 2
 
 
-def _partner(X: AffineType, c: int) -> int:
-    for a, b in split_cell_pairs(X):
-        if c == a:
-            return b
-        if c == b:
-            return a
-    raise ValueError(c)
-
-
-def _back_assignment(X: AffineType, k: int, ground: str, column: int) -> dict:
-    """Which colour of each split pair sits at the back, per column parity."""
-    fam = X.family
-    n = X.n
-    odd = column % 2 == 0  # 0-based column 0 is the 1st column from the right
+def _back_assignment(X: AffineType, k: int, column: int) -> dict:
+    """Which colour of each split pair sits at the back of the column.
+    On columns 0, 2, 4, ... (0-based from the right) it is k if the pair
+    holds k, else the pair's half-point colour; the other columns take
+    the pair's other colour.  A class-2 colour is in no pair, so one rule
+    serves level-1 and truncated walls."""
     out = {}
-    if not split_cell_pairs(X):
-        return out
-    if ground == LEVEL1:
-        if fam in (Family.B1, Family.A2ODD):
-            if k == n:  # only B1
-                out[frozenset({1, 2})] = 2 if odd else 1
-            else:
-                out[frozenset({1, 2})] = k if odd else _partner(X, k)
-        elif fam is Family.D1:
-            if k in (1, 2):
-                out[frozenset({1, 2})] = k if odd else _partner(X, k)
-                out[frozenset({n - 1, n})] = n if odd else n - 1
-            else:  # k in {n-1, n}
-                out[frozenset({1, 2})] = 2 if odd else 1
-                out[frozenset({n - 1, n})] = k if odd else _partner(X, k)
-    else:  # truncated walls
-        if fam in (Family.B1, Family.A2ODD):
-            out[frozenset({1, 2})] = 2 if odd else 1
-        elif fam is Family.D1:
-            out[frozenset({1, 2})] = 2 if odd else 1
-            out[frozenset({n - 1, n})] = n if odd else n - 1
+    for low, high in split_cell_pairs(X):  # high sits at the half point
+        low_at_back = (k == low) == (column % 2 == 0)
+        out[frozenset((low, high))] = low if low_at_back else high
     return out
 
 
@@ -126,12 +99,11 @@ def _pattern_period(X: AffineType, k: int, ground: str, parity: int):
     level on.  Every integer domain point starts a cell, and above 1 the
     domain and the colour map repeat with period(X), so the rest of the
     pattern is the cycle repeated, each copy a period higher."""
-    halfs = half_height_colors(X)
-    backs = _back_assignment(X, k, ground, parity)
+    backs = _back_assignment(X, k, parity)
     tbar, tbarbar = thresholds(X, k)[1:]
     cells = []
     if ground == LEVEL1:
-        t = tbar if tbar.is_integer else tbar - HalfInt(1)
+        t = cell_atoms(X, tbar)[0]
     else:
         t = tbar if ground == SUPPORTING else tbarbar
         cells.append(Cell("double", t, (k,), (t,)))
@@ -140,22 +112,17 @@ def _pattern_period(X: AffineType, k: int, ground: str, parity: int):
     while stop is None or t < stop:
         if stop is None and t.is_integer:
             start, stop = len(cells), t + period(X)
-        c = periodic_map(X, t)
-        nxt = t + HalfInt(1)
-        if t.is_integer and in_domain(X, nxt):
-            c2 = periodic_map(X, nxt)
-            back = backs[frozenset({c, c2})]
-            if back == c:
-                cells.append(Cell("split", t, (c, c2), (t, nxt)))
-            else:
-                cells.append(Cell("split", t, (c2, c), (nxt, t)))
-            t = next_domain_point(X, nxt)
-        elif c in halfs:
-            cells.append(Cell("double", t, (c,), (t,)))
-            t = next_domain_point(X, t)
+        atoms = cell_atoms(X, t)
+        colors = tuple(periodic_map(X, a) for a in atoms)
+        if len(atoms) == 1:
+            cells.append(Cell("full", t, colors, atoms))
+        elif atoms[0] == atoms[1]:
+            cells.append(Cell("double", t, colors[:1], atoms[:1]))
+        elif backs[frozenset(colors)] == colors[0]:
+            cells.append(Cell("split", t, colors, atoms))
         else:
-            cells.append(Cell("full", t, (c,), (t,)))
-            t = next_domain_point(X, t)
+            cells.append(Cell("split", t, colors[::-1], atoms[::-1]))
+        t = next_domain_point(X, atoms[-1])
     return tuple(cells[:start]), tuple(cells[start:])
 
 
@@ -183,7 +150,10 @@ def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tup
 def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int = 8):
     """The first `count` pattern cells of the given column.  An A1 column
     is its neighbour's pattern one level lower, and its cells carry the
-    level less the column as their argument."""
+    level less the column as their argument.  ValueError for a count
+    below 0."""
+    if count < 0:
+        raise ValueError(f"count {count} is below 0")
     if X.family is Family.A1:
         cells = []
         for m in range(count):

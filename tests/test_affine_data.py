@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wallcrystal.affine_data import (
-    AffineType, DomainError, Family, HalfInt, cartan_matrix, domain_points,
-    half_height_colors, in_domain, index_class, langlands_dual, parse_type,
+    AffineType, DomainError, Family, HalfInt, cartan_matrix, cell_atoms,
+    domain_points, half_height_colors, in_domain, index_class, langlands_dual, parse_type,
     period, periodic_map, split_cell_pairs, thresholds,
 )
 
@@ -182,6 +182,37 @@ def test_half_height_and_split_tables():
     assert split_cell_pairs(AffineType(Family.B1, 4)) == ((1, 2),)
     assert split_cell_pairs(AffineType(Family.D1, 6)) == ((1, 2), (5, 6))
     assert split_cell_pairs(AffineType(Family.C1, 3)) == ()
+
+
+def test_cell_atoms():
+    B = AffineType(Family.B1, 4)
+    # the split cell at 1 holds 1 and the half point 3/2 of colour 2
+    assert cell_atoms(B, 1) == cell_atoms(B, HalfInt(3)) == (1, HalfInt(3))
+    assert cell_atoms(B, 2) == (2,)
+    assert cell_atoms(B, 3) == (3, 3)  # colour 4, doubled
+    D = AffineType(Family.D1, 6)
+    assert cell_atoms(D, HalfInt(9)) == (4, HalfInt(9))  # colours 5 and 6
+    assert cell_atoms(AffineType(Family.A1, 3), 0) == (0,)
+    for X, t in [(B, HalfInt(5)), (B, 0), (AffineType(Family.A1, 3), HalfInt(1))]:
+        with pytest.raises(DomainError):
+            cell_atoms(X, t)
+
+
+def test_cells_tile_the_domain():
+    # over two periods, each domain point lies in exactly one cell; a
+    # doubled cell's colour is half height and a split cell's colours are
+    # a split pair, the half-point colour second
+    for X in (AffineType(f, n) for f in ALL_FAMILIES for n in range(5, 8)):
+        pairs = set(split_cell_pairs(X))
+        points = domain_points(X, 1, 1 + 2 * period(X).floor())
+        cells = {cell_atoms(X, t) for t in points}
+        assert sorted(t for c in cells for t in set(c)) == points, X
+        for c in cells:
+            colours = tuple(periodic_map(X, t) for t in c)
+            if len(c) == 2 and c[0] == c[1]:
+                assert colours[0] in half_height_colors(X), (X, c)
+            elif len(c) == 2:
+                assert colours in pairs and c[1] - c[0] == HalfInt(1), (X, c)
 
 
 def test_parse_type():

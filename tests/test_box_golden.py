@@ -1,4 +1,5 @@
-"""A golden of every box form on the COMB-golden settings.
+"""A golden of every box form on the COMB-golden settings, and the
+support bound of a box chain.
 
 For each setting of tests/test_comb_golden.py, every colour's T-bar and
 T-double-bar ell, every r = HalfInt(tw) with tw from ell.twice - 4 to
@@ -14,7 +15,7 @@ from test_comb_golden import SETTINGS
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.affine_data import HalfInt, parse_type, thresholds
 from wallcrystal.linear_forms import render_form
-from wallcrystal.wall_forms import OutOfRange, box_form
+from wallcrystal.wall_forms import OutOfRange, _box_points, box_form
 
 
 def box_lines(setting):
@@ -208,3 +209,27 @@ def test_the_box_golden_names_every_setting():
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_box_golden(setting):
     assert box_digest(setting) == BOX_GOLDEN[setting]
+
+
+def test_box_chain_support_drops_less_than_the_rank():
+    # along a box chain the largest single index of a form may fall below
+    # that of an earlier form (by up to n - 1 on B1, A2odd and D1), but
+    # never by n or more: a chain cut at a window W may stop once its
+    # forms reach W + n, one period past W
+    for setting in SETTINGS:
+        family, rank, order = setting.split()
+        seq = from_permutation(parse_type(family, int(rank)),
+                               tuple(int(c) for c in order.split(",")))
+        X = seq.wall_type
+        for k in X.index_set:
+            for ell in thresholds(X, k)[1:]:
+                top = None
+                for r, variant in _box_points(X, ell, 24):
+                    phi = box_form(seq, ell, r, variant)
+                    if not phi.terms:
+                        continue
+                    big = max(seq.single_index(d) for d, _ in phi.terms)
+                    if top is not None:
+                        assert top - big < seq.n, (setting, k, ell, r, variant)
+                        big = max(top, big)
+                    top = big

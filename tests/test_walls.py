@@ -146,11 +146,34 @@ def test_column_pattern_cached_per_power_of_two():
     assert all(cells == got[-1][:len(cells)] for cells in got)
 
 
+def test_column_pattern_rejects_a_negative_count():
+    for X in (AffineType(Family.B1, 4), AffineType(Family.A1, 3)):
+        assert column_pattern(X, 1, LEVEL1, 0, 0) == ()
+        for count in (-1, -3):
+            with pytest.raises(ValueError):
+                column_pattern(X, 1, LEVEL1, 0, count)
+
+
+def test_only_affine_data_decides_the_cells():
+    # walls and wall_forms read a cell's atoms from affine_data.cell_atoms;
+    # neither keeps its own half-height test or split partner
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).parent.parent / "src" / "wallcrystal"
+    for name in ("walls.py", "wall_forms.py"):
+        tree = ast.parse((src / name).read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "cell_atoms" in names, name
+        assert not names & {"half_height_colors", "_partner"}, name
+
+
 def _reference_pattern(X, k, ground, parity, count):
     """The column pattern built cell by cell with a scan for the next
     domain point, as before it was tiled by period."""
     halfs = half_height_colors(X)
-    backs = _back_assignment(X, k, ground, parity)
+    backs = _back_assignment(X, k, parity)
     _, tbar, tbarbar = thresholds(X, k)
     cells = []
     if ground == LEVEL1:
