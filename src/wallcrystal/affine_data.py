@@ -399,8 +399,9 @@ def half_height_colors(X: AffineType) -> frozenset:
 def cell_atoms(X: AffineType, t) -> tuple:
     """The domain points of the atoms of the cell holding t, bottom
     first: (t, t+1/2) for a split cell, whose second atom sits at the
-    half point, (t, t) for a doubled cell and (t,) for a full one.
-    DomainError for t outside D_X."""
+    half point (so a half point t gives (t-1/2, t)), (t, t) for a
+    doubled cell and (t,) for a full one.  DomainError for t outside
+    D_X."""
     t = HalfInt.of(t)
     if not in_domain(X, t):
         raise DomainError(f"{t} not in the domain of the colour map for {X}")
