@@ -120,3 +120,48 @@ def test_margin_beyond_the_window_changes_nothing(name, g, order, lam_values):
                 got = reference_closure(seq, seeds, window + margin * n,
                                         op=op, lam=weight, margin=margin)
                 assert got == want, (name, op, window, margin)
+
+
+@pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
+                         ids=[s[0] for s in SETTINGS])
+def test_seed_inside_and_past_the_cap(name, g, order, lam_values):
+    # one seed with a coefficient within the window and one more than a
+    # period past it: no successor loses the far coefficient
+    seq = from_permutation(g, order)
+    n = seq.n
+    window = 2 * n
+    seed = x(1, 1) + x(window // n + 3, 1)
+    got = tuple(_forms(seq, v) for v in closure(seq, [seed], window))
+    assert got == reference_closure(seq, [seed], window + n)
+    assert got[1] and not got[0]
+
+
+def test_wide_coefficients():
+    # a coefficient of 2**20 past the window, and pairings of 2**20 in
+    # the S-hat' constants
+    seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
+    n = seq.n
+    window = 3 * n
+    far = LinearForm(0, {seq.reindex(window + 1): 1 << 20})
+    seeds = [x(1, 1) + far, x(1, 2)]
+    got = tuple(_forms(seq, v) for v in closure(seq, seeds, window))
+    assert got == reference_closure(seq, seeds, window + n)
+    lam = DominantWeight((1 << 20, 1, 1 << 20))
+    seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
+    got = tuple(_forms(seq, v)
+                for v in closure(seq, seeds, window, op="Shat'", lam=lam))
+    assert got == reference_closure(seq, seeds, window + n, op="Shat'", lam=lam)
+
+
+def test_constants_outgrow_the_seeds():
+    # every seed and step coefficient fits a quarter of a 16-bit lane,
+    # but each S-hat' step at a negative first-period coefficient takes
+    # a pairing off the constant, which ends past it
+    seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
+    n = seq.n
+    lam = DominantWeight((6000, 6000, 6000))
+    seeds = [-(x(1, 1) + x(1, 2) + x(1, 3))]
+    got = tuple(_forms(seq, v)
+                for v in closure(seq, seeds, 2 * n, op="Shat'", lam=lam))
+    assert got == reference_closure(seq, seeds, 3 * n, op="Shat'", lam=lam)
+    assert min(f.constant for f in got[0] | got[1]) <= -(1 << 14)
