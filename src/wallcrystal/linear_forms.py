@@ -34,6 +34,12 @@ class DominantWeight:
     def pairing(self, k: int) -> int:
         return self.values[k - 1]
 
+    def check_rank(self, n: int) -> "DominantWeight":
+        """self, or ValueError unless it has one pairing per colour 1..n."""
+        if len(self.values) != n:
+            raise ValueError(f"lambda has {len(self.values)} entries, not {n}")
+        return self
+
 
 class LinearForm:
     """constant + sum of coeff * x_{s,k}; immutable and canonical."""
@@ -222,6 +228,7 @@ def s_hat(seq: AdaptedSequence, r: int, phi: LinearForm, lam: DominantWeight) ->
 
 def lambda_form(seq: AdaptedSequence, k: int, lam: DominantWeight) -> LinearForm:
     """lambda^(k) = <h_k,lam> - sum_{j < iota^(k)} <h_k, alpha_{i_j}> x_j - x_{iota^(k)}."""
+    lam.check_rank(seq.n)
     rk = seq.first_occurrence(k)
     acc = {DoubleIndex(1, seq.entry(j)): -cartan_entry(seq.base_type, k, seq.entry(j))
            for j in range(1, rk)}
@@ -264,15 +271,31 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     dense vectors (see `_dense`; `_forms` reads them as LinearForm): the
     certified forms are supported within single indices <= window and
     are exactly the window-supported members of the infinite closure.
-    The search applies the operator at every r <= window + n and drops
-    forms supported more than one period past the window: the operator
-    at r only touches coefficients within a period of r, so paths
-    wandering further out never re-enter the window (checked against
-    wider searches in the tests).  A seed supported past window + n
-    (no coefficient at or below it) stays unexpanded in the frontier.
-    A step adds a beta vector kept as a sparse (index, coefficient)
-    list.  The vectors have width window + 2n + 1, so every beta vector
-    fits, or more when a seed reaches further.
+    The search applies the operator at every r <= cap = window + n and
+    drops forms supported past the cap: the operator at r only touches
+    coefficients within a period of r, so paths wandering further out
+    never re-enter the window (checked against wider searches in the
+    tests).  A seed supported past the cap (no coefficient at or below
+    it) stays unexpanded in the frontier.  The vectors have width
+    window + 2n + 1, so every beta vector fits, or more when a seed
+    reaches further.
+
+    The search keys each vector by one int, coefficient i in lane i of
+    `bits` bits: key = sum(v[i] << bits * i).  A step at r adds the key
+    of -beta^+_r (or +beta^-_r), and the successor's tuple is built only
+    when its key is new, which is about one step in eight.  While every
+    lane is below 2**(bits - 2) in size, as every kept vector and every
+    step is, a successor's lanes are below 2**(bits - 1): such keys are
+    balanced base-2**bits numbers, whose digits are unique, so a key
+    already seen is the same vector.  The same bound makes "no lane past
+    the cap" exactly -2**(bits (cap + 1) - 1) <= key < 2**(bits (cap + 1)
+    - 1), as the lanes up to the cap add up to less than half of the
+    next lane's unit.  `bits` is the least of 16, 32, 64, ... whose
+    quarter range exceeds every seed and step coefficient (the constant
+    lane of S-hat' holds <h_k, lambda>); a new vector with a lane at or
+    past it restarts the search at twice the width.  Plain ints beat
+    numpy here: importing numpy costs more than the whole search of a
+    `verify closure` run.
     """
     n = seq.n
     if window < n:
@@ -280,8 +303,8 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     if op not in ("S'", "Shat'"):
         raise ValueError(op)
     hatted = op == "Shat'"
-    if hatted and lam is None:
-        lam = DominantWeight.zero(n)
+    if hatted:
+        lam = DominantWeight.zero(n) if lam is None else lam.check_rank(n)
     seeds = list(seeds)
     if not hatted and any(phi.constant for phi in seeds):
         raise ConstantPresent("S' acts on forms with zero constant")
@@ -298,28 +321,61 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
         plus, minus = _dense(seq, plus, width), _dense(seq, minus, width)
         down.append([(i, -c) for i, c in enumerate(plus) if c])
         up.append([(i, c) for i, c in enumerate(minus) if c])
-    seen = set()
+    seeds = [_dense(seq, phi, width) for phi in seeds]
+    largest = max(abs(c) for v in seeds + [[c for _, c in step]
+                                           for step in down[1:] + up[1:]]
+                  for c in v)
+    bits = 16
+    while largest >> (bits - 2):
+        bits *= 2
+    while (seen := _keyed_search(seeds, down, up, cap, bits)) is None:
+        bits *= 2
+    half = 1 << (bits * (window + 1) - 1)
+    certified, frontier = [], []
+    for key, v in seen.items():
+        (certified if -half <= key < half else frontier).append(v)
+    return certified, frontier
+
+
+def _keyed_search(seeds: list, down: list, up: list, cap: int, bits: int):
+    """The search of `closure` at lane width `bits`: a dict from key to
+    dense vector, or None once a new vector within the cap has a lane of
+    2**(bits - 2) or more in size."""
+    bound = 1 << (bits - 2)
+    half = 1 << (bits * (cap + 1) - 1)
+
+    def key(pairs):
+        return sum(c << bits * i for i, c in pairs)
+
+    down_key = [0] + [key(step) for step in down[1:]]
+    up_key = [0] + [key(step) for step in up[1:]]
+    seen = {}
     stack = []
-    for phi in seeds:
-        v = _dense(seq, phi, width)
-        if v not in seen:
-            seen.add(v)
-            stack.append(v)
+    for v in seeds:
+        k = key(enumerate(v))
+        if k not in seen:
+            seen[k] = v
+            stack.append(k)
     indices = range(1, cap + 1)
     while stack:
-        v = stack.pop()
+        k = stack.pop()
+        v = seen[k]
         for r in compress(indices, v[1:cap + 1]):
+            if v[r] > 0:
+                nk, step = k + down_key[r], down[r]
+            else:
+                nk, step = k + up_key[r], up[r]
+            if nk in seen or not -half <= nk < half:
+                continue
             nxt = list(v)
-            for i, c in (down[r] if v[r] > 0 else up[r]):
-                nxt[i] += c
-            nxt = tuple(nxt)
-            if nxt not in seen and not any(nxt[cap + 1:]):
-                seen.add(nxt)
-                stack.append(nxt)
-    certified, frontier = [], []
-    for v in seen:
-        (frontier if any(v[window + 1:]) else certified).append(v)
-    return certified, frontier
+            for i, c in step:
+                c += nxt[i]
+                if not -bound < c < bound:
+                    return None
+                nxt[i] = c
+            seen[nk] = tuple(nxt)
+            stack.append(nk)
+    return seen
 
 
 def _forms(seq: AdaptedSequence, vectors: list) -> set:
@@ -338,6 +394,7 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) ->
     n = seq.n
     first_seeds = [x(s, k) for s in range(1, window // n + 2)
                    for k in seq.base_type.index_set]
+    hat_seeds = first_seeds + [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
 
     def first_occ_ok(vectors):
         return all(min(v[1:n + 1]) >= 0 for v in vectors)  # r^(-) = 0
@@ -352,7 +409,6 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) ->
         xk = _dense(seq, xk, window + 2 * n + 1)  # the width of a seed within the window
         strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
-    hat_seeds = first_seeds + [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
     hat_closure, _ = closure(seq, hat_seeds, window, op="Shat'", lam=lam)
     ample = all(v[0] >= 0 for v in hat_closure)
 

@@ -355,8 +355,7 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         raise ValueError(f"budget {budget} is negative")
     if k not in seq.base_type.index_set:
         raise ValueError(f"colour {k} is not in the index set 1..{n}")
-    if len(lam.values) != n:
-        raise ValueError(f"lambda has {len(lam.values)} entries, not {n}")
+    lam.check_rank(n)
     hk = lam.pairing(k)
     meta = _meta(seq, k=k, **{"lambda": list(lam.values)})
     singleton = IneqSet({LinearForm(hk, {DoubleIndex(1, k): -1}): "singleton"},

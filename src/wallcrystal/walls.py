@@ -133,6 +133,7 @@ def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tup
     asks only for powers of two, so a column that grows cell by cell is
     built a logarithmic number of times."""
     assert X.family is not Family.A1
+    _check_ground(X, k, ground)
     head, cycle = _pattern_period(X, k, ground, parity)
     cells = list(head[:count])
     step = period(X).twice
@@ -151,10 +152,11 @@ def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int =
     """The first `count` pattern cells of the given column.  An A1 column
     is its neighbour's pattern one level lower, and its cells carry the
     level less the column as their argument.  ValueError for a count
-    below 0."""
+    below 0, ClassMismatch for a ground outside k's class."""
     if count < 0:
         raise ValueError(f"count {count} is below 0")
     if X.family is Family.A1:
+        _check_ground(X, k, ground)
         cells = []
         for m in range(count):
             lvl = HalfInt.of(k - column + m)
@@ -165,14 +167,19 @@ def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int =
     return cells if len(cells) == count else cells[:count]
 
 
+def _check_ground(X: AffineType, k: int, ground: str) -> None:
+    """ClassMismatch unless k's class carries the ground: class 1 stands
+    on level 1, class 2 on a supporting or covering ground."""
+    want = 1 if ground == LEVEL1 else 2
+    if index_class(X, k) != want:
+        raise ClassMismatch(f"{k} is not class {want} in {X}")
+
+
 def _base_top(X: AffineType, k: int, ground: str) -> str:
     """Partial code of a bare column: its ground atom is the front atom
     of a split base cell or the lower atom of a doubled one, and a full
     base cell (A1) has none."""
-    if ground == LEVEL1 and index_class(X, k) != 1:
-        raise ClassMismatch(f"{k} is not class 1 in {X}")
-    if ground != LEVEL1 and index_class(X, k) != 2:
-        raise ClassMismatch(f"{k} is not class 2 in {X}")
+    _check_ground(X, k, ground)
     if ground == LEVEL1:
         kind = column_pattern(X, k, ground, 0, 1)[0].kind
         return {"split": FRONT, "double": LOWER, "full": NONE}[kind]

@@ -265,6 +265,8 @@ def generate(seq: AdaptedSequence, depth: int,
     """All words of lowering operators of length <= depth applied to 0."""
     if depth < 0:
         raise ValueError(f"depth {depth} is negative")
+    if lam is not None:
+        lam.check_rank(seq.n)
     zero = ZElement()
     seen = {zero}
     frontier = [zero]

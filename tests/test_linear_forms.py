@@ -215,3 +215,16 @@ def test_closure_window_needs_a_period():
     assert closure(seq, [x(1, 1)], seq.n)[0]
     with pytest.raises(ValueError):
         closure(seq, [x(1, 1)], seq.n - 1)
+
+
+@pytest.mark.parametrize("values", [(1, 1), (1, 1, 1, 5)])
+def test_weights_of_the_wrong_rank_are_rejected(values):
+    seq = ex1_seq()
+    lam = DominantWeight(values)
+    message = f"lambda has {len(values)} entries, not 3"
+    with pytest.raises(ValueError, match=message):
+        lambda_form(seq, 1, lam)
+    with pytest.raises(ValueError, match=message):
+        closure(seq, [x(1, 1)], 6, op="Shat'", lam=lam)
+    with pytest.raises(ValueError, match=message):
+        positivity_report(seq, lam, 6)

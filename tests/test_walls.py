@@ -229,6 +229,19 @@ def test_tiled_pattern_matches_cell_by_cell_scan(X):
                     (k, ground, parity)
 
 
+@pytest.mark.parametrize("X", PATTERN_TYPES + [AffineType(Family.A1, 3)],
+                         ids=str)
+def test_column_pattern_rejects_a_ground_outside_the_class(X):
+    # a class-1 colour stands on level 1 only, a class-2 colour on a
+    # supporting or covering ground only
+    for k in X.index_set:
+        wrong = [SUPPORTING, COVERING] if index_class(X, k) == 1 else [LEVEL1]
+        for ground in wrong:
+            for parity in (0, 1):
+                with pytest.raises(ClassMismatch):
+                    column_pattern(X, k, ground, parity, 3)
+
+
 def test_split_cell_colours_golden():
     # the (back, front) colours of every split cell over five periods of
     # every colour, ground and parity, recorded while each family still

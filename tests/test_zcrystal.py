@@ -458,3 +458,14 @@ def test_sweep_rejects_values_past_int64_headroom(monkeypatch, coefficient, fits
     else:
         with pytest.raises(ValueError, match="int64"):
             zc.verify_equivalence(seq, 2)
+
+
+@pytest.mark.parametrize("values", [(1, 1), (1, 1, 1, 5)])
+def test_weights_of_the_wrong_rank_are_rejected(values):
+    seq = ex1_seq()
+    lam = DominantWeight(values)
+    message = f"lambda has {len(values)} entries, not 3"
+    with pytest.raises(ValueError, match=message):
+        generate(seq, 3, lam)
+    with pytest.raises(ValueError, match=message):
+        verify_equivalence(seq, 3, lam)
