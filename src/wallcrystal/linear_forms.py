@@ -24,6 +24,8 @@ class DominantWeight:
     values: tuple  # entry k-1 holds <h_k, lambda>
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in self.values):
+            raise ValueError("dominant weights need integer pairings")
         if any(v < 0 for v in self.values):
             raise ValueError("dominant weights need nonnegative pairings")
 

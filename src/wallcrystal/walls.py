@@ -169,7 +169,10 @@ def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int =
 
 def _check_ground(X: AffineType, k: int, ground: str) -> None:
     """ClassMismatch unless k's class carries the ground: class 1 stands
-    on level 1, class 2 on a supporting or covering ground."""
+    on level 1, class 2 on a supporting or covering ground.  ValueError
+    for any other ground."""
+    if ground not in (LEVEL1, SUPPORTING, COVERING):
+        raise ValueError(f"unknown ground {ground!r}")
     want = 1 if ground == LEVEL1 else 2
     if index_class(X, k) != want:
         raise ClassMismatch(f"{k} is not class {want} in {X}")

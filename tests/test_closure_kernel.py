@@ -126,7 +126,7 @@ def test_margin_beyond_the_window_changes_nothing(name, g, order, lam_values):
                          ids=[s[0] for s in SETTINGS])
 def test_seed_inside_and_past_the_cap(name, g, order, lam_values):
     # one seed with a coefficient within the window and one more than a
-    # period past it: no successor loses the far coefficient
+    # period past it: every successor keeps the far one and is dropped
     seq = from_permutation(g, order)
     n = seq.n
     window = 2 * n

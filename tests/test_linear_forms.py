@@ -228,3 +228,8 @@ def test_weights_of_the_wrong_rank_are_rejected(values):
         closure(seq, [x(1, 1)], 6, op="Shat'", lam=lam)
     with pytest.raises(ValueError, match=message):
         positivity_report(seq, lam, 6)
+
+
+def test_weights_need_integer_pairings():
+    with pytest.raises(ValueError, match="integer pairings"):
+        DominantWeight((0.5, 1, 1))

@@ -240,6 +240,8 @@ def test_column_pattern_rejects_a_ground_outside_the_class(X):
             for parity in (0, 1):
                 with pytest.raises(ClassMismatch):
                     column_pattern(X, k, ground, parity, 3)
+        with pytest.raises(ValueError, match="unknown ground"):
+            column_pattern(X, k, "ground", 0, 3)
 
 
 def test_split_cell_colours_golden():
