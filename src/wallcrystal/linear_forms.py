@@ -285,9 +285,10 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     The search keys each vector by one int, coefficient i in lane i of
     `bits` bits: key = sum(v[i] << bits * i).  A step at r adds the key
     of -beta^+_r (or +beta^-_r), and the successor's tuple is built only
-    when its key is new, which is about one step in eight.  Every kept
-    vector and every step has its lanes below 2**(bits - 2) in size, so
-    a successor's lanes are below 2**(bits - 1).  Keys of such vectors
+    when its key is new: one step in seven on A2odd rank 4 at window 18,
+    the largest closure of the lattice_cut benchmark.  Every kept vector
+    and every step has its lanes below 2**(bits - 2) in size, so a
+    successor's lanes are below 2**(bits - 1).  Keys of such vectors
     are balanced base-2**bits numbers, whose digits are unique, so a key
     already seen is the same vector.  The same bound makes "no lane past
     the cap" exactly -H <= key < H with H = 2**(bits * (cap + 1) - 1):

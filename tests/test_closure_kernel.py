@@ -8,6 +8,7 @@ frontier sets, whatever representation it runs on internally."""
 
 import pytest
 
+from wallcrystal import linear_forms
 from wallcrystal.affine_data import AffineType, Family
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
@@ -137,12 +138,12 @@ def test_seed_inside_and_past_the_cap(name, g, order, lam_values):
 
 
 def test_wide_coefficients():
-    # a coefficient of 2**20 past the window, and pairings of 2**20 in
-    # the S-hat' constants
+    # a coefficient of 2**20 at the last index the search keeps, and
+    # pairings of 2**20 in the S-hat' constants
     seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
     n = seq.n
     window = 3 * n
-    far = LinearForm(0, {seq.reindex(window + 1): 1 << 20})
+    far = LinearForm(0, {seq.reindex(window + n): 1 << 20})
     seeds = [x(1, 1) + far, x(1, 2)]
     got = tuple(_forms(seq, v) for v in closure(seq, seeds, window))
     assert got == reference_closure(seq, seeds, window + n)
@@ -153,15 +154,25 @@ def test_wide_coefficients():
     assert got == reference_closure(seq, seeds, window + n, op="Shat'", lam=lam)
 
 
-def test_constants_outgrow_the_seeds():
+def test_constants_outgrow_the_seeds(monkeypatch):
     # every seed and step coefficient fits a quarter of a 16-bit lane,
     # but each S-hat' step at a negative first-period coefficient takes
-    # a pairing off the constant, which ends past it
+    # a pairing off the constant, which ends past it: the search starts
+    # again with 32-bit lanes
     seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
     n = seq.n
     lam = DominantWeight((6000, 6000, 6000))
     seeds = [-(x(1, 1) + x(1, 2) + x(1, 3))]
+    widths = []
+    search = linear_forms._keyed_search
+
+    def spy(*args):
+        widths.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(linear_forms, "_keyed_search", spy)
     got = tuple(_forms(seq, v)
                 for v in closure(seq, seeds, 2 * n, op="Shat'", lam=lam))
     assert got == reference_closure(seq, seeds, 3 * n, op="Shat'", lam=lam)
     assert min(f.constant for f in got[0] | got[1]) <= -(1 << 14)
+    assert widths == [16, 32]
