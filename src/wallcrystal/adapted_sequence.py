@@ -11,6 +11,7 @@ from wallcrystal.affine_data import (
     Family,
     HalfInt,
     cartan_entry,
+    cell_atoms,
     in_domain,
     langlands_dual,
     periodic_map,
@@ -18,10 +19,6 @@ from wallcrystal.affine_data import (
 
 
 class NotAPermutation(ValueError):
-    pass
-
-
-class NotAdapted(ValueError):
     pass
 
 
@@ -49,8 +46,9 @@ class AdaptedSequence:
     """An infinite sequence iota repeating a permutation of I = {1..n}.
 
     Entries are read right to left: entry(1) = period[0].  Every
-    permutation period yields an adapted sequence; adaptedness is still
-    asserted on construction as a guard.
+    permutation period yields an adapted sequence: two linked colours
+    are distinct, so each occurs once between two occurrences of the
+    other.
     """
 
     base_type: AffineType  # the type of g, i.e. X^L
@@ -60,13 +58,6 @@ class AdaptedSequence:
         n = self.base_type.n
         if sorted(self.period_perm) != list(range(1, n + 1)):
             raise NotAPermutation(f"{self.period_perm} is not a permutation of 1..{n}")
-        # automatic for permutation periods, kept as a guard
-        for i in self.base_type.index_set:
-            for j in self.base_type.index_set:
-                if i < j and cartan_entry(self.base_type, i, j) < 0:
-                    sub = [c for c in self.period_perm if c in (i, j)]
-                    if sub[0] == sub[1]:
-                        raise NotAdapted((i, j))
 
     @property
     def n(self) -> int:
@@ -167,33 +158,22 @@ class ShiftTable:
 
     def _step(self, t: HalfInt):
         """(u, d) with P_ell(t) = P_ell(u) + d, or (None, P_ell(t)) at a base
-        point."""
-        seq, X, ell = self.seq, self.X, self.ell
-        pm = lambda u: periodic_map(X, u)
-        p = seq.p
-        fam = X.family
-        n = X.n
-        if fam is Family.A1:
-            u = t - 1 if t > ell else t + 1
-            return u, p(pm(t), pm(u))
+        point.  Above the origin u is the point below t's cell: t - 1 for
+        an integer point, and one below the cell's integer atom for a half
+        point.  Below it P_ell is a seed or 0, except on A1, which walks
+        up."""
+        X, ell = self.X, self.ell
         if t < ell:
-            seed = self._seed(t, ell)
+            if X.family is not Family.A1:
+                seed = self._seed(t, ell)
+                return None, 0 if seed is None else seed
+            u = t + 1
+        else:
+            seed = self._seed(ell, t)
             if seed is not None:
                 return None, seed
-            if t <= ell - 1 or t.twice <= ell.twice:
-                return None, 0
-            raise DomainError(f"P_{ell}({t}) undefined below the origin")
-        seed = self._seed(ell, t)
-        if seed is not None:
-            return None, seed
-        if fam in (Family.C1, Family.D2, Family.A2EVEN, Family.A2EVEN_DAGGER):
-            return t - 1, p(pm(t), pm(t - 1))
-        # B1 / A2odd / D1
-        if pm(t) == 2:
-            return t - HalfInt(3), p(2, 3)
-        if fam is Family.D1 and pm(t) == n:
-            return t - HalfInt(3), p(n, n - 2)
-        return t - 1, p(pm(t), pm(t - 1))
+            u = t - 1 if t.is_integer else cell_atoms(X, t)[0] - 1
+        return u, self.seq.p(periodic_map(X, t), periodic_map(X, u))
 
     def _seed(self, lo: HalfInt, hi: HalfInt):
         """The special half-step seeds P_{j1}(j2) when {j1,j2} is one of the

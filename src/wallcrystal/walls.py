@@ -432,63 +432,57 @@ def _local_view(w: Wall):
     return stat, fits
 
 
+# The steps a column takes on a cell of each kind, as (kind, top before,
+# rows up, top after, grade, atom): from (m, top before), with the cell
+# at row m, to (m + rows up, top after), adding the cell's atom of that
+# index.  A doubled cell's double step comes before its single one.
+_STEPS = (
+    ("full", NONE, 1, NONE, "single", 0),
+    ("split", NONE, 0, BACK, "single", 0),
+    ("split", NONE, 0, FRONT, "single", 1),
+    ("split", FRONT, 1, NONE, "single", 0),
+    ("split", BACK, 1, NONE, "single", 1),
+    ("double", NONE, 1, NONE, "double", 0),
+    ("double", NONE, 0, LOWER, "single", 0),
+    ("double", LOWER, 1, NONE, "single", 0),
+)
+# kind -> top -> the moves out of that top, or back into it, as (rows
+# up, the other top, action, grade, atom)
+_OUT, _INTO = {}, {}
+for _k, _b, _r, _a, _g, _i in _STEPS:
+    _OUT.setdefault(_k, {}).setdefault(_b, []).append((_r, _a, "add", _g, _i))
+    _INTO.setdefault(_k, {}).setdefault(_a, []).append((-_r, _b, "remove", _g, _i))
+# the step of a truncated wall's base k-blocks, which belongs to the pair
+_PAIR_STEP = ((0, LOWER), (1, NONE))
+
+
 def _wall_moves(w: Wall, host: str):
     """(site, new state of the site's column) for every single/double site
-    of one wall."""
+    of one wall, read from _STEPS; the column table decides which new
+    states fit.  A doubled cell's double step, when it fits, hides the
+    single step in the same direction."""
     X, k, ground, states = w.wall_type, w.k, w.ground, w.states
     stat, fits = _local_view(w)
+    truncated = ground != LEVEL1
     out = []
-
-    def offer(i, st, action, grade, cell, idx=0):
-        """Record the move if its new state fits; report whether it did."""
-        if not fits(i, st):
-            return False
-        out.append((Site(action, grade, cell.colors[idx], i, cell.level,
-                         cell.args[idx], host), st))
-        return True
-
-    truncated = ground in (SUPPORTING, COVERING)
     for i in range(len(states) + 1):
-        m, top = stat(i)
-        cells = column_pattern(X, k, ground, i, m + 2)
-        # --- additions -------------------------------------------------
-        if top == NONE:
-            cell = cells[m]
-            if cell.kind == "full":
-                offer(i, (m + 1, NONE), "add", "single", cell)
-            elif cell.kind == "split":
-                offer(i, (m, BACK), "add", "single", cell, 0)
-                offer(i, (m, FRONT), "add", "single", cell, 1)
-            # empty doubled cell: the double slot takes precedence
-            elif not offer(i, (m + 1, NONE), "add", "double", cell):
-                offer(i, (m, LOWER), "add", "single", cell)
-        elif top == LOWER:
-            if not (truncated and m == 0):  # base k-blocks belong to the pair
-                offer(i, (m + 1, NONE), "add", "single", cells[m])
-        else:  # FRONT or BACK present: the missing half-thickness atom
-            offer(i, (m + 1, NONE), "add", "single", cells[m],
-                  1 if top == BACK else 0)
-        # --- removals --------------------------------------------------
-        if i >= len(states):
-            continue
-        if top == NONE and m >= 1:
-            cell = cells[m - 1]
-            if cell.kind == "full":
-                offer(i, (m - 1, NONE), "remove", "single", cell)
-            elif cell.kind == "split":  # leaving the front removes the back
-                offer(i, (m - 1, FRONT), "remove", "single", cell, 0)
-                offer(i, (m - 1, BACK), "remove", "single", cell, 1)
-            elif not (truncated and m == 1):  # complete doubled cell on top
-                ground_lower = m == 1 and ground == LEVEL1
-                if ground_lower or \
-                        not offer(i, (m - 1, NONE), "remove", "double", cell):
-                    offer(i, (m - 1, LOWER), "remove", "single", cell)
-        elif top == LOWER:
-            if not ((truncated or ground == LEVEL1) and m == 0):
-                offer(i, (m, NONE), "remove", "single", cells[m])
-        elif not (m == 0 and ground == LEVEL1 and top == FRONT):
-            offer(i, (m, NONE), "remove", "single", cells[m],
-                  0 if top == BACK else 1)
+        m, top = old = stat(i)
+        cells = column_pattern(X, k, ground, i, m + 1)
+        pair = truncated and old in _PAIR_STEP
+        # additions step out of the state on the next cell, removals back
+        # into it on the top cell: the last full one or the partial one
+        moves = ((cells[m], _OUT),)
+        if i < len(states):
+            moves += ((cells[m - 1] if top == NONE else cells[m], _INTO),)
+        for cell, table in moves:
+            for rows, other, action, grade, atom in table[cell.kind].get(top, ()):
+                st = (m + rows, other)
+                if (pair and st in _PAIR_STEP) or not fits(i, st):
+                    continue
+                out.append((Site(action, grade, cell.colors[atom], i,
+                                 cell.level, cell.args[atom], host), st))
+                if grade == "double":
+                    break
     return out
 
 
@@ -501,12 +495,12 @@ def _pair_moves(p: WallPair):
     stat_sup, fits_sup = _local_view(sup)
     stat_cov, fits_cov = _local_view(cov)
     out = []
+    low, high = _PAIR_STEP
     for i in range(max(len(sup.states), len(cov.states)) + 1):
         st = stat_sup(i)
         if st != stat_cov(i):
             continue
-        for action, old, new in (("add", (0, LOWER), (1, NONE)),
-                                 ("remove", (1, NONE), (0, LOWER))):
+        for action, old, new in (("add", low, high), ("remove", high, low)):
             if st == old and fits_sup(i, new) and fits_cov(i, new):
                 out.append((Site(action, "pair", k, i, tbar, tbar, "pair"), new))
     return out
