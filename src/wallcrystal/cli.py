@@ -77,10 +77,8 @@ def _colour(seq, k):
 
 def _weight(seq, text):
     values = _int_list(text)
-    if len(values) != seq.n:
-        raise UsageError(f"lambda needs {seq.n} entries, got {len(values)}")
     try:
-        return DominantWeight(values)
+        return DominantWeight(values).check_rank(seq.n)
     except ValueError as e:
         raise UsageError(str(e))
 

@@ -45,7 +45,7 @@ class SiteForm:
 def _site_offset(seq: AdaptedSequence, k: int, site: Site) -> int:
     """The shift-independent part of the site's coordinate index."""
     X = seq.wall_type
-    if X.family is Family.A1 or index_class(X, k) == 1:
+    if index_class(X, k) == 1:
         wanted = ("wall",)
     else:
         wanted = ("supporting", "covering", "pair")

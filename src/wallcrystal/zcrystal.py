@@ -157,8 +157,16 @@ def _sigma_profile(seq: AdaptedSequence, a: ZElement):
     return best, first, last, w
 
 
+def _slot(seq: AdaptedSequence, k: int) -> int:
+    """k - 1, where the colour-indexed lists keep colour k; ValueError if
+    k is not a colour."""
+    if not 1 <= k <= seq.n:
+        raise ValueError(f"colour {k} is not in the index set 1..{seq.n}")
+    return k - 1
+
+
 def epsilon(seq: AdaptedSequence, a: ZElement, k: int) -> int:
-    return _sigma_profile(seq, a)[0][k - 1]
+    return _sigma_profile(seq, a)[0][_slot(seq, k)]
 
 
 def weight_pairings(seq: AdaptedSequence, a: ZElement,
@@ -168,7 +176,7 @@ def weight_pairings(seq: AdaptedSequence, a: ZElement,
     n = seq.n
     perm = seq.period_perm
     cartan = cartan_matrix(seq.base_type)
-    out = list(lam.values) if lam is not None else [0] * n
+    out = list(lam.check_rank(n).values) if lam is not None else [0] * n
     for r, v in a._entries.items():
         c = perm[(r - 1) % n] - 1
         for k in range(n):
@@ -178,7 +186,7 @@ def weight_pairings(seq: AdaptedSequence, a: ZElement,
 
 def wt_pairing(seq: AdaptedSequence, a: ZElement, k: int,
                lam: DominantWeight | None = None) -> int:
-    return weight_pairings(seq, a, lam)[k - 1]
+    return weight_pairings(seq, a, lam)[_slot(seq, k)]
 
 
 def phi(seq: AdaptedSequence, a: ZElement, k: int,
@@ -187,14 +195,15 @@ def phi(seq: AdaptedSequence, a: ZElement, k: int,
 
 
 def f_tilde(seq: AdaptedSequence, a: ZElement, k: int) -> ZElement:
-    return a.bump(_sigma_profile(seq, a)[1][k - 1], 1)
+    return a.bump(_sigma_profile(seq, a)[1][_slot(seq, k)], 1)
 
 
 def e_tilde(seq: AdaptedSequence, a: ZElement, k: int):
     eps, _, last, _ = _sigma_profile(seq, a)
-    if eps[k - 1] <= 0:
+    i = _slot(seq, k)
+    if eps[i] <= 0:
         return None
-    return a.bump(last[k - 1], -1)
+    return a.bump(last[i], -1)
 
 
 def _descent(seq: AdaptedSequence, a: ZElement) -> list:
@@ -238,9 +247,8 @@ def star_length(seq: AdaptedSequence, k: int, a: ZElement) -> int:
     the recorded word is replayed with f_tilde in that chart.  Every
     permutation period is adapted, so the chart exists.  ValueError if a
     is not in B(infinity) or k is not a colour."""
+    _slot(seq, k)
     rest = tuple(c for c in seq.period_perm if c != k)
-    if len(rest) == seq.n:
-        raise ValueError(f"colour {k} is not in the index set 1..{seq.n}")
     chart = AdaptedSequence(seq.base_type, (k,) + rest)
     b = ZElement()
     for c in reversed(_descent(seq, a)):

@@ -469,3 +469,28 @@ def test_weights_of_the_wrong_rank_are_rejected(values):
         generate(seq, 3, lam)
     with pytest.raises(ValueError, match=message):
         verify_equivalence(seq, 3, lam)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_crystal_operators_reject_a_colour_outside_the_index_set(k):
+    # colour k sits at list index k - 1, so 0 and -1 once read colour 3
+    seq = ex1_seq()
+    a = ZElement({1: 1})
+    lam = DominantWeight((1, 1, 1))
+    calls = [lambda: epsilon(seq, a, k), lambda: f_tilde(seq, a, k),
+             lambda: e_tilde(seq, a, k), lambda: phi(seq, a, k),
+             lambda: phi(seq, a, k, lam), lambda: wt_pairing(seq, a, k),
+             lambda: f_tilde_lambda(seq, a, k, lam),
+             lambda: star_length(seq, k, a)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"colour {k} is not in the index set 1..3"
+
+
+@pytest.mark.parametrize("values", [(1, 1), (1, 1, 1, 5)])
+def test_weight_pairings_rejects_a_weight_of_the_wrong_rank(values):
+    lam = DominantWeight(values)
+    with pytest.raises(ValueError) as info:
+        weight_pairings(ex1_seq(), ZElement({1: 1}), lam)
+    assert str(info.value) == f"lambda has {len(values)} entries, not 3"
