@@ -463,12 +463,11 @@ def _wall_moves(w: Wall, host: str):
     single step in the same direction."""
     X, k, ground, states = w.wall_type, w.k, w.ground, w.states
     stat, fits = _local_view(w)
-    truncated = ground != LEVEL1
     out = []
     for i in range(len(states) + 1):
         m, top = old = stat(i)
         cells = column_pattern(X, k, ground, i, m + 1)
-        pair = truncated and old in _PAIR_STEP
+        pair = ground != LEVEL1 and old in _PAIR_STEP
         # additions step out of the state on the next cell, removals back
         # into it on the top cell: the last full one or the partial one
         moves = ((cells[m], _OUT),)
