@@ -473,7 +473,7 @@ def test_weights_of_the_wrong_rank_are_rejected(values):
 
 @pytest.mark.parametrize("k", [0, -1, 4])
 def test_crystal_operators_reject_a_colour_outside_the_index_set(k):
-    # colour k sits at list index k - 1, so 0 and -1 once read colour 3
+    # colour k sits at list index k - 1, where 0 and -1 would read colour 3
     seq = ex1_seq()
     a = ZElement({1: 1})
     lam = DominantWeight((1, 1, 1))
