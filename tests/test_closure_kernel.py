@@ -1,10 +1,11 @@
 """The public closure against a plain breadth-first search over LinearForm.
 
-`reference_closure` is the textbook loop: apply S' (or S-hat') at every
-single index r <= horizon, keep what stays within one period past the
-certified window, and split the result at the window.  On the window
-horizon - margin * n, `closure` must return exactly its certified and
-frontier sets, whatever representation it runs on internally."""
+`reference_closure` is the textbook loop with one bound, `cap`: apply
+S' (or S-hat') at every single index r <= cap, keep the forms supported
+within the cap, and split the result at the certified window.  On the
+same window `closure` must return exactly its certified and frontier
+sets, whatever representation it runs on internally, and the certified
+set must not change when the reference searches further out."""
 
 import pytest
 
@@ -26,18 +27,16 @@ SETTINGS = [
 ]
 
 
-def reference_closure(seq, seeds, horizon, op="S'", lam=None, margin=1):
-    n = seq.n
+def reference_closure(seq, seeds, window, cap, op="S'", lam=None):
     hatted = op == "Shat'"
     steps = []
-    for r in range(1, horizon + 1):
+    for r in range(1, cap + 1):
         if hatted:
             plus, minus = (beta_signed(seq, r, "+", lam),
                            beta_signed(seq, r, "-", lam))
         else:
             plus, minus = beta_at(seq, r), beta_at(seq, r_minus(seq, r))
         steps.append((seq.reindex(r), plus, minus))
-    cutoff = horizon - margin * n
     seen = set(seeds)
     queue = list(seen)
     while queue:
@@ -47,15 +46,11 @@ def reference_closure(seq, seeds, horizon, op="S'", lam=None, margin=1):
             if c == 0:
                 continue
             nxt = phi - plus if c > 0 else phi + minus
-            if nxt not in seen and support_bound(seq, nxt) <= cutoff + n:
+            if nxt not in seen and support_bound(seq, nxt) <= cap:
                 seen.add(nxt)
                 queue.append(nxt)
-    certified = {f for f in seen if support_bound(seq, f) <= cutoff}
+    certified = {f for f in seen if support_bound(seq, f) <= window}
     return certified, seen - certified
-
-
-def horizons(n, margin):
-    return [h for h in (3 * n, 4 * n, 5 * n) if h >= (margin + 1) * n]
 
 
 @pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
@@ -63,13 +58,11 @@ def horizons(n, margin):
 def test_s_prime_matches_reference(name, g, order, lam_values):
     seq = from_permutation(g, order)
     n = seq.n
-    for margin in (1, 2):
-        for horizon in horizons(n, margin):
-            seeds = [x(s, k) for s in (1, 2) for k in seq.base_type.index_set]
-            got = tuple(_forms(seq, v)
-                        for v in closure(seq, seeds, horizon - margin * n))
-            want = reference_closure(seq, seeds, horizon, margin=margin)
-            assert got == want, (name, margin, horizon)
+    seeds = [x(s, k) for s in (1, 2) for k in seq.base_type.index_set]
+    for window in (n, 2 * n, 3 * n, 4 * n):
+        got = tuple(_forms(seq, v) for v in closure(seq, seeds, window))
+        want = reference_closure(seq, seeds, window, window + n)
+        assert got == want, (name, window)
 
 
 @pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
@@ -79,14 +72,32 @@ def test_s_hat_matches_reference(name, g, order, lam_values):
     n = seq.n
     lam = DominantWeight(lam_values)
     seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-    for margin in (1, 2):
-        for horizon in horizons(n, margin):
-            got = tuple(_forms(seq, v)
-                        for v in closure(seq, seeds, horizon - margin * n,
-                                         op="Shat'", lam=lam))
-            want = reference_closure(seq, seeds, horizon, op="Shat'",
-                                     lam=lam, margin=margin)
-            assert got == want, (name, margin, horizon)
+    for window in (n, 2 * n, 3 * n, 4 * n):
+        got = tuple(_forms(seq, v)
+                    for v in closure(seq, seeds, window, op="Shat'", lam=lam))
+        want = reference_closure(seq, seeds, window, window + n, op="Shat'",
+                                 lam=lam)
+        assert got == want, (name, window)
+
+
+@pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
+                         ids=[s[0] for s in SETTINGS])
+def test_wider_search_certifies_the_same_forms(name, g, order, lam_values):
+    # the forms certified on W are the same whether the reference applies
+    # the operators and keeps forms up to W or two periods further out
+    seq = from_permutation(g, order)
+    n = seq.n
+    lam = DominantWeight(lam_values)
+    colours = seq.base_type.index_set
+    for window in (n, 2 * n + 1, 3 * n):
+        seeds = [x(s, k) for s in range(1, window // n + 2) for k in colours]
+        hat_seeds = seeds + [lambda_form(seq, k, lam) for k in colours]
+        for op, op_seeds in (("S'", seeds), ("Shat'", hat_seeds)):
+            narrow, _ = reference_closure(seq, op_seeds, window, window,
+                                          op=op, lam=lam)
+            wide, _ = reference_closure(seq, op_seeds, window, window + 2 * n,
+                                        op=op, lam=lam)
+            assert narrow == wide, (name, op, window)
 
 
 def test_far_seed_lands_in_frontier():
@@ -104,27 +115,6 @@ def test_s_prime_rejects_constants():
 
 @pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
                          ids=[s[0] for s in SETTINGS])
-def test_margin_beyond_the_window_changes_nothing(name, g, order, lam_values):
-    # with the certified window W held fixed, a wider margin only applies
-    # the operator further out, where no kept form has a coefficient
-    seq = from_permutation(g, order)
-    n = seq.n
-    lam = DominantWeight(lam_values)
-    cases = [("S'", None, [x(s, k) for s in (1, 2)
-                           for k in seq.base_type.index_set]),
-             ("Shat'", lam, [lambda_form(seq, k, lam)
-                             for k in seq.base_type.index_set])]
-    for op, weight, seeds in cases:
-        for window in (n, 2 * n, 3 * n):
-            want = reference_closure(seq, seeds, window + n, op=op, lam=weight)
-            for margin in (2, 3):
-                got = reference_closure(seq, seeds, window + margin * n,
-                                        op=op, lam=weight, margin=margin)
-                assert got == want, (name, op, window, margin)
-
-
-@pytest.mark.parametrize("name,g,order,lam_values", SETTINGS,
-                         ids=[s[0] for s in SETTINGS])
 def test_seed_inside_and_past_the_cap(name, g, order, lam_values):
     # one seed with a coefficient within the window and one more than a
     # period past it: every successor keeps the far one and is dropped
@@ -133,7 +123,7 @@ def test_seed_inside_and_past_the_cap(name, g, order, lam_values):
     window = 2 * n
     seed = x(1, 1) + x(window // n + 3, 1)
     got = tuple(_forms(seq, v) for v in closure(seq, [seed], window))
-    assert got == reference_closure(seq, [seed], window + n)
+    assert got == reference_closure(seq, [seed], window, window + n)
     assert got[1] and not got[0]
 
 
@@ -146,12 +136,13 @@ def test_wide_coefficients():
     far = LinearForm(0, {seq.reindex(window + n): 1 << 20})
     seeds = [x(1, 1) + far, x(1, 2)]
     got = tuple(_forms(seq, v) for v in closure(seq, seeds, window))
-    assert got == reference_closure(seq, seeds, window + n)
+    assert got == reference_closure(seq, seeds, window, window + n)
     lam = DominantWeight((1 << 20, 1, 1 << 20))
     seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
     got = tuple(_forms(seq, v)
                 for v in closure(seq, seeds, window, op="Shat'", lam=lam))
-    assert got == reference_closure(seq, seeds, window + n, op="Shat'", lam=lam)
+    assert got == reference_closure(seq, seeds, window, window + n,
+                                    op="Shat'", lam=lam)
 
 
 def test_constants_outgrow_the_seeds(monkeypatch):
@@ -173,6 +164,7 @@ def test_constants_outgrow_the_seeds(monkeypatch):
     monkeypatch.setattr(linear_forms, "_keyed_search", spy)
     got = tuple(_forms(seq, v)
                 for v in closure(seq, seeds, 2 * n, op="Shat'", lam=lam))
-    assert got == reference_closure(seq, seeds, 3 * n, op="Shat'", lam=lam)
+    assert got == reference_closure(seq, seeds, 2 * n, 3 * n, op="Shat'",
+                                    lam=lam)
     assert min(f.constant for f in got[0] | got[1]) <= -(1 << 14)
     assert widths == [16, 32]
