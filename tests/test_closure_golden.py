@@ -5,9 +5,10 @@ For each setting of tests/test_closure_kernel.py and each window W, the
 S' closure takes the seeds x(s, k), s <= W // n + 1, and the S-hat'
 closure takes those plus lambda_form(seq, k, lam) at the setting's
 acceptance weight.  One digest per (setting, W) covers the sorted
-certified and the sorted frontier vectors of both.  D2 at 10, 11 and
-15, C1 at 11 and 14, B1 at 10 and 15 and A2odd at 13 and 18 are the
-windows of the lattice_cut benchmark."""
+`render_form` lines of the certified forms of both, which do not depend
+on the width of the vectors.  D2 at 10, 11 and 15, C1 at 11 and 14, B1
+at 10 and 15 and A2odd at 13 and 18 are the windows of the lattice_cut
+benchmark."""
 
 import hashlib
 import io
@@ -18,7 +19,9 @@ import wallcrystal.cli as cli
 from test_closure_kernel import SETTINGS
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.affine_data import AffineType, Family
-from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, x
+from wallcrystal.linear_forms import (
+    DominantWeight, _forms, closure, lambda_form, render_form, x,
+)
 from wallcrystal.zcrystal import verify_equivalence
 
 BY_NAME = {name: (g, order, lam) for name, g, order, lam in SETTINGS}
@@ -34,36 +37,36 @@ def closure_digest(name, window):
                          for k in seq.base_type.index_set]
     lines = []
     for op, op_seeds in (("S'", seeds), ("Shat'", hat_seeds)):
-        cert, frontier = closure(seq, op_seeds, window, op=op, lam=lam)
-        for part, vectors in (("certified", cert), ("frontier", frontier)):
-            lines.append(f"{op} {part} {len(vectors)}")
-            lines.extend(" ".join(map(str, v)) for v in sorted(vectors))
+        cert, _ = closure(seq, op_seeds, window, op=op, lam=lam)
+        forms = sorted(map(render_form, _forms(seq, cert)))
+        lines.append(f"{op} certified {len(forms)}")
+        lines.extend(forms)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# (setting, window) -> closure_digest, recorded before the closure keyed
-# its vectors by one integer each
+# (setting, window) -> closure_digest, recorded while the closure still
+# searched one period past the window
 CLOSURE_GOLDEN = {
     ("D2 rank 3", 10):
-        "b2638aaf0c99b7be9f6dbd5b08641360eca02ccbf3b8b5332a6353acf8d7249b",
+        "e1dc6b7ab1d0168578dbe0ec2824e2a902191b3afe891568b525f90e6a1071bd",
     ("D2 rank 3", 11):
-        "d85913051175ad60cc9788add2a2cbd7c46afb49ffdcef2e487d7908de82c35d",
+        "1f146a1fda620d943776a4f8e5420e6636407b1df454c190e37191fc6a77beab",
     ("D2 rank 3", 15):
-        "8fcfb1ebafc8437b6439d813d32f9a2e840f3e7a8528a0d72a1994ad783d2cc7",
+        "b5c4c86bed4692ed52d309d219e2c838250782993731ff388ccd8177958f3f55",
     ("C1 rank 3", 11):
-        "2142db99cc519c3fd1bb4e062f1410b067e815f4ca1dd6ee4715f8bd71ca59c0",
+        "a137abdfd6608a25e4f564f4375854cb57b24ab50f8bc413ca2277016a423153",
     ("C1 rank 3", 14):
-        "a92135c9c8f416f4c0e8f5c67511404edcd661467a9cc17e88254dba7bc293b4",
+        "d04b310bb164802d70694a6aafdd019bb564ba0ad1cf9c52c20fd5925c738816",
     ("B1 rank 4", 10):
-        "e98f42cbd6eb99edf6b2d34b2022661149f83bdc703118e9e0932a929fe93ae6",
+        "abcd2c4777587ec1f0e0bc6b0d2eb2a97ac00f5685414e92bb7c417651ebedd7",
     ("B1 rank 4", 15):
-        "6f3ffba0a21539a737b96797553f9c0f463702315b76ec955e96a71bb6cfba31",
+        "c6b872d14a5ffdada2bc9331a2caa393ab1e46109827c4448711fee9bec155f2",
     ("A2odd rank 4", 13):
-        "cddf866037a09a691b84818905790b77695e883a208200208d8da58abece29e6",
+        "4b45a5c3793f624ca440e0ed85d30f526075e8699dca8d29af5979e0da7233fd",
     ("A2odd rank 4", 18):
-        "b0c39693785f0d5a31ae83ccd5c1bc65d4d433c419c3ff8dcc61eea5da3adfbd",
+        "a3c284aa998fa4dcc6eb72935d83ca92a3ae7fd7bbc340c9cdd98418c3f2092f",
     ("D1 rank 6", 12):
-        "2a2deb37688579e8e673a51e2155f0191fc5bdfa3c96b0193c56673259d4c3a8",
+        "89524e332028defca6fd20a211c206358c9005a76743b4985dd3152d15fdb071",
 }
 
 
