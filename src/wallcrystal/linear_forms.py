@@ -268,38 +268,65 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
             op: str = "S'", lam: DominantWeight | None = None):
     """The S' (or S-hat') closure of the seeds, certified on a window.
 
-    `window` is the last single index a certified form may touch; it must
-    be at least one period n.  Returns (certified, frontier) as lists of
-    dense vectors (see `_dense`; `_forms` reads them as LinearForm): the
-    certified forms are supported within single indices <= window and
-    are exactly the window-supported members of the infinite closure.
-    The search applies the operator at every r <= cap = window + n and
-    drops forms supported past the cap: the operator at r only touches
-    coefficients within a period of r, so paths wandering further out
-    never re-enter the window (checked against wider searches in the
-    tests).  A seed supported past the cap (no coefficient at or below
-    it) stays unexpanded in the frontier.  The vectors have width
-    window + 2n + 1, so every beta vector fits, or more when a seed
-    reaches further.
+    `window` (W below) is the last single index a certified form may
+    touch; it must be at least one period n.  Returns (certified,
+    frontier) as lists of dense vectors (see `_dense`; `_forms` reads
+    them as LinearForm).  The search has one bound: it applies the
+    operator at every r <= W and keeps the forms supported within W,
+    which are the certified ones.  The frontier holds the seeds supported
+    past W; a successor of one is kept only when it falls within W.  The
+    vectors are as wide as the seeds and the beta vectors the steps add
+    (beta_W reaches W + n).
+
+    The bound rests on a lemma: every form of the infinite closure that
+    is supported within W is reached from a seed by steps at r <= W
+    through forms supported within W (only the seed may reach past W).
+    Those are exactly the paths the search follows; from a seed within W
+    the step condition is free, since an operator at r > W leaves a form
+    supported within W unchanged.  No proof of the lemma is known here;
+    the bound rests on the pin `test_wider_search_certifies_the_same_forms`
+    in tests/test_closure_kernel.py, which finds the same certified forms
+    when the reference searches two periods further, for S' and S-hat',
+    on five families and windows n, 2n + 1 and 3n.  What is known towards
+    a proof, writing D_b for the step phi - beta_b at a positive
+    coefficient of b and U_r for the step phi + beta_{r - n} at a
+    negative coefficient of r:
+    - beta_b runs from b to its top index b + n, where its coefficient
+      is 1, so the betas are triangular in their top index.  Hence for a
+      form psi supported within W reached from a seed sigma supported
+      within W, psi - sigma lies in the span of the beta_b with
+      b + n <= W: the steps past the window cancel in the net count.
+    - On a path whose largest index M lies past both ends, only D_{M-n}
+      and U_M touch index M (any other step would pass M).  The first
+      step to reach M is a D_{M-n}, the coefficient of M is never
+      positive after it, and each U_M adds back the beta_{M-n} of a
+      D_{M-n} before it.  It agrees with what wider searches show: every
+      form they keep past W that is not a seed has a negative
+      coefficient at its largest index.
+    - Deleting such a matched pair, D_{M-n} and the U_M that closes it
+      in bracket order, shifts the forms between them by +beta_{M-n}.
+      Every step between them keeps its sign, and so its beta, except a
+      U_{M-n} taken at coefficient -1, which the shift sends to 0.  A
+      descent on M that deletes pairs until the path stays within W
+      stops there.
 
     The search keys each vector by one int, coefficient i in lane i of
     `bits` bits: key = sum(v[i] << bits * i).  A step at r adds the key
     of -beta^+_r (or +beta^-_r), and the successor's tuple is built only
-    when its key is new: one step in seven on A2odd rank 4 at window 18,
-    the largest closure of the lattice_cut benchmark.  Every kept vector
-    and every step has its lanes below 2**(bits - 2) in size, so a
-    successor's lanes are below 2**(bits - 1).  Keys of such vectors
-    are balanced base-2**bits numbers, whose digits are unique, so a key
-    already seen is the same vector.  The same bound makes "no lane past
-    the cap" exactly -H <= key < H with H = 2**(bits * (cap + 1) - 1):
-    the lanes up to the cap add up to less than H in size, and a nonzero
-    lane past it outweighs them.  `bits` is the least of 16, 32, 64, ...
-    whose quarter range exceeds every seed and step coefficient (the
-    constant lane of S-hat' holds <h_k, lambda>, which may be large); a
-    new vector with a lane at or past that quarter restarts the search
-    at twice the width.  The search runs on plain ints, not numpy:
-    importing numpy takes about 0.1 s, longer than a typical `verify
-    closure` run, which imports none.
+    when its key is new.  Every kept vector and every step has its lanes
+    below 2**(bits - 2) in size, so a successor's lanes are below
+    2**(bits - 1).  Keys of such vectors are balanced base-2**bits
+    numbers, whose digits are unique, so a key already seen is the same
+    vector.  The same bound makes "no lane past the window" exactly
+    -H <= key < H with H = 2**(bits * (W + 1) - 1): the lanes up to W
+    add up to less than H in size, and a nonzero lane past it outweighs
+    them.  `bits` is the least of 16, 32, 64, ... whose quarter range
+    exceeds every seed and step coefficient (the constant lane of S-hat'
+    holds <h_k, lambda>, which may be large); a new vector with a lane
+    at or past that quarter restarts the search at twice the width.  The
+    search runs on plain ints, not numpy: importing numpy takes about
+    0.1 s, longer than a typical `verify closure` run, which imports
+    none.
     """
     n = seq.n
     if window < n:
@@ -312,16 +339,19 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     seeds = list(seeds)
     if not hatted and any(phi.constant for phi in seeds):
         raise ConstantPresent("S' acts on forms with zero constant")
-    cap = window + n
-    width = max([cap + n + 1] + [support_bound(seq, phi) + 1 for phi in seeds])
+    # (beta^+_r, beta^-_r) for r = 1..window
+    if hatted:
+        betas = [(beta_signed(seq, r, "+", lam), beta_signed(seq, r, "-", lam))
+                 for r in range(1, window + 1)]
+    else:
+        betas = [(beta_at(seq, r), beta_at(seq, r_minus(seq, r)))
+                 for r in range(1, window + 1)]
+    width = 1 + max(support_bound(seq, phi)
+                    for phi in seeds + [phi for pair in betas for phi in pair])
     # the step at r, as sparse (index, coefficient) lists: -beta^+_r where
     # the coefficient of r is positive, +beta^-_r where it is negative
     down, up = [None], [None]  # indexed by r
-    for r in range(1, cap + 1):
-        if hatted:
-            plus, minus = beta_signed(seq, r, "+", lam), beta_signed(seq, r, "-", lam)
-        else:
-            plus, minus = beta_at(seq, r), beta_at(seq, r_minus(seq, r))
+    for plus, minus in betas:
         plus, minus = _dense(seq, plus, width), _dense(seq, minus, width)
         down.append([(i, -c) for i, c in enumerate(plus) if c])
         up.append([(i, c) for i, c in enumerate(minus) if c])
@@ -331,7 +361,7 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     bits = 16
     while largest >> (bits - 2):
         bits *= 2
-    while (seen := _keyed_search(seeds, down, up, cap, bits)) is None:
+    while (seen := _keyed_search(seeds, down, up, window, bits)) is None:
         bits *= 2
     half = 1 << (bits * (window + 1) - 1)
     certified, frontier = [], []
@@ -340,12 +370,12 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     return certified, frontier
 
 
-def _keyed_search(seeds: list, down: list, up: list, cap: int, bits: int):
+def _keyed_search(seeds: list, down: list, up: list, window: int, bits: int):
     """The search of `closure` at lane width `bits`: a dict from key to
-    dense vector, or None once a new vector within the cap has a lane of
-    2**(bits - 2) or more in size."""
+    dense vector, or None once a new vector within the window has a lane
+    of 2**(bits - 2) or more in size."""
     bound = 1 << (bits - 2)
-    half = 1 << (bits * (cap + 1) - 1)
+    half = 1 << (bits * (window + 1) - 1)
 
     def key(pairs):
         return sum(c << bits * i for i, c in pairs)
@@ -359,11 +389,11 @@ def _keyed_search(seeds: list, down: list, up: list, cap: int, bits: int):
         if k not in seen:
             seen[k] = v
             stack.append(k)
-    indices = range(1, cap + 1)
+    indices = range(1, window + 1)
     while stack:
         k = stack.pop()
         v = seen[k]
-        for r in compress(indices, v[1:cap + 1]):
+        for r in compress(indices, v[1:window + 1]):
             if v[r] > 0:
                 nk, step = k + down_key[r], down[r]
             else:
@@ -392,8 +422,8 @@ def _forms(seq: AdaptedSequence, vectors: list) -> set:
 def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) -> dict:
     """The three positivity checks over closures certified on `window`,
     the last single index a certified form may touch (see `closure`).
-    The S' seeds x(s, k), s <= window // n + 1, all lie within
-    window + n, so every seed is expanded."""
+    The S' seeds x(s, k), s <= window // n + 1, reach every single index
+    of the window; those past it stay in the frontier."""
     n = seq.n
     first_seeds = [x(s, k) for s in range(1, window // n + 2)
                    for k in seq.base_type.index_set]
@@ -409,7 +439,7 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) ->
     for k in seq.base_type.index_set:
         xk = xi_form(seq, k)
         cert, _ = closure(seq, [xk], window)
-        xk = _dense(seq, xk, window + 2 * n + 1)  # the width of a seed within the window
+        xk = _dense(seq, xk, len(cert[0]))  # xi_k lies in the first period
         strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
     hat_closure, _ = closure(seq, hat_seeds, window, op="Shat'", lam=lam)

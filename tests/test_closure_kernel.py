@@ -61,7 +61,7 @@ def test_s_prime_matches_reference(name, g, order, lam_values):
     seeds = [x(s, k) for s in (1, 2) for k in seq.base_type.index_set]
     for window in (n, 2 * n, 3 * n, 4 * n):
         got = tuple(_forms(seq, v) for v in closure(seq, seeds, window))
-        want = reference_closure(seq, seeds, window, window + n)
+        want = reference_closure(seq, seeds, window, window)
         assert got == want, (name, window)
 
 
@@ -75,8 +75,7 @@ def test_s_hat_matches_reference(name, g, order, lam_values):
     for window in (n, 2 * n, 3 * n, 4 * n):
         got = tuple(_forms(seq, v)
                     for v in closure(seq, seeds, window, op="Shat'", lam=lam))
-        want = reference_closure(seq, seeds, window, window + n, op="Shat'",
-                                 lam=lam)
+        want = reference_closure(seq, seeds, window, window, op="Shat'", lam=lam)
         assert got == want, (name, window)
 
 
@@ -123,7 +122,7 @@ def test_seed_inside_and_past_the_cap(name, g, order, lam_values):
     window = 2 * n
     seed = x(1, 1) + x(window // n + 3, 1)
     got = tuple(_forms(seq, v) for v in closure(seq, [seed], window))
-    assert got == reference_closure(seq, [seed], window, window + n)
+    assert got == reference_closure(seq, [seed], window, window)
     assert got[1] and not got[0]
 
 
@@ -133,16 +132,16 @@ def test_wide_coefficients():
     seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
     n = seq.n
     window = 3 * n
-    far = LinearForm(0, {seq.reindex(window + n): 1 << 20})
+    far = LinearForm(0, {seq.reindex(window): 1 << 20})
     seeds = [x(1, 1) + far, x(1, 2)]
     got = tuple(_forms(seq, v) for v in closure(seq, seeds, window))
-    assert got == reference_closure(seq, seeds, window, window + n)
+    assert got == reference_closure(seq, seeds, window, window)
     lam = DominantWeight((1 << 20, 1, 1 << 20))
     seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
     got = tuple(_forms(seq, v)
                 for v in closure(seq, seeds, window, op="Shat'", lam=lam))
-    assert got == reference_closure(seq, seeds, window, window + n,
-                                    op="Shat'", lam=lam)
+    assert got == reference_closure(seq, seeds, window, window, op="Shat'",
+                                    lam=lam)
 
 
 def test_constants_outgrow_the_seeds(monkeypatch):
@@ -164,7 +163,7 @@ def test_constants_outgrow_the_seeds(monkeypatch):
     monkeypatch.setattr(linear_forms, "_keyed_search", spy)
     got = tuple(_forms(seq, v)
                 for v in closure(seq, seeds, 2 * n, op="Shat'", lam=lam))
-    assert got == reference_closure(seq, seeds, 2 * n, 3 * n, op="Shat'",
+    assert got == reference_closure(seq, seeds, 2 * n, 2 * n, op="Shat'",
                                     lam=lam)
     assert min(f.constant for f in got[0] | got[1]) <= -(1 << 14)
     assert widths == [16, 32]
