@@ -101,11 +101,16 @@ def _cmd_ineq(args, out):
     if args.k is not None:
         _colour(seq, args.k)
     if args.mode == "binf":
-        ineqs = comb_infinity(seq, (args.s, args.blocks), k=args.k,
+        if args.lam is not None:
+            raise UsageError("ineq binf takes no --lambda")
+        ineqs = comb_infinity(seq, (args.s or 1, args.blocks), k=args.k,
                               support_max=args.support_max)
     else:
         if args.k is None:
             raise UsageError("ineq blam needs --k")
+        for flag, value in (("--s", args.s), ("--support-max", args.support_max)):
+            if value is not None:
+                raise UsageError(f"ineq blam takes no {flag}")
         lam = _weight(seq, args.lam)
         ineqs = comb_lambda(seq, args.k, lam, args.blocks)
     _emit_ineqs(ineqs, args, out)
@@ -291,7 +296,7 @@ def build_parser():
     p.add_argument("mode", choices=["binf", "blam"])
     common(p)
     p.add_argument("--k", type=int)
-    p.add_argument("--s", type=_at_least(1), default=1)
+    p.add_argument("--s", type=_at_least(1))  # binf reads 1 when absent
     p.add_argument("--blocks", type=_at_least(0), default=4)
     p.add_argument("--support-max", type=_at_least(1), dest="support_max",
                    metavar="N",

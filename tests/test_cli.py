@@ -252,6 +252,10 @@ def test_usage_errors_exit_one(capsys):
         ("ineq", "binf", *d2, "--s", "0"),
         ("ineq", "binf", *d2, "--blocks", "-1"),
         ("ineq", "binf", *d2, "--support-max", "-5"),
+        # options another mode takes are refused, not ignored
+        ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1", "--support-max", "9"),
+        ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1", "--s", "2"),
+        ("ineq", "binf", *d2, "--k", "1", "--lambda", "1,1,1"),
         ("walls", "enum", *d2, "--k", "1", "--blocks", "-1"),
         ("verify", "props", *d2, "--blocks", "-1"),
         ("verify", "closure", *d2, "--periods", "1"),
