@@ -439,7 +439,7 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) ->
     for k in seq.base_type.index_set:
         xk = xi_form(seq, k)
         cert, _ = closure(seq, [xk], window)
-        xk = _dense(seq, xk, len(cert[0]))  # xi_k lies in the first period
+        xk = _dense(seq, xk, len(cert[0]))  # at the width closure returns
         strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
     hat_closure, _ = closure(seq, hat_seeds, window, op="Shat'", lam=lam)
