@@ -278,14 +278,20 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     vectors are as wide as the seeds and the beta vectors the steps add
     (beta_W reaches W + n).
 
-    The bound rests on a lemma: every form of the infinite closure that
-    is supported within W is reached from a seed by steps at r <= W
-    through forms supported within W (only the seed may reach past W).
-    Those are exactly the paths the search follows; from a seed within W
-    the step condition is free, since an operator at r > W leaves a form
-    supported within W unchanged.  No proof of the lemma is known here;
-    the bound rests on the pin `test_wider_search_certifies_the_same_forms`
-    in tests/test_closure_kernel.py, which finds the same certified forms
+    So the certified forms are those reached from a seed by steps at
+    r <= W through forms supported within W (only the seed may reach
+    past W).  That they are every form of the infinite closure supported
+    within W is a lemma, claimed for seeds supported within W and for
+    single variables x(s, k) with s <= W // n + 1, the seeds
+    `positivity_report` and `zcrystal` pass.  From a seed within W the
+    step condition is free,
+    since an operator at r > W leaves a form supported within W
+    unchanged.  Other seeds that reach past W are not covered: on D2
+    rank 3 at W = 6, the closure of x(1, 2) + x(3, 2) holds 2 x(2, 2),
+    which no path within the window reaches.  No proof of the lemma is
+    known here; the bound rests on the pin
+    `test_wider_search_certifies_the_same_forms` in
+    tests/test_closure_kernel.py, which finds the same certified forms
     when the reference searches two periods further, for S' and S-hat',
     on five families and windows n, 2n + 1 and 3n.  What is known towards
     a proof, writing D_b for the step phi - beta_b at a positive
