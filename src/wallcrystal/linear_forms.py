@@ -284,9 +284,8 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     within W is a lemma, claimed for seeds supported within W and for
     single variables x(s, k) with s <= W // n + 1, the seeds
     `positivity_report` and `zcrystal` pass.  From a seed within W the
-    step condition is free,
-    since an operator at r > W leaves a form supported within W
-    unchanged.  Other seeds that reach past W are not covered: on D2
+    step condition is free, since an operator at r > W leaves a form
+    supported within W unchanged.  Other seeds that reach past W are not covered: on D2
     rank 3 at W = 6, the closure of x(1, 2) + x(3, 2) holds 2 x(2, 2),
     which no path within the window reaches.  No proof of the lemma is
     known here; the bound rests on the pin
@@ -309,12 +308,17 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
       D_{M-n} before it.  It agrees with what wider searches show: every
       form they keep past W that is not a seed has a negative
       coefficient at its largest index.
-    - Deleting such a matched pair, D_{M-n} and the U_M that closes it
-      in bracket order, shifts the forms between them by +beta_{M-n}.
-      Every step between them keeps its sign, and so its beta, except a
-      U_{M-n} taken at coefficient -1, which the shift sends to 0.  A
-      descent on M that deletes pairs until the path stays within W
-      stops there.
+    - By the same triangularity every form phi has one projection P(phi)
+      supported within W with phi - P(phi) in the span of the beta_b
+      with b > W - n, and P fixes the forms within W.  P maps each step
+      of a path to no step (D_r with r > W - n, U_r with r > W) or to
+      the same step from the projected form (D_r and U_r with
+      r <= W - n, whose coefficient P leaves alone), except U_r with
+      W - n < r <= W, where P may move the coefficient of r to 0 or
+      above.  A path with no such step projects to a path within W.
+      Such steps do occur in wider searches (on D2 rank 3 at W = 6, 4 of
+      the 32 negative last-period coefficients lose their sign under P),
+      and the proof stops there.
 
     The search keys each vector by one int, coefficient i in lane i of
     `bits` bits: key = sum(v[i] << bits * i).  A step at r adds the key
