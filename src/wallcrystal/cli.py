@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from wallcrystal.affine_data import Family, parse_type
 from wallcrystal.adapted_sequence import from_permutation
@@ -101,16 +102,9 @@ def _cmd_ineq(args, out):
     if args.k is not None:
         _colour(seq, args.k)
     if args.mode == "binf":
-        if args.lam is not None:
-            raise UsageError("ineq binf takes no --lambda")
-        ineqs = comb_infinity(seq, (args.s or 1, args.blocks), k=args.k,
+        ineqs = comb_infinity(seq, (args.s, args.blocks), k=args.k,
                               support_max=args.support_max)
     else:
-        if args.k is None:
-            raise UsageError("ineq blam needs --k")
-        for flag, value in (("--s", args.s), ("--support-max", args.support_max)):
-            if value is not None:
-                raise UsageError(f"ineq blam takes no {flag}")
         lam = _weight(seq, args.lam)
         ineqs = comb_lambda(seq, args.k, lam, args.blocks)
     _emit_ineqs(ineqs, args, out)
@@ -213,6 +207,9 @@ def _verify_crystal(args, seq, out):
 
     rng = random.Random(args.seed)
     colours = list(seq.base_type.index_set)
+    # colour k -> the Cartan column of k, indexed by colour - 1
+    cartan = {k: [cartan_entry(seq.base_type, j, k) for j in colours]
+              for k in colours}
     bad = 0
     for _ in range(args.samples):
         a = ZElement()
@@ -228,8 +225,7 @@ def _verify_crystal(args, seq, out):
             ok = (eps_b[i] > 0 and b.bump(last_b[i], -1) == a
                   and eps_b[i] == eps_a[i] + 1
                   and eps_b[i] + wt_b[i] == eps_a[i] + wt_a[i] - 1
-                  and all(wt_a[j - 1] - wt_b[j - 1]
-                          == cartan_entry(seq.base_type, j, k) for j in colours))
+                  and [p - q for p, q in zip(wt_a, wt_b)] == cartan[k])
             if not ok:
                 bad += 1
     out.write(f"crystal samples={args.samples} violations={bad}\n")
@@ -263,8 +259,8 @@ _LEAST_PERIODS = {"closure": 3, "positivity": 2}
 
 def _cmd_verify(args, out):
     seq = _sequence(args)
-    least = _LEAST_PERIODS.get(args.mode, 1)
-    if args.periods < least:
+    least = _LEAST_PERIODS.get(args.mode)
+    if least is not None and args.periods < least:
         raise UsageError(f"verify {args.mode} needs --periods of at least {least}")
     if args.mode == "closure":
         failures = _verify_closure(args, seq, out)
@@ -282,6 +278,56 @@ def _cmd_verify(args, out):
     return 0 if all(report.values()) else 2
 
 
+_NEEDED = object()  # the default of an option the user must give
+
+# The options only some modes of a command read: per mode, the ones it
+# reads with their defaults, or _NEEDED.  A mode refuses the others, so
+# the parser gives them no default: a default would hide an explicit
+# value.
+_MODE_OPTIONS = {
+    ("ineq", "binf"): {"--k": None, "--s": 1, "--support-max": None},
+    ("ineq", "blam"): {"--k": _NEEDED, "--lambda": _NEEDED},
+    ("walls", "enum"): {"--type": _NEEDED, "--order": _NEEDED, "--k": _NEEDED,
+                        "--blocks": 4},
+    ("walls", "render"): {"--wall": _NEEDED},
+    ("verify", "closure"): {"--s-max": 2, "--periods": 6},
+    ("verify", "crystal"): {"--depth": 6, "--samples": 200, "--seed": 0},
+    ("verify", "props"): {"--blocks": 5},
+    ("verify", "positivity"): {"--lambda": _NEEDED, "--periods": 6},
+    ("verify", "star"): {"--depth": 6},
+}
+
+
+def _dest(flag):
+    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
+
+
+def _mode_options(args):
+    """Refuse the options args.mode does not read, require the ones it
+    needs, and fill in the defaults of the others it reads."""
+    reads = _MODE_OPTIONS.get((args.command, getattr(args, "mode", None)))
+    if reads is None:
+        return
+    command = f"{args.command} {args.mode}"
+    flags = {flag: None for (cmd, _), options in _MODE_OPTIONS.items()
+             if cmd == args.command for flag in options}
+    missing = []
+    for flag in flags:
+        value = getattr(args, _dest(flag))
+        if flag not in reads:
+            if value is not None:
+                raise UsageError(f"{command} takes no {flag}")
+        elif value is None:
+            if reads[flag] is _NEEDED:
+                missing.append(flag)
+            else:
+                setattr(args, _dest(flag), reads[flag])
+    if missing:
+        listed = (", ".join(missing[:-1]) + " and " + missing[-1]
+                  if len(missing) > 1 else missing[0])
+        raise UsageError(f"{command} needs {listed}")
+
+
 def build_parser():
     parser = _Parser(prog="wallcrystal")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,7 +342,7 @@ def build_parser():
     p.add_argument("mode", choices=["binf", "blam"])
     common(p)
     p.add_argument("--k", type=int)
-    p.add_argument("--s", type=_at_least(1))  # binf reads 1 when absent
+    p.add_argument("--s", type=_at_least(1))
     p.add_argument("--blocks", type=_at_least(0), default=4)
     p.add_argument("--support-max", type=_at_least(1), dest="support_max",
                    metavar="N",
@@ -319,7 +365,7 @@ def build_parser():
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--order")
     p.add_argument("--k", type=int)
-    p.add_argument("--blocks", type=_at_least(0), default=4)
+    p.add_argument("--blocks", type=_at_least(0))
     p.add_argument("--wall")
     p.set_defaults(run=_cmd_walls)
 
@@ -327,34 +373,31 @@ def build_parser():
     p.add_argument("mode", choices=["closure", "crystal", "props", "positivity",
                                     "star"])
     common(p)
-    p.add_argument("--s-max", type=_at_least(1), default=2, dest="s_max")
-    p.add_argument("--periods", type=int, default=6)
-    p.add_argument("--blocks", type=_at_least(0), default=5)
-    p.add_argument("--depth", type=_at_least(0), default=6)
-    p.add_argument("--samples", type=_at_least(0), default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--s-max", type=_at_least(1), dest="s_max")
+    p.add_argument("--periods", type=int)
+    p.add_argument("--blocks", type=_at_least(0))
+    p.add_argument("--depth", type=_at_least(0))
+    p.add_argument("--samples", type=_at_least(0))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lambda", dest="lam")
     p.set_defaults(run=_cmd_verify)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first call: once per process, which
+    saves its build on every call after the first one in a process that
+    calls main many times, and costs an import of the module nothing."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "walls":
-            if args.mode == "enum" and (not args.type or not args.order
-                                        or args.k is None):
-                raise UsageError("walls enum needs --type, --order and --k")
-            if args.mode == "render" and not args.wall:
-                raise UsageError("walls render needs --wall")
-        if args.command == "ineq" and args.mode == "blam" and args.lam is None:
-            raise UsageError("ineq blam needs --lambda")
-        if args.command == "verify" and args.mode == "positivity" \
-                and args.lam is None:
-            raise UsageError("verify positivity needs --lambda")
+        args = _parser().parse_args(argv)
+        _mode_options(args)
         return args.run(args, out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,8 @@ from wallcrystal.affine_data import (
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form
 from wallcrystal.walls import (
-    Site, apply, ground_state, search_walls, sites, wall_literal,
+    Site, apply, ground_state, move_entries, search_walls, sites,
+    wall_literal,
 )
 from wallcrystal.zcrystal import ZElement, render_element, star_length
 
@@ -96,19 +97,36 @@ class WallFormMap:
     def __init__(self, seq: AdaptedSequence):
         self.seq = seq
         self._terms = {}  # wall -> its terms
+        self._entry_terms = {}  # id of a move-table entry -> its terms
         # (colour, site) -> r, and single index -> DoubleIndex
         self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
             DoubleIndex(_site_offset(seq, k, site), site.color)))
         self.coordinate = lru_cache(maxsize=None)(seq.reindex)
 
+    def _moves_terms(self, k, moves) -> tuple:
+        """The (r, signed weight) pairs of one move-table entry of colour
+        k, each r once."""
+        acc = {}
+        for site, _ in moves:
+            r = self.index(k, site)
+            acc[r] = acc.get(r, 0) + _direction(site) * _weight(site)
+        return tuple(acc.items())
+
     def terms(self, w) -> tuple:
-        """The nonzero (r, coefficient) pairs of the wall w, by r."""
+        """The nonzero (r, coefficient) pairs of the wall w, by r: the sum
+        of its move-table entries' pairs.  The table is shared by every
+        sequence, so each entry's pairs are found once per map, and held
+        by the entry's id (no entry is dropped)."""
         t = self._terms.get(w)
         if t is None:
             acc = {}
-            for st in sites(w):
-                r = self.index(w.k, st)
-                acc[r] = acc.get(r, 0) + _direction(st) * _weight(st)
+            known = self._entry_terms
+            for moves in move_entries(w):
+                pairs = known.get(id(moves))
+                if pairs is None:
+                    pairs = known[id(moves)] = self._moves_terms(w.k, moves)
+                for r, c in pairs:
+                    acc[r] = acc.get(r, 0) + c
             t = self._terms[w] = tuple(sorted(it for it in acc.items() if it[1]))
         return t
 

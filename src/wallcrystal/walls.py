@@ -217,14 +217,28 @@ class _Column:
     bare state and the others grouped by added atoms, listed on demand
     from _cost_groups.  One table serves every column of a wall, since a
     column's parity only decides which atom of a split cell sits at the
-    back, never the kinds of its cells."""
+    back, never the kinds of its cells.
+
+    It also holds the move tables of site detection: per host, a column's
+    local view (_views) -> its moves, as one shared tuple of (site, new
+    state).  Equal moves and sites are stored once, and no entry is ever
+    dropped, so a caller may key its own values by an entry's id."""
 
     def __init__(self, X, k, ground):
+        self.X, self.k, self.ground = X, k, ground
         self.base = (0, _base_top(X, k, ground))
         self._source = _cost_groups(X, k, ground, self.base)
         self._listed = []
         self._atoms = {self.base: 0}
         self._rows = 0  # every state of a lower row is listed
+        self.tables = {}  # host -> {local view: moves}
+        self._sites, self._entries = {}, {}
+
+    def shared(self, moves) -> tuple:
+        """The one stored tuple of these (site, new state) moves."""
+        moves = tuple([(self._sites.setdefault(site, site), st)
+                       for site, st in moves])
+        return self._entries.setdefault(moves, moves)
 
     def _more(self):
         c, group = next(self._source)
@@ -404,32 +418,42 @@ def is_proper(w) -> bool:
     return len(hs) == len(set(hs))
 
 
-def _local_view(w: Wall):
-    """(state, fits) for the columns of w: state(i) is the state of
-    column i, and fits(i, st) tells whether column i may take state st,
-    judged from its two neighbours and the heights of the other full
-    columns only (no wall is built)."""
-    states, column = w.states, w.column_table
-    base = column.base
-    heights = set(w.full_heights())
+def _views(w: Wall) -> list:
+    """The local view of each column i = 0..len(w.states) of w, the key of
+    its entry in the move table: (i, whether i < len(w.states), the states
+    of columns i - 1, i and i + 1, and whether rows m - 1, m and m + 1
+    hold a full column, m the row of column i's state).  Column 0 has no
+    column i - 1 (None), and the columns past the wall are bare.
 
-    def stat(i):
-        return states[i] if i < len(states) else base
+    That is all a column's moves read.  Its pattern cells depend on the
+    column only through i (A1) or i's parity, its steps on its own state,
+    and whether a new state fits on the two neighbours it must stay
+    under and over, and, for a full state, on whether another column is
+    full at that height.  A move changes the row by at most one."""
+    states = w.states
+    base = w.column_table.base
+    full = set(w.full_heights())
+    cols = (None,) + states + (base, base)
+    last = len(states)
+    return [(i, i < last, cols[i], old, cols[i + 2],
+             old[0] - 1 in full, old[0] in full, old[0] + 1 in full)
+            for i, old in enumerate(cols[1:-1])]
 
-    def fits(i, st):
-        m, top = st
-        if column.atoms(st) is None:
-            return False
-        if i > 0 and not _covers(stat(i - 1), st):
-            return False
-        if not _covers(st, stat(i + 1)):
-            return False
-        if top == NONE and m >= 1 and m in heights:
-            old = stat(i)
-            return old[1] == NONE and old[0] == m
-        return True
 
-    return stat, fits
+def _fits(column: _Column, view, st) -> bool:
+    """Whether the column with this local view may take state st, one row
+    at most from its own."""
+    _, _, prev, old, nxt, *full = view
+    m, top = st
+    if column.atoms(st) is None:
+        return False
+    if prev is not None and not _covers(prev, st):
+        return False
+    if not _covers(st, nxt):
+        return False
+    if top == NONE and m >= 1 and full[m - old[0] + 1]:
+        return old == st  # no two full columns of one height
+    return True
 
 
 # The steps a column takes on a cell of each kind, as (kind, top before,
@@ -456,63 +480,99 @@ for _k, _b, _r, _a, _g, _i in _STEPS:
 _PAIR_STEP = ((0, LOWER), (1, NONE))
 
 
-def _wall_moves(w: Wall, host: str):
-    """(site, new state of the site's column) for every single/double site
-    of one wall, read from _STEPS; the column table decides which new
-    states fit.  A doubled cell's double step, when it fits, hides the
-    single step in the same direction."""
-    X, k, ground, states = w.wall_type, w.k, w.ground, w.states
-    stat, fits = _local_view(w)
+def _column_moves(column: _Column, view, host: str) -> list:
+    """(site, new state) for every single/double site of the column with
+    this local view, read from _STEPS.  A doubled cell's double step,
+    when it fits, hides the single step in the same direction."""
+    i, inside, _, old, _, _, _, _ = view
+    m, top = old
+    cells = column_pattern(column.X, column.k, column.ground, i, m + 1)
+    pair = column.ground != LEVEL1 and old in _PAIR_STEP
+    # additions step out of the state on the next cell, removals back
+    # into it on the top cell: the last full one or the partial one
+    looks = ((cells[m], _OUT),)
+    if inside:
+        looks += ((cells[m - 1] if top == NONE else cells[m], _INTO),)
     out = []
-    for i in range(len(states) + 1):
-        m, top = old = stat(i)
-        cells = column_pattern(X, k, ground, i, m + 1)
-        pair = ground != LEVEL1 and old in _PAIR_STEP
-        # additions step out of the state on the next cell, removals back
-        # into it on the top cell: the last full one or the partial one
-        moves = ((cells[m], _OUT),)
-        if i < len(states):
-            moves += ((cells[m - 1] if top == NONE else cells[m], _INTO),)
-        for cell, table in moves:
-            for rows, other, action, grade, atom in table[cell.kind].get(top, ()):
-                st = (m + rows, other)
-                if (pair and st in _PAIR_STEP) or not fits(i, st):
-                    continue
-                out.append((Site(action, grade, cell.colors[atom], i,
-                                 cell.level, cell.args[atom], host), st))
-                if grade == "double":
-                    break
+    for cell, steps in looks:
+        for rows, other, action, grade, atom in steps[cell.kind].get(top, ()):
+            st = (m + rows, other)
+            if (pair and st in _PAIR_STEP) or not _fits(column, view, st):
+                continue
+            out.append((Site(action, grade, cell.colors[atom], i,
+                             cell.level, cell.args[atom], host), st))
+            if grade == "double":
+                break
     return out
 
 
-def _pair_moves(p: WallPair):
-    """(site, new state of the column in both members) for every k-pair
-    site; only the two members are checked."""
-    k = p.k
-    tbar = thresholds(p.wall_type, k)[1]
-    sup, cov = p.supporting, p.covering
-    stat_sup, fits_sup = _local_view(sup)
-    stat_cov, fits_cov = _local_view(cov)
+def _wall_entries(w: Wall, host: str, views) -> list:
+    """The move-table entry of each column of w, from its local view."""
+    column = w.column_table
+    table = column.tables.setdefault(host, {})
     out = []
+    for view in views:
+        moves = table.get(view)
+        if moves is None:
+            moves = table[view] = column.shared(_column_moves(column, view, host))
+        out.append(moves)
+    return out
+
+
+def _pair_entries(p: WallPair, sup_views, cov_views) -> list:
+    """The entries of p's k-pair sites: a column on the pair step in both
+    members moves in both, if the new state fits both views.  They are
+    keyed by both views, on the supporting member's column table."""
+    sup, cov = p.supporting.column_table, p.covering.column_table
+    table = sup.tables.setdefault("pair", {})
+    tbar = thresholds(sup.X, sup.k)[1]
     low, high = _PAIR_STEP
-    for i in range(max(len(sup.states), len(cov.states)) + 1):
-        st = stat_sup(i)
-        if st != stat_cov(i):
+    out = []
+    for vs, vc in zip(sup_views, cov_views):
+        if vs[3] != vc[3] or vs[3] not in _PAIR_STEP:
             continue
-        for action, old, new in (("add", low, high), ("remove", high, low)):
-            if st == old and fits_sup(i, new) and fits_cov(i, new):
-                out.append((Site(action, "pair", k, i, tbar, tbar, "pair"), new))
+        moves = table.get((vs, vc))
+        if moves is None:
+            moves = [(Site(action, "pair", sup.k, vs[0], tbar, tbar, "pair"), new)
+                     for action, old, new in (("add", low, high),
+                                              ("remove", high, low))
+                     if vs[3] == old and _fits(sup, vs, new) and _fits(cov, vc, new)]
+            moves = table[(vs, vc)] = sup.shared(moves)
+        out.append(moves)
     return out
 
 
-def _moves(w):
+def _wall_moves(w: Wall, host: str) -> list:
+    """(site, new state of the site's column) for every single/double site
+    of one wall: its columns' table entries in column order."""
+    return [mv for moves in _wall_entries(w, host, _views(w)) for mv in moves]
+
+
+def _pair_moves(p: WallPair) -> list:
+    """(site, new state of the column in both members) for every k-pair
+    site, in column order."""
+    return [mv for moves in _pair_entries(p, _views(p.supporting),
+                                          _views(p.covering))
+            for mv in moves]
+
+
+def move_entries(w) -> list:
+    """The move-table entries of w whose moves, concatenated, are the
+    moves sites() and transitions() list: a pair's supporting member,
+    then its covering member, then its k-pair sites.  NotProper unless w
+    is proper."""
     if not is_proper(w):
         raise NotProper(w)
     if isinstance(w, WallPair):
-        return (_wall_moves(w.supporting, "supporting")
-                + _wall_moves(w.covering, "covering")
-                + _pair_moves(w))
-    return _wall_moves(w, "wall")
+        sup, cov = _views(w.supporting), _views(w.covering)
+        return (_wall_entries(w.supporting, "supporting", sup)
+                + _wall_entries(w.covering, "covering", cov)
+                + _pair_entries(w, sup, cov))
+    return _wall_entries(w, "wall", _views(w))
+
+
+def _moves(w):
+    return [mv for moves in move_entries(w) for mv in moves]
 
 
 def _successor(w, site: Site, st):

@@ -256,6 +256,13 @@ def test_usage_errors_exit_one(capsys):
         ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1", "--support-max", "9"),
         ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1", "--s", "2"),
         ("ineq", "binf", *d2, "--k", "1", "--lambda", "1,1,1"),
+        ("verify", "crystal", *d2, "--lambda", "1,1,1"),
+        ("verify", "closure", *d2, "--depth", "99"),
+        ("verify", "props", *d2, "--periods", "0"),
+        ("verify", "star", *d2, "--samples", "200"),
+        ("walls", "enum", *d2, "--k", "1", "--wall", "x"),
+        ("walls", "render", "--rank", "3", "--blocks", "4",
+         "--wall", "ground=pair:C1:k=1;sup=[1];cov=[1]"),
         ("walls", "enum", *d2, "--k", "1", "--blocks", "-1"),
         ("verify", "props", *d2, "--blocks", "-1"),
         ("verify", "closure", *d2, "--periods", "1"),
@@ -298,6 +305,15 @@ FUZZ_COMMANDS = {
     ("verify", "star"): ([], []),
     ("verify", "positivity"): (["--lambda"], []),
 }
+# the size options each command reads; a command refuses the others
+FUZZ_SIZES = {
+    ("ineq", "binf"): ["--blocks"], ("ineq", "blam"): ["--blocks"],
+    ("walls", "enum"): ["--blocks"], ("verify", "props"): ["--blocks"],
+    ("verify", "closure"): ["--periods"], ("verify", "positivity"): ["--periods"],
+    ("verify", "crystal"): ["--depth", "--samples"], ("verify", "star"): ["--depth"],
+}
+SIZE_RANGE = {"--blocks": (0, 3), "--depth": (0, 3), "--periods": (1, 4),
+              "--samples": (0, 5)}
 
 
 def _member(family, rank, order):
@@ -360,12 +376,10 @@ def fuzz_argv(draw):
         argv += [flag] if flag == "--bare" else [flag, values[flag]()]
     if draw(odd):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_JUNK)))
-    # the sizes last, so that they bound every run whatever came before
-    if command[0] != "epsstar":
-        argv += ["--blocks", small(0, 3)]
-    if command[0] == "verify":
-        argv += ["--depth", small(0, 3), "--periods", small(1, 4),
-                 "--samples", small(0, 5)]
+    # the sizes the command reads last, so that they bound every run
+    # whatever came before
+    for flag in FUZZ_SIZES.get(command, ()):
+        argv += [flag, small(*SIZE_RANGE[flag])]
     return argv
 
 

@@ -291,12 +291,13 @@ def test_grow_loop_forms_each_wall_once(monkeypatch):
     import wallcrystal.wall_forms as wall_forms
 
     seen = []
+    entries = wall_forms.move_entries
 
     def counted(w):
         seen.append(w)
-        return sites(w)
+        return entries(w)
 
-    monkeypatch.setattr(wall_forms, "sites", counted)
+    monkeypatch.setattr(wall_forms, "move_entries", counted)
     seq = ex1_seq()
     comb_infinity(seq, (2, 2), support_max=2 * seq.n)
     assert len(seen) > len(enumerate_walls(seq.wall_type, 1, 2))
