@@ -424,12 +424,7 @@ def _views(w: Wall) -> list:
     of columns i - 1, i and i + 1, and whether rows m - 1, m and m + 1
     hold a full column, m the row of column i's state).  Column 0 has no
     column i - 1 (None), and the columns past the wall are bare.
-
-    That is all a column's moves read.  Its pattern cells depend on the
-    column only through i (A1) or i's parity, its steps on its own state,
-    and whether a new state fits on the two neighbours it must stay
-    under and over, and, for a full state, on whether another column is
-    full at that height.  A move changes the row by at most one."""
+    _wall_moves says why the view is all a column's moves read."""
     states = w.states
     base = w.column_table.base
     full = set(w.full_heights())
@@ -544,7 +539,15 @@ def _pair_entries(p: WallPair, sup_views, cov_views) -> list:
 
 def _wall_moves(w: Wall, host: str) -> list:
     """(site, new state of the site's column) for every single/double site
-    of one wall: its columns' table entries in column order."""
+    of one wall: its columns' table entries in column order.  The table
+    keys a column on its local view (_views): its index, whether it lies
+    inside the wall, its own and its two neighbours' states, and whether
+    its row and the rows next to it hold a full column.  That is all its
+    moves read: its pattern cells depend on the column only through its
+    index (A1) or the index's parity, its steps on its own state, and
+    whether a new state fits on the two neighbours it must stay under
+    and over and, for a full state, on whether another column is full at
+    that height; and a move changes the row by one at most."""
     return [mv for moves in _wall_entries(w, host, _views(w)) for mv in moves]
 
 
