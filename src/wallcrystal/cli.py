@@ -97,17 +97,20 @@ def _emit_ineqs(ineqs, args, out):
             out.write(text + "\n")
 
 
-def _cmd_ineq(args, out):
+def _cmd_binf(args, out):
     seq = _sequence(args)
     if args.k is not None:
         _colour(seq, args.k)
-    if args.mode == "binf":
-        ineqs = comb_infinity(seq, (args.s, args.blocks), k=args.k,
-                              support_max=args.support_max)
-    else:
-        lam = _weight(seq, args.lam)
-        ineqs = comb_lambda(seq, args.k, lam, args.blocks)
-    _emit_ineqs(ineqs, args, out)
+    _emit_ineqs(comb_infinity(seq, (args.s, args.blocks), k=args.k,
+                              support_max=args.support_max), args, out)
+    return 0
+
+
+def _cmd_blam(args, out):
+    seq = _sequence(args)
+    _colour(seq, args.k)
+    lam = _weight(seq, args.lam)
+    _emit_ineqs(comb_lambda(seq, args.k, lam, args.blocks), args, out)
     return 0
 
 
@@ -123,14 +126,16 @@ def _cmd_epsstar(args, out):
     return 0
 
 
-def _cmd_walls(args, out):
-    if args.mode == "render":
-        try:
-            w = parse_wall(args.wall, args.rank)
-        except ValueError as e:
-            raise UsageError(str(e))
-        out.write(render(w) + "\n")
-        return 0
+def _cmd_render(args, out):
+    try:
+        w = parse_wall(args.wall, args.rank)
+    except ValueError as e:
+        raise UsageError(str(e))
+    out.write(render(w) + "\n")
+    return 0
+
+
+def _cmd_enum(args, out):
     seq = _sequence(args)
     _colour(seq, args.k)
     X = seq.wall_type
@@ -173,10 +178,12 @@ def _verify_props(args, seq, out):
     bad = {s: [] for s in shifts}
     total = 0
     fmap = WallFormMap(seq)
+    # a wall is met again as each smaller wall's successor
+    terms = lru_cache(maxsize=None)(fmap.terms)
     for k in X.index_set:
         for w in enumerate_walls(X, k, args.blocks):
-            here = fmap.terms(w)
-            adds = [(st, fmap.index(k, st), fmap.terms(nxt))
+            here = terms(w)
+            adds = [(st, fmap.index(k, st), terms(nxt))
                     for st, nxt in transitions(w) if st.action == "add"]
             for s in shifts:
                 base = fmap.form(here, s)
@@ -251,145 +258,97 @@ def _verify_star(args, seq, out):
     return bad
 
 
-# the closures certify the window of single indices 1..(periods - 2) n for
-# `verify closure` and 1..(periods - 1) n for `verify positivity`, and a
-# certified window needs at least one period
-_LEAST_PERIODS = {"closure": 3, "positivity": 2}
-
-
-def _cmd_verify(args, out):
-    seq = _sequence(args)
-    least = _LEAST_PERIODS.get(args.mode)
-    if least is not None and args.periods < least:
-        raise UsageError(f"verify {args.mode} needs --periods of at least {least}")
-    if args.mode == "closure":
-        failures = _verify_closure(args, seq, out)
-        return 2 if failures else 0
-    if args.mode == "props":
-        return 2 if _verify_props(args, seq, out) else 0
-    if args.mode == "crystal":
-        return 2 if _verify_crystal(args, seq, out) else 0
-    if args.mode == "star":
-        return 2 if _verify_star(args, seq, out) else 0
+def _verify_positivity(args, seq, out):
     lam = _weight(seq, args.lam)
     report = positivity_report(seq, lam, (args.periods - 1) * seq.n)
     for key, val in report.items():
         out.write(f"{key}: {str(val).lower()}\n")
-    return 0 if all(report.values()) else 2
+    return [key for key, val in report.items() if not val]
 
 
-_NEEDED = object()  # the default of an option the user must give
-
-# The options only some modes of a command read: per mode, the ones it
-# reads with their defaults, or _NEEDED.  A mode refuses the others, so
-# the parser gives them no default: a default would hide an explicit
-# value.
-_MODE_OPTIONS = {
-    ("ineq", "binf"): {"--k": None, "--s": 1, "--support-max": None},
-    ("ineq", "blam"): {"--k": _NEEDED, "--lambda": _NEEDED},
-    ("walls", "enum"): {"--type": _NEEDED, "--order": _NEEDED, "--k": _NEEDED,
-                        "--blocks": 4},
-    ("walls", "render"): {"--wall": _NEEDED},
-    ("verify", "closure"): {"--s-max": 2, "--periods": 6},
-    ("verify", "crystal"): {"--depth": 6, "--samples": 200, "--seed": 0},
-    ("verify", "props"): {"--blocks": 5},
-    ("verify", "positivity"): {"--lambda": _NEEDED, "--periods": 6},
-    ("verify", "star"): {"--depth": 6},
-}
-
-
-def _dest(flag):
-    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
-
-
-def _mode_options(args):
-    """Refuse the options args.mode does not read, require the ones it
-    needs, and fill in the defaults of the others it reads."""
-    reads = _MODE_OPTIONS.get((args.command, getattr(args, "mode", None)))
-    if reads is None:
-        return
-    command = f"{args.command} {args.mode}"
-    flags = {flag: None for (cmd, _), options in _MODE_OPTIONS.items()
-             if cmd == args.command for flag in options}
-    missing = []
-    for flag in flags:
-        value = getattr(args, _dest(flag))
-        if flag not in reads:
-            if value is not None:
-                raise UsageError(f"{command} takes no {flag}")
-        elif value is None:
-            if reads[flag] is _NEEDED:
-                missing.append(flag)
-            else:
-                setattr(args, _dest(flag), reads[flag])
-    if missing:
-        listed = (", ".join(missing[:-1]) + " and " + missing[-1]
-                  if len(missing) > 1 else missing[0])
-        raise UsageError(f"{command} needs {listed}")
+def _verify(check):
+    """A verify mode's handler: exit 2 if check returns a failure."""
+    def run(args, out):
+        return 2 if check(args, _sequence(args), out) else 0
+    return run
 
 
 def build_parser():
+    """One parser per command and mode, declaring only the options it reads."""
     parser = _Parser(prog="wallcrystal")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--type", required=True)
-        p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--order", required=True,
-                       help="one period of the adapted order, e.g. 3,2,1")
+    def leaf(sub, name, run, config=True):
+        p = sub.add_parser(name)
+        if config:
+            p.add_argument("--type", required=True)
+            p.add_argument("--rank", type=int, required=True)
+            p.add_argument("--order", required=True,
+                           help="one period of the adapted order, e.g. 3,2,1")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("ineq")
-    p.add_argument("mode", choices=["binf", "blam"])
-    common(p)
+    def modes(name):
+        return commands.add_parser(name).add_subparsers(dest="mode", required=True)
+
+    def output(p):
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--bare", action="store_true")
+
+    ineq = modes("ineq")
+    p = leaf(ineq, "binf", _cmd_binf)
     p.add_argument("--k", type=int)
-    p.add_argument("--s", type=_at_least(1))
+    p.add_argument("--s", type=_at_least(1), default=1)
     p.add_argument("--blocks", type=_at_least(0), default=4)
     p.add_argument("--support-max", type=_at_least(1), dest="support_max",
                    metavar="N",
                    help="keep the forms supported within single indices "
                    "1..N, over every wall (--blocks is then ignored)")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--bare", action="store_true")
-    p.set_defaults(run=_cmd_ineq)
+    output(p)
+    p = leaf(ineq, "blam", _cmd_blam)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--blocks", type=_at_least(0), default=4)
+    output(p)
 
-    p = sub.add_parser("epsstar")
-    common(p)
+    p = leaf(commands, "epsstar", _cmd_epsstar)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--elem", required=True)
-    p.set_defaults(run=_cmd_epsstar)
 
-    p = sub.add_parser("walls")
-    p.add_argument("mode", choices=["enum", "render"])
-    p.add_argument("--type")
+    walls = modes("walls")
+    p = leaf(walls, "enum", _cmd_enum)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--blocks", type=_at_least(0), default=4)
+    p = leaf(walls, "render", _cmd_render, config=False)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--order")
-    p.add_argument("--k", type=int)
-    p.add_argument("--blocks", type=_at_least(0))
-    p.add_argument("--wall")
-    p.set_defaults(run=_cmd_walls)
+    p.add_argument("--wall", required=True)
 
-    p = sub.add_parser("verify")
-    p.add_argument("mode", choices=["closure", "crystal", "props", "positivity",
-                                    "star"])
-    common(p)
-    p.add_argument("--s-max", type=_at_least(1), dest="s_max")
-    p.add_argument("--periods", type=int)
-    p.add_argument("--blocks", type=_at_least(0))
-    p.add_argument("--depth", type=_at_least(0))
-    p.add_argument("--samples", type=_at_least(0))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lambda", dest="lam")
-    p.set_defaults(run=_cmd_verify)
+    # the closures certify the window of single indices 1..(periods - 2) n
+    # for `verify closure` and 1..(periods - 1) n for `verify positivity`,
+    # and a certified window needs at least one period
+    verify = modes("verify")
+    p = leaf(verify, "closure", _verify(_verify_closure))
+    p.add_argument("--s-max", type=_at_least(1), dest="s_max", default=2)
+    p.add_argument("--periods", type=_at_least(3), default=6)
+    p = leaf(verify, "crystal", _verify(_verify_crystal))
+    p.add_argument("--depth", type=_at_least(0), default=6)
+    p.add_argument("--samples", type=_at_least(0), default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p = leaf(verify, "props", _verify(_verify_props))
+    p.add_argument("--blocks", type=_at_least(0), default=5)
+    p = leaf(verify, "positivity", _verify(_verify_positivity))
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--periods", type=_at_least(2), default=6)
+    p = leaf(verify, "star", _verify(_verify_star))
+    p.add_argument("--depth", type=_at_least(0), default=6)
 
     return parser
 
 
 @lru_cache(maxsize=None)
 def _parser():
-    """The parser, built on the first call: once per process, which
-    saves its build on every call after the first one in a process that
-    calls main many times, and costs an import of the module nothing."""
+    """The parser, built on the first call: once per process, and never
+    by an import of the module."""
     return build_parser()
 
 
@@ -397,7 +356,6 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         args = _parser().parse_args(argv)
-        _mode_options(args)
         return args.run(args, out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -90,13 +90,12 @@ class WallFormMap:
     """The wall-to-form map of one sequence: L_{s,k}(w) for every wall w
     and shift s.  A site's coordinate at shift s has single index
     r + s n, with r its single index at s = 0, so the map finds r once
-    per (colour, site) and a wall's terms, the pairs (r, signed weight)
-    summed per r and sorted by r, once per wall.  Coordinates with index
-    below 1 vanish."""
+    per (colour, site).  A wall's terms are the pairs (r, signed weight)
+    summed per r and sorted by r.  Coordinates with index below 1
+    vanish."""
 
     def __init__(self, seq: AdaptedSequence):
         self.seq = seq
-        self._terms = {}  # wall -> its terms
         self._entry_terms = {}  # id of a move-table entry -> its terms
         # (colour, site) -> r, and single index -> DoubleIndex
         self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
@@ -116,19 +115,17 @@ class WallFormMap:
         """The nonzero (r, coefficient) pairs of the wall w, by r: the sum
         of its move-table entries' pairs.  The table is shared by every
         sequence, so each entry's pairs are found once per map, and held
-        by the entry's id (no entry is dropped)."""
-        t = self._terms.get(w)
-        if t is None:
-            acc = {}
-            known = self._entry_terms
-            for moves in move_entries(w):
-                pairs = known.get(id(moves))
-                if pairs is None:
-                    pairs = known[id(moves)] = self._moves_terms(w.k, moves)
-                for r, c in pairs:
-                    acc[r] = acc.get(r, 0) + c
-            t = self._terms[w] = tuple(sorted(it for it in acc.items() if it[1]))
-        return t
+        by the entry's id (no entry is dropped).  A caller that meets a
+        wall more than once keeps its terms itself."""
+        acc = {}
+        known = self._entry_terms
+        for moves in move_entries(w):
+            pairs = known.get(id(moves))
+            if pairs is None:
+                pairs = known[id(moves)] = self._moves_terms(w.k, moves)
+            for r, c in pairs:
+                acc[r] = acc.get(r, 0) + c
+        return tuple(sorted(it for it in acc.items() if it[1]))
 
     def form(self, terms: tuple, s: int) -> LinearForm:
         """L_{s,k}(w), given w's terms."""

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import wallcrystal
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.affine_data import parse_type
-from wallcrystal.cli import _int_list, main
+from wallcrystal.cli import _int_list, build_parser, main
 from wallcrystal.linear_forms import _forms, parse_form, render_form
 from wallcrystal.zcrystal import generate, render_element
 
@@ -164,6 +167,10 @@ def test_verify_closure_small():
                      "--order", "3,2,1", "--s-max", "1", "--periods", "4")
     assert code == 0
     assert text.count("ok") == 3 and "MISMATCH" not in text
+    # the fewest periods that certify a window
+    code, text = run("verify", "closure", "--type", "D2", "--rank", "3",
+                     "--order", "3,2,1", "--s-max", "1", "--periods", "3")
+    assert code == 0 and text.count("ok") == 3
 
 
 def test_verify_closure_readme_b1():
@@ -222,6 +229,10 @@ def test_verify_positivity():
                      "--order", "3,2,1", "--lambda", "1,1,1", "--periods", "4")
     assert code == 0
     assert text == "xi_positive: true\nstrict_positive: true\nample: true\n"
+    # the fewest periods that certify a window
+    code, _ = run("verify", "positivity", "--type", "D2", "--rank", "3",
+                  "--order", "3,2,1", "--lambda", "1,1,1", "--periods", "2")
+    assert code == 0
 
 
 def test_cli_imports_no_private_wall_forms_name():
@@ -266,6 +277,10 @@ def test_usage_errors_exit_one(capsys):
         ("walls", "enum", *d2, "--k", "1", "--blocks", "-1"),
         ("verify", "props", *d2, "--blocks", "-1"),
         ("verify", "closure", *d2, "--periods", "1"),
+        ("verify", "closure", *d2, "--periods", "2"),
+        ("verify", "positivity", *d2, "--lambda", "1,1,1", "--periods", "1"),
+        # the mode comes before any option
+        ("ineq", *d2, "binf"),
         ("verify", "crystal", *d2, "--depth", "-1"),
         ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
         # a code must name the lone atom of the state its count picks
@@ -285,6 +300,67 @@ def test_usage_errors_exit_one(capsys):
         if "--type" in argv and "dagger" in argv[argv.index("--type") + 1].lower():
             assert "A1, B1, C1, D1, A2even, A2odd, D2" in err[0], err
     assert "colour 7" in err[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ineq", "blam", "--k", "1", "--lambda", "1,1,1", "--s", "2"),
+     "unrecognized arguments: --s 2"),
+    (("ineq", "blam"), "the following arguments are required: --k, --lambda"),
+    (("verify", "closure", "--periods", "2"),
+     "argument --periods: must be at least 3, got 2"),
+    (("verify", "positivity", "--lambda", "1,1,1", "--periods", "1"),
+     "argument --periods: must be at least 2, got 1"),
+])
+def test_usage_errors_name_the_option(capsys, argv, message):
+    d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")
+    assert run(*argv[:2], *d2, *argv[2:])[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+CONFIG = {"--type": None, "--rank": None, "--order": None}
+
+
+def readme_options():
+    """The README's per-mode option list under "## Command line": mode ->
+    {option: its default in brackets, or None}, with the configuration
+    unless the entry ends in "only"."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = section.split("with defaults in brackets", 1)[1].replace("\n  ", " ")
+    modes = {}
+    for mode, body in re.findall(r"^- `([a-z ]+)`: (.*)[;.]$", section, re.M):
+        options = {flag: default or None for flag, default in
+                   re.findall(r"`(--[a-z-]+)`(?: \(([^)]*)\))?", body)}
+        modes[mode] = options if body.endswith(" only") else {**CONFIG, **options}
+    return modes
+
+
+def parser_options():
+    """The same, read from each mode's subparser: an option's default is
+    None where it must be given, has none or is a flag."""
+    modes = {}
+
+    def walk(parser, name):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if subs:
+            for mode, sub in subs[0].choices.items():
+                walk(sub, f"{name} {mode}".strip())
+            return
+        modes[name] = {
+            a.option_strings[-1]: None if a.required or a.default is None
+            or a.nargs == 0 else str(a.default)
+            for a in parser._actions if a.option_strings and a.dest != "help"}
+
+    walk(build_parser(), "")
+    return modes
+
+
+def test_readme_option_list_matches_the_parser():
+    documented = readme_options()
+    assert len(documented) == 10
+    assert documented == parser_options()
 
 
 # --- fuzzing the command line ------------------------------------------
