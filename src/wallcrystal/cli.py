@@ -34,6 +34,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, and takes options only as spelled in full (the
+    subparsers are built from this class too, so they inherit both)."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

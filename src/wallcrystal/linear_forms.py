@@ -334,9 +334,9 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     exceeds every seed and step coefficient (the constant lane of S-hat'
     holds <h_k, lambda>, which may be large); a new vector with a lane
     at or past that quarter restarts the search at twice the width.  The
-    search runs on plain ints, not numpy: importing numpy takes about
-    0.1 s, longer than a typical `verify closure` run, which imports
-    none.
+    search runs on plain ints, as does the lattice sweep
+    `zcrystal._cut_points`, so the package needs no numpy, whose import
+    alone takes about 0.1 s, longer than a typical `verify closure` run.
     """
     n = seq.n
     if window < n:

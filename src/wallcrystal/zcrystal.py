@@ -5,6 +5,7 @@ generated elements against the inequality systems."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import repeat
 
 from wallcrystal.affine_data import cartan_entry, cartan_matrix
@@ -316,83 +317,72 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     return out
 
 
-# entries of one block of form values in the lattice sweep
-_BLOCK = 1 << 18
-
-
-def _cut_points(forms, box: int, depth: int):
+def _cut_points(forms, box: int, depth: int) -> list:
     """The nonnegative integer points of length box with coordinate sum
     <= depth on which every form (dense, as `_window_forms` returns them)
-    is >= 0, as an int64 array with one point per row.
+    is >= 0, as a list of tuples in no set order.
 
-    The sweep assigns coordinate L at level L to a whole frontier of
-    partial points at once.  A form whose last nonzero coefficient a sits
-    at L reads p + a x_L, with p fixed by the partial point, so it bounds
-    x_L from below by ceil(-p / a) if a > 0 and from above by
-    floor(p / -a) if a < 0.  Both bounds are monotone in p, so among the
-    forms of one a only the least p counts: each partial point branches
-    into exactly the interval of x_L its forms allow (and its remaining
-    budget), and no point that fails a form is ever built.  A partial
-    point is held as its unit steps, coordinate r repeated x_r times in
-    increasing order and 0 in the unused slots, so p is the sum of the
-    forms' columns over the steps: the product of the points with the
-    coefficient matrix, computed over the few nonzero coordinates.  The
-    values are exact int64 (|p| <= |constant| + depth max|coefficient|,
-    checked against 2**62) in blocks of at most _BLOCK entries.
+    The sweep assigns the coordinates top-down, x_box at level box first,
+    then x_{box - 1}, ..., x_1, to a whole frontier of partial points.  A
+    form is settled at the level of its first nonzero coefficient a: at
+    level L such a form reads p + a x_L, with p fixed by the partial
+    point, so the values of x_L it allows form a half-line, and those
+    that every form settled at L allows form an interval.  Each partial
+    point branches into exactly that interval (capped by its remaining
+    budget), so no point that fails a form is ever built.
+
+    A partial point carries one int q holding the value of every form not
+    yet settled, form i in lane i of `bits` bits, biased by
+    2**(bits - 1).  The forms are sorted by first index, last first, so
+    the lanes settled at L are the lowest ones; a value is >= 0 exactly
+    when the top bit of its lane is set, so x_L is allowed when q & mask
+    == mask, and q steps to x_L + 1 by adding the column of the
+    coefficients of x_L.  The settled lanes are then shifted out.  Every
+    value is at most |constant| + depth max|coefficient| in size, below
+    2**(bits - 1), so no lane carries into the next and the values are
+    exact for any size of coefficient.
     """
-    import numpy as np
-
-    if forms:
-        bound = max(abs(v[0]) for v in forms) + \
-            depth * max(max(map(abs, v[1:]), default=0) for v in forms)
-        if bound >= 1 << 62:
-            raise ValueError(f"form values up to {bound} overflow the int64 sweep")
-    by_level = [[] for _ in range(box + 1)]
+    lanes = []  # (first index, form) of the forms with a variable
     for v in forms:
-        level = next((r for r in range(box, 0, -1) if v[r]), 0)
-        by_level[level].append(v)
-    if any(v[0] < 0 for v in by_level[0]):
-        raise ValueError("inconsistent constant inequality in the window")
+        first = next((r for r in range(1, box + 1) if v[r]), 0)
+        if first:
+            lanes.append((first, v))
+        elif v[0] < 0:
+            raise ValueError("inconsistent constant inequality in the window")
+    lanes.sort(key=lambda lane: lane[0], reverse=True)
+    bound = max((abs(v[0]) + depth * max(map(abs, v[1:box + 1]))
+                 for _, v in lanes), default=0)
+    bits = 8
+    while bound >> (bits - 1):
+        bits *= 2
+    size, half = bits // 8, 1 << (bits - 1)
 
-    steps = np.zeros((1, depth), dtype=np.intp)
-    used = np.zeros(1, dtype=np.intp)  # filled slots: the coordinate sum
-    for level in range(1, box + 1):
-        lo = np.zeros(len(steps), dtype=np.int64)
-        hi = (depth - used).astype(np.int64)
-        rows = sorted(by_level[level], key=lambda v: v[level])
-        if rows:
-            mat = np.array([v[:level + 1] for v in rows], dtype=np.int64)
-            const, coef = mat[:, 0], mat[:, level]
-            columns = mat[:, :level].T.copy()  # row r: the coefficients of x_r
-            columns[0] = 0  # the unused slots
-            values, starts = np.unique(coef, return_index=True)
-            groups = list(zip(values.tolist(), starts, [*starts[1:], len(rows)]))
-            size = max(1, _BLOCK // len(rows))
-            for s in range(0, len(steps), size):
-                block = steps[s:s + size]
-                p = np.repeat(const[None], len(block), axis=0)
-                for t in range(int(used[s:s + size].max())):
-                    p += columns[block[:, t]]
-                for a, first, end in groups:
-                    least = p[:, first:end].min(axis=1)
-                    if a > 0:
-                        np.maximum(lo[s:s + size], -(least // a), out=lo[s:s + size])
-                    else:
-                        np.minimum(hi[s:s + size], least // -a, out=hi[s:s + size])
-        count = np.maximum(hi - lo + 1, 0)
-        parent = np.repeat(np.arange(len(steps)), count)
-        offset = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
-        xs = lo[parent] + offset
-        steps, used = steps[parent], used[parent]
-        for t in range(int(xs.max(initial=0))):
-            more = np.flatnonzero(xs > t)
-            steps[more, used[more] + t] = level
-        used += xs
+    def packed(values):  # lane i holds values[i] + half
+        return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
+                                       for c in values), "little")
 
-    points = np.zeros((len(steps), box + 1), dtype=np.int64)
-    for t in range(depth):
-        points[np.arange(len(steps)), steps[:, t]] += 1
-    return points[:, 1:]
+    def biased_zeros(count):  # lanes of value 0; also their top bits
+        return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+    at_level = Counter(first for first, _ in lanes)
+    frontier = [(packed([v[0] for _, v in lanes]), depth, ())]
+    for level in range(box, 0, -1):
+        column = packed([v[level] for _, v in lanes]) - biased_zeros(len(lanes))
+        settled = at_level[level]
+        mask, shift = biased_zeros(settled), bits * settled
+        lanes = lanes[settled:]
+        nxt = []
+        for q, budget, point in frontier:
+            allowed = False
+            for x in range(budget + 1):
+                if q & mask == mask:
+                    nxt.append((q >> shift, budget - x, (x,) + point))
+                    allowed = True
+                elif allowed:
+                    break  # the allowed values are an interval
+                q += column
+        frontier = nxt
+    return [point for _, _, point in frontier]
 
 
 def verify_equivalence(seq: AdaptedSequence, depth: int,
@@ -404,8 +394,9 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     must cover the support of every generated element (checked).  The
     report lists the mismatches between the two sets restricted to the
     box, and the generated elements violating a windowed inequality.
-    The lattice points are found by an exact int64 interval sweep, one
-    coordinate per level over blocks of partial points (`_cut_points`).
+    The lattice points are found by an exact interval sweep on packed
+    ints, one coordinate per level from the top one down, each form
+    settled at its first nonzero coefficient (`_cut_points`).
     Generated elements are nonnegative with coordinate sum <= depth, so
     the sweep decides each of them: the violating ones are exactly those
     outside the cut (`extra`).
@@ -422,7 +413,7 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
         raise ValueError(f"box {box} does not cover generated support {max_supp}")
     s_max = box // seq.n + 1
     forms = _window_forms(seq, box, s_max, lam)
-    cut = set(map(tuple, _cut_points(forms, box, depth).tolist()))
+    cut = set(_cut_points(forms, box, depth))
 
     coords = range(1, box + 1)
     vectors = {a: tuple(map(a._entries.get, coords, repeat(0))) for a in gen}

@@ -281,6 +281,9 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "positivity", *d2, "--lambda", "1,1,1", "--periods", "1"),
         # the mode comes before any option
         ("ineq", *d2, "binf"),
+        # options are spelled in full, not abbreviated
+        ("verify", "closure", *d2, "--s", "1"),
+        ("ineq", "binf", *d2, "--k", "1", "--supp", "3"),
         ("verify", "crystal", *d2, "--depth", "-1"),
         ("walls", "render", "--rank", "3", "--wall", "ground=yw:D2:k=9;cols=[1]"),
         # a code must name the lone atom of the state its count picks

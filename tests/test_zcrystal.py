@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -440,24 +443,84 @@ def test_negative_depth_and_box_are_rejected():
     assert verify_equivalence(seq, 0, box=0)["ok"]
 
 
-@pytest.mark.parametrize("coefficient,fits", [(2 ** 61 - 1, True), (2 ** 61, False)])
-def test_sweep_rejects_values_past_int64_headroom(monkeypatch, coefficient, fits):
-    # at depth 2 the form c x_1 >= 0 reaches 2 c, which must stay below 2**62
+@pytest.mark.parametrize("head", [(0, 2 ** 61 - 1), (0, 2 ** 61), (0, 2 ** 100),
+                                  (-2 ** 70, 2 ** 70)],
+                         ids=["2^61-1", "2^61", "2^100", "constant -2^70"])
+def test_sweep_is_exact_for_values_of_any_size(monkeypatch, head):
+    # at depth 2 the form c_0 + c x_1 reaches |c_0| + 2 c in size, so the
+    # sweep's lanes run 64 and 128 bits wide
     import wallcrystal.zcrystal as zc
 
-    window_forms = zc._window_forms
+    window_forms, seen = zc._window_forms, []
 
     def with_big(seq, support_cap, *rest):
-        big = (0, coefficient) + (0,) * (support_cap - 1)
-        return window_forms(seq, support_cap, *rest) | {big}
+        forms = window_forms(seq, support_cap, *rest)
+        forms = forms | {head + (0,) * (support_cap - 1)}
+        seen.append((support_cap, forms))
+        return forms
 
     monkeypatch.setattr(zc, "_window_forms", with_big)
     seq = ex1_seq()
-    if fits:
-        assert zc.verify_equivalence(seq, 2)["ok"]
-    else:
-        with pytest.raises(ValueError, match="int64"):
-            zc.verify_equivalence(seq, 2)
+    rep = zc.verify_equivalence(seq, 2)
+    (box, forms), = seen
+    want = _reference_report(seq, 2, None, forms, box)
+    assert rep["cut"] == want["cut"]
+    assert rep["missing"] == want["missing"]
+    assert rep["extra"] == want["extra"]
+    assert set(rep["violations"]) == want["violations"]
+    assert rep["ok"] == (head[0] == 0)
+
+
+def _brute_cut(forms, box, depth):
+    return {vec for vec in itertools.product(range(depth + 1), repeat=box)
+            if sum(vec) <= depth
+            and all(v[0] + sum(c * e for c, e in zip(v[1:], vec)) >= 0
+                    for v in forms)}
+
+
+def test_cut_points_match_brute_force_on_random_forms():
+    from wallcrystal.zcrystal import _cut_points
+
+    rng = random.Random(19)
+    compared = wide = inconsistent = 0
+    for trial in range(200):
+        box, depth = rng.randint(0, 5), rng.randint(0, 4)
+        scale = 40 if trial % 4 == 0 else 1  # values past the 8-bit lanes
+        forms = {(rng.randint(0, 2),) + (0,) * box}  # a constant-only form
+        for _ in range(rng.randint(0, 8)):
+            forms.add((rng.randint(-2, 2),)
+                      + tuple(scale * rng.randint(-3, 3) for _ in range(box)))
+        if trial % 10 == 0:
+            forms.add((-1,) + (0,) * box)
+        if any(v[0] < 0 and not any(v[1:]) for v in forms):
+            with pytest.raises(ValueError, match="inconsistent constant inequality"):
+                _cut_points(forms, box, depth)
+            inconsistent += 1
+            continue
+        got = _cut_points(forms, box, depth)
+        assert len(got) == len(set(got))
+        assert set(got) == _brute_cut(forms, box, depth), (forms, box, depth)
+        compared += 1
+        wide += max(abs(v[0]) + depth * max(map(abs, v[1:]), default=0)
+                    for v in forms) >= 128
+    assert compared >= 100 and wide >= 10 and inconsistent >= 20
+
+
+def test_verify_equivalence_imports_no_numpy():
+    import wallcrystal
+
+    code = ("import sys\n"
+            "from wallcrystal.adapted_sequence import from_permutation\n"
+            "from wallcrystal.affine_data import AffineType, Family\n"
+            "from wallcrystal.zcrystal import verify_equivalence\n"
+            "seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))\n"
+            "assert verify_equivalence(seq, 4)['ok']\n"
+            "assert 'numpy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("values", [(1, 1), (1, 1, 1, 5)])
