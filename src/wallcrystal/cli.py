@@ -8,7 +8,7 @@ import json
 import sys
 from functools import lru_cache
 
-from wallcrystal.affine_data import Family, parse_type
+from wallcrystal.affine_data import Family, cartan_matrix, parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, _forms, beta, closure, positivity_report,
@@ -22,7 +22,6 @@ from wallcrystal.wall_forms import (
 )
 from wallcrystal.zcrystal import (
     ZElement, _sigma_profile, f_tilde, generate, parse_element,
-    weight_pairings,
 )
 # the crystal operators, bound here under their names for callers and
 # tracers that look them up on this module
@@ -212,33 +211,29 @@ def _verify_props(args, seq, out):
 def _verify_crystal(args, seq, out):
     """For sampled elements a and every colour k with b = f_tilde_k a:
     e_tilde_k b = a, epsilon_k rises by one, phi_k falls by one, and the
-    weight pairings change by the Cartan column of k.  epsilon, f_tilde
-    and e_tilde are read from one sigma profile of a and one of each b;
-    the pairings from a separate pass over the support."""
+    weight pairings change by the Cartan column of k.  epsilon, f_tilde,
+    e_tilde and the weight are read from one sigma profile of a and one
+    of each b."""
     import random
-    from wallcrystal.affine_data import cartan_entry
 
     rng = random.Random(args.seed)
     colours = list(seq.base_type.index_set)
-    # colour k -> the Cartan column of k, indexed by colour - 1
-    cartan = {k: [cartan_entry(seq.base_type, j, k) for j in colours]
-              for k in colours}
+    # entry k - 1 is the Cartan column of colour k
+    columns = list(zip(*cartan_matrix(seq.base_type)))
     bad = 0
     for _ in range(args.samples):
         a = ZElement()
         for _ in range(rng.randint(0, args.depth)):
             a = f_tilde(seq, a, rng.choice(colours))
-        eps_a, first_a, _, _ = _sigma_profile(seq, a)
-        wt_a = weight_pairings(seq, a)
-        for k in colours:
-            i = k - 1
+        eps_a, first_a, _, w_a = _sigma_profile(seq, a)
+        for i, column in enumerate(columns):
             b = a.bump(first_a[i], 1)
-            eps_b, _, last_b, _ = _sigma_profile(seq, b)
-            wt_b = weight_pairings(seq, b)
+            eps_b, _, last_b, w_b = _sigma_profile(seq, b)
+            # the profile's weight is sum_r C[k, i_r] a_r, so phi_k = eps_k - w_k
             ok = (eps_b[i] > 0 and b.bump(last_b[i], -1) == a
                   and eps_b[i] == eps_a[i] + 1
-                  and eps_b[i] + wt_b[i] == eps_a[i] + wt_a[i] - 1
-                  and [p - q for p, q in zip(wt_a, wt_b)] == cartan[k])
+                  and eps_b[i] - w_b[i] == eps_a[i] - w_a[i] - 1
+                  and tuple(q - p for p, q in zip(w_a, w_b)) == column)
             if not ok:
                 bad += 1
     out.write(f"crystal samples={args.samples} violations={bad}\n")

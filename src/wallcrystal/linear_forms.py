@@ -99,8 +99,7 @@ class LinearForm:
 
     def evaluate(self, a) -> int:
         """a: mapping DoubleIndex -> int (missing = 0)."""
-        get = a.get if hasattr(a, "get") else a.__getitem__
-        return self.constant + sum(c * (get(d, 0) or 0) for d, c in self.terms)
+        return self.constant + sum(c * a.get(d, 0) for d, c in self.terms)
 
     def __eq__(self, other):
         return (
@@ -199,11 +198,12 @@ def r_minus(seq: AdaptedSequence, r: int) -> int:
     return r - seq.n if r > seq.n else 0
 
 
-def beta_signed(seq: AdaptedSequence, r: int, sign: str, lam: DominantWeight) -> LinearForm:
-    if sign == "+":
-        return beta_at(seq, r)
+def beta_minus(seq: AdaptedSequence, r: int,
+               lam: DominantWeight | None = None) -> LinearForm:
+    """The form a step at r adds at a negative coefficient: beta_{r - n}
+    past the first period; in it, -lambda^(k) with lam, and 0 without."""
     rm = r_minus(seq, r)
-    if rm > 0:
+    if rm > 0 or lam is None:
         return beta_at(seq, rm)
     return -lambda_form(seq, seq.entry(r), lam)
 
@@ -222,9 +222,9 @@ def s_prime(seq: AdaptedSequence, r: int, phi: LinearForm) -> LinearForm:
 def s_hat(seq: AdaptedSequence, r: int, phi: LinearForm, lam: DominantWeight) -> LinearForm:
     c = phi.coeff(seq.reindex(r))
     if c > 0:
-        return phi - beta_signed(seq, r, "+", lam)
+        return phi - beta_at(seq, r)
     if c < 0:
-        return phi + beta_signed(seq, r, "-", lam)
+        return phi + beta_minus(seq, r, lam)
     return phi
 
 
@@ -265,8 +265,9 @@ def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
 
 
 def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
-            op: str = "S'", lam: DominantWeight | None = None):
-    """The S' (or S-hat') closure of the seeds, certified on a window.
+            lam: DominantWeight | None = None):
+    """The closure of the seeds, certified on a window: under S' without
+    lam, under S-hat' with it (they differ only in the first period).
 
     `window` (W below) is the last single index a certified form may
     touch; it must be at least one period n.  Returns (certified,
@@ -341,21 +342,12 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     n = seq.n
     if window < n:
         raise ValueError("the certified window needs at least one period")
-    if op not in ("S'", "Shat'"):
-        raise ValueError(op)
-    hatted = op == "Shat'"
-    if hatted:
-        lam = DominantWeight.zero(n) if lam is None else lam.check_rank(n)
     seeds = list(seeds)
-    if not hatted and any(phi.constant for phi in seeds):
+    if lam is None and any(phi.constant for phi in seeds):
         raise ConstantPresent("S' acts on forms with zero constant")
     # (beta^+_r, beta^-_r) for r = 1..window
-    if hatted:
-        betas = [(beta_signed(seq, r, "+", lam), beta_signed(seq, r, "-", lam))
-                 for r in range(1, window + 1)]
-    else:
-        betas = [(beta_at(seq, r), beta_at(seq, r_minus(seq, r)))
-                 for r in range(1, window + 1)]
+    betas = [(beta_at(seq, r), beta_minus(seq, r, lam))
+             for r in range(1, window + 1)]
     width = 1 + max(support_bound(seq, phi)
                     for phi in seeds + [phi for pair in betas for phi in pair])
     # the step at r, as sparse (index, coefficient) lists: -beta^+_r where
@@ -452,7 +444,7 @@ def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) ->
         xk = _dense(seq, xk, len(cert[0]))  # at the width closure returns
         strict_positive &= first_occ_ok(v for v in cert if v != xk)
 
-    hat_closure, _ = closure(seq, hat_seeds, window, op="Shat'", lam=lam)
+    hat_closure, _ = closure(seq, hat_seeds, window, lam=lam)
     ample = all(v[0] >= 0 for v in hat_closure)
 
     return {"xi_positive": xi_positive, "strict_positive": strict_positive, "ample": ample}

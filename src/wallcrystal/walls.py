@@ -761,7 +761,7 @@ def _render_wall(w: Wall) -> str:
                 if have == 2:
                     fr, bk = f"{front:>2}f", f"{back:>2}b"
                 elif have == 1:
-                    if top == FRONT or (mm < m):
+                    if top == FRONT:
                         fr, bk = f"{front:>2}f", " . "
                     else:
                         fr, bk = " . ", f"{back:>2}b"

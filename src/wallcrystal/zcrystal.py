@@ -173,16 +173,9 @@ def epsilon(seq: AdaptedSequence, a: ZElement, k: int) -> int:
 def weight_pairings(seq: AdaptedSequence, a: ZElement,
                     lam: DominantWeight | None = None) -> list:
     """<h_k, lam + wt(a)> = lam_k - sum_r C[k, i_r] a_r for every colour k,
-    as a list indexed by colour - 1, from one pass over the support."""
-    n = seq.n
-    perm = seq.period_perm
-    cartan = cartan_matrix(seq.base_type)
-    out = list(lam.check_rank(n).values) if lam is not None else [0] * n
-    for r, v in a._entries.items():
-        c = perm[(r - 1) % n] - 1
-        for k in range(n):
-            out[k] -= cartan[k][c] * v
-    return out
+    as a list indexed by colour - 1: lam less the sigma profile's weight."""
+    lam = DominantWeight.zero(seq.n) if lam is None else lam.check_rank(seq.n)
+    return [l - w for l, w in zip(lam.values, _sigma_profile(seq, a)[3])]
 
 
 def wt_pairing(seq: AdaptedSequence, a: ZElement, k: int,
@@ -312,7 +305,7 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     out = {v[:width] for v in cert if not any(v[width:])}
     if lam is not None:
         hw_seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
-        cert2, _ = closure(seq, hw_seeds, window, op="Shat'", lam=lam)
+        cert2, _ = closure(seq, hw_seeds, window, lam=lam)
         out |= {v[:width] for v in cert2 if any(v) and not any(v[width:])}
     return out
 

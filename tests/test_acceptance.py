@@ -254,8 +254,7 @@ def test_criterion_7_highest_weight_closure(capsys):
             cutoff = 3 * n
             want = {f for f in comb_lambda(seq, k, lam, budget).forms
                     if support_bound(seq, f) <= cutoff}
-            cert, _ = closure(seq, [lambda_form(seq, k, lam)], cutoff,
-                              op="Shat'", lam=lam)
+            cert, _ = closure(seq, [lambda_form(seq, k, lam)], cutoff, lam=lam)
             got = {f for f in _forms(seq, cert)
                    if not f.is_zero() and support_bound(seq, f) <= cutoff}
             assert got == want, (seq.base_type, k, lam.values)

@@ -36,8 +36,8 @@ def closure_digest(name, window):
     hat_seeds = seeds + [lambda_form(seq, k, lam)
                          for k in seq.base_type.index_set]
     lines = []
-    for op, op_seeds in (("S'", seeds), ("Shat'", hat_seeds)):
-        cert, _ = closure(seq, op_seeds, window, op=op, lam=lam)
+    for op, op_seeds, op_lam in (("S'", seeds, None), ("Shat'", hat_seeds, lam)):
+        cert, _ = closure(seq, op_seeds, window, lam=op_lam)
         forms = sorted(map(render_form, _forms(seq, cert)))
         lines.append(f"{op} certified {len(forms)}")
         lines.extend(forms)

@@ -13,8 +13,8 @@ from wallcrystal import linear_forms
 from wallcrystal.affine_data import AffineType, Family
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    ConstantPresent, DominantWeight, LinearForm, beta_at, beta_signed,
-    _forms, closure, lambda_form, r_minus, support_bound, x,
+    ConstantPresent, DominantWeight, LinearForm, beta_at, beta_minus,
+    _forms, closure, lambda_form, support_bound, x,
 )
 
 SETTINGS = [
@@ -27,16 +27,9 @@ SETTINGS = [
 ]
 
 
-def reference_closure(seq, seeds, window, cap, op="S'", lam=None):
-    hatted = op == "Shat'"
-    steps = []
-    for r in range(1, cap + 1):
-        if hatted:
-            plus, minus = (beta_signed(seq, r, "+", lam),
-                           beta_signed(seq, r, "-", lam))
-        else:
-            plus, minus = beta_at(seq, r), beta_at(seq, r_minus(seq, r))
-        steps.append((seq.reindex(r), plus, minus))
+def reference_closure(seq, seeds, window, cap, lam=None):
+    steps = [(seq.reindex(r), beta_at(seq, r), beta_minus(seq, r, lam))
+             for r in range(1, cap + 1)]
     seen = set(seeds)
     queue = list(seen)
     while queue:
@@ -74,8 +67,8 @@ def test_s_hat_matches_reference(name, g, order, lam_values):
     seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
     for window in (n, 2 * n, 3 * n, 4 * n):
         got = tuple(_forms(seq, v)
-                    for v in closure(seq, seeds, window, op="Shat'", lam=lam))
-        want = reference_closure(seq, seeds, window, window, op="Shat'", lam=lam)
+                    for v in closure(seq, seeds, window, lam=lam))
+        want = reference_closure(seq, seeds, window, window, lam=lam)
         assert got == want, (name, window)
 
 
@@ -91,11 +84,12 @@ def test_wider_search_certifies_the_same_forms(name, g, order, lam_values):
     for window in (n, 2 * n + 1, 3 * n):
         seeds = [x(s, k) for s in range(1, window // n + 2) for k in colours]
         hat_seeds = seeds + [lambda_form(seq, k, lam) for k in colours]
-        for op, op_seeds in (("S'", seeds), ("Shat'", hat_seeds)):
+        for op, op_seeds, op_lam in (("S'", seeds, None),
+                                     ("Shat'", hat_seeds, lam)):
             narrow, _ = reference_closure(seq, op_seeds, window, window,
-                                          op=op, lam=lam)
+                                          lam=op_lam)
             wide, _ = reference_closure(seq, op_seeds, window, window + 2 * n,
-                                        op=op, lam=lam)
+                                        lam=op_lam)
             assert narrow == wide, (name, op, window)
 
 
@@ -139,9 +133,8 @@ def test_wide_coefficients():
     lam = DominantWeight((1 << 20, 1, 1 << 20))
     seeds = [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
     got = tuple(_forms(seq, v)
-                for v in closure(seq, seeds, window, op="Shat'", lam=lam))
-    assert got == reference_closure(seq, seeds, window, window, op="Shat'",
-                                    lam=lam)
+                for v in closure(seq, seeds, window, lam=lam))
+    assert got == reference_closure(seq, seeds, window, window, lam=lam)
 
 
 def test_constants_outgrow_the_seeds(monkeypatch):
@@ -162,8 +155,7 @@ def test_constants_outgrow_the_seeds(monkeypatch):
 
     monkeypatch.setattr(linear_forms, "_keyed_search", spy)
     got = tuple(_forms(seq, v)
-                for v in closure(seq, seeds, 2 * n, op="Shat'", lam=lam))
-    assert got == reference_closure(seq, seeds, 2 * n, 2 * n, op="Shat'",
-                                    lam=lam)
+                for v in closure(seq, seeds, 2 * n, lam=lam))
+    assert got == reference_closure(seq, seeds, 2 * n, 2 * n, lam=lam)
     assert min(f.constant for f in got[0] | got[1]) <= -(1 << 14)
     assert widths == [16, 32]

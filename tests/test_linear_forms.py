@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from wallcrystal.affine_data import AffineType, Family, cartan_entry
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
-    ConstantPresent, DominantWeight, LinearForm, beta, beta_at, beta_signed,
+    ConstantPresent, DominantWeight, LinearForm, beta, beta_at, beta_minus,
     _forms, closure, lambda_form, parse_form, positivity_report, r_minus, render_form,
     s_hat, s_prime, support_bound, x, xi_form,
 )
@@ -74,16 +74,19 @@ def test_r_minus():
     assert beta_at(seq, 0).is_zero()
 
 
-def test_beta_signed():
+def test_beta_minus():
     seq = ex1_seq()
     lam = DominantWeight((0, 0, 1))
     # r = 1 carries colour 3 and is a first occurrence
-    bm = beta_signed(seq, 1, "-", lam)
+    bm = beta_minus(seq, 1, lam)
     assert bm.constant == -1
     assert bm.coeff(D(1, 3)) == 1
     # deeper occurrences agree with plain beta
-    assert beta_signed(seq, 5, "-", lam) == beta_at(seq, 2)
-    assert beta_signed(seq, 4, "+", lam) == beta_at(seq, 4)
+    assert beta_minus(seq, 5, lam) == beta_at(seq, 2)
+    # without lambda: zero in the first period, beta_{r - n} after it
+    for r in range(1, 4 * seq.n + 1):
+        want = beta_at(seq, r - seq.n) if r > seq.n else LinearForm(0, {})
+        assert beta_minus(seq, r) == want, r
 
 
 @pytest.mark.parametrize("g,order", [
@@ -106,7 +109,7 @@ def test_beta_signed_minus_at_a_first_occurrence_is_minus_lambda_form(g, order):
                 c = cartan_entry(g, k, seq.entry(j))
                 if c:
                     want[D(1, seq.entry(j))] = c
-            got = beta_signed(seq, r, "-", lam)
+            got = beta_minus(seq, r, lam)
             assert got == -lambda_form(seq, k, lam), (lam, r)
             assert got == LinearForm(-lam.pairing(k), want), (lam, r)
 
@@ -225,7 +228,7 @@ def test_weights_of_the_wrong_rank_are_rejected(values):
     with pytest.raises(ValueError, match=message):
         lambda_form(seq, 1, lam)
     with pytest.raises(ValueError, match=message):
-        closure(seq, [x(1, 1)], 6, op="Shat'", lam=lam)
+        closure(seq, [x(1, 1)], 6, lam=lam)
     with pytest.raises(ValueError, match=message):
         positivity_report(seq, lam, 6)
 

@@ -195,12 +195,12 @@ def test_epsstar_golden(name):
 
 def _patch_profile(monkeypatch, change):
     """Replace the sigma profile, wherever it is bound, by one that change
-    edits in place."""
+    edits in place (epsilon, first, last and the weight lists)."""
     real = zcrystal._sigma_profile
 
     def profile(seq, a):
         eps, first, last, w = (list(v) for v in real(seq, a))
-        change(a, eps, first, last)
+        change(a, eps, first, last, w)
         return eps, first, last, w
 
     for module in (zcrystal, cli):
@@ -208,16 +208,21 @@ def _patch_profile(monkeypatch, change):
             monkeypatch.setattr(module, "_sigma_profile", profile)
 
 
-def _last_one_up(a, eps, first, last):
+def _last_one_up(a, eps, first, last, w):
     last[0] += 1  # e_tilde at colour 1 lowers the wrong position
 
 
-def _epsilon_one_up(a, eps, first, last):
+def _epsilon_one_up(a, eps, first, last, w):
     if a.total():
         eps[0] += 1  # epsilon at colour 1 is one too large off 0
 
 
-@pytest.mark.parametrize("change", [_last_one_up, _epsilon_one_up])
+def _weight_one_up(a, eps, first, last, w):
+    if a.total():
+        w[0] += 1  # the weight at colour 1 is one off, off 0
+
+
+@pytest.mark.parametrize("change", [_last_one_up, _epsilon_one_up, _weight_one_up])
 @pytest.mark.parametrize("name", ["D2", "B1"])
 def test_verify_crystal_catches_a_wrong_operator(monkeypatch, name, change):
     _patch_profile(monkeypatch, change)

@@ -504,7 +504,7 @@ def test_comb_lambda_matches_operator_closure():
     lam = DominantWeight((1, 1, 1))
     for k, budget in [(2, 12), (3, 12), (1, 18)]:
         seed = lambda_form(seq, k, lam)
-        cert, _ = closure(seq, [seed], 9, op="Shat'", lam=lam)
+        cert, _ = closure(seq, [seed], 9, lam=lam)
         comb = comb_lambda(seq, k, lam, budget)
         windowed = {f for f in comb.forms if support_bound(seq, f) <= 9}
         windowed.add(LinearForm(0, {}))
