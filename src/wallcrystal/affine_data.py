@@ -23,6 +23,10 @@ class Family(enum.Enum):
     A2ODD = "A2odd"
     D2 = "D2"
 
+    # members are singletons compared by identity, so hash by identity
+    # too: Enum's own hash runs in Python on every cache lookup
+    __hash__ = object.__hash__
+
 
 # smallest admissible rank parameter n per family
 _MIN_RANK = {

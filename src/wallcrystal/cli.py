@@ -177,18 +177,18 @@ def _verify_props(args, seq, out):
     """For every colour's walls within --blocks, s in {0, 1, 3} and every
     block addition at a site of single index r + s n >= 1, the wall form
     drops by the site's root (twice it for a double site).  Each wall's
-    sites, moves and terms are found once."""
+    sites and moves are found once, and the map builds each member's
+    terms once, though a wall is met again as each smaller wall's
+    successor."""
     X = seq.wall_type
     shifts = (0, 1, 3)
     bad = {s: [] for s in shifts}
     total = 0
     fmap = WallFormMap(seq)
-    # a wall is met again as each smaller wall's successor
-    terms = lru_cache(maxsize=None)(fmap.terms)
     for k in X.index_set:
         for w in enumerate_walls(X, k, args.blocks):
-            here = terms(w)
-            adds = [(st, fmap.index(k, st), terms(nxt))
+            here = fmap.terms(w)
+            adds = [(st, fmap.index(k, st), fmap.terms(nxt))
                     for st, nxt in transitions(w) if st.action == "add"]
             for s in shifts:
                 base = fmap.form(here, s)

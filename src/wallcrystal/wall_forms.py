@@ -15,8 +15,8 @@ from wallcrystal.affine_data import (
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form
 from wallcrystal.walls import (
-    Site, apply, ground_state, move_entries, search_walls, sites,
-    wall_literal,
+    Site, WallPair, apply, ground_state, member_entries, pair_entries,
+    search_walls, sites, wall_literal,
 )
 from wallcrystal.zcrystal import ZElement, render_element, star_length
 
@@ -97,6 +97,7 @@ class WallFormMap:
     def __init__(self, seq: AdaptedSequence):
         self.seq = seq
         self._entry_terms = {}  # id of a move-table entry -> its terms
+        self._members = {}  # (k, ground, states) -> (views, terms)
         # (colour, site) -> r, and single index -> DoubleIndex
         self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
             DoubleIndex(_site_offset(seq, k, site), site.color)))
@@ -111,27 +112,55 @@ class WallFormMap:
             acc[r] = acc.get(r, 0) + _direction(site) * _weight(site)
         return tuple(acc.items())
 
-    def terms(self, w) -> tuple:
-        """The nonzero (r, coefficient) pairs of the wall w, by r: the sum
-        of its move-table entries' pairs.  The table is shared by every
-        sequence, so each entry's pairs are found once per map, and held
-        by the entry's id (no entry is dropped).  A caller that meets a
-        wall more than once keeps its terms itself."""
-        acc = {}
+    def _add_entries(self, k, entries, acc) -> dict:
+        """acc with the pairs of each move-table entry added.  The table
+        is shared by every sequence, so each entry's pairs are found once
+        per map, and held by the entry's id (no entry is dropped)."""
         known = self._entry_terms
-        for moves in move_entries(w):
+        for moves in entries:
             pairs = known.get(id(moves))
             if pairs is None:
-                pairs = known[id(moves)] = self._moves_terms(w.k, moves)
+                pairs = known[id(moves)] = self._moves_terms(k, moves)
             for r, c in pairs:
                 acc[r] = acc.get(r, 0) + c
-        return tuple(sorted(it for it in acc.items() if it[1]))
+        return acc
+
+    def _member(self, w) -> tuple:
+        """(views, terms) of one member (walls.member_entries), built
+        once per map.  The key is a plain tuple, so a lookup hashes no
+        dataclass."""
+        key = (w.k, w.ground, w.states)
+        got = self._members.get(key)
+        if got is None:
+            views, entries = member_entries(w)
+            got = self._members[key] = (views, _sorted_terms(
+                self._add_entries(w.k, entries, {})))
+        return got
+
+    def terms(self, w) -> tuple:
+        """The nonzero (r, coefficient) pairs of the wall w, by r: the sum
+        of its move-table entries' pairs.  Each member's terms are kept,
+        so a pair adds its members' terms and its k-pair entries."""
+        if not isinstance(w, WallPair):
+            return self._member(w)[1]
+        sup_views, sup = self._member(w.supporting)
+        cov_views, cov = self._member(w.covering)
+        acc = dict(sup)
+        for r, c in cov:
+            acc[r] = acc.get(r, 0) + c
+        return _sorted_terms(self._add_entries(
+            w.k, pair_entries(w, sup_views, cov_views), acc))
 
     def form(self, terms: tuple, s: int) -> LinearForm:
         """L_{s,k}(w), given w's terms."""
         shift = s * self.seq.n
         return LinearForm(0, [(self.coordinate(r + shift), c)
                               for r, c in terms if r + shift >= 1])
+
+
+def _sorted_terms(acc: dict) -> tuple:
+    """The nonzero (r, coefficient) pairs of acc, by r."""
+    return tuple(sorted(it for it in acc.items() if it[1]))
 
 
 def wall_form(seq: AdaptedSequence, s: int, k: int, w) -> LinearForm:
@@ -196,8 +225,10 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
     atoms or, with a window given, at each wall whose form at the first
     shift leaves single indices 1..window.  A form's support moves up by
     a period with s, so the first form past the window ends a wall's
-    scan of the shifts."""
+    scan of the shifts.  Each form is built once: r -> DoubleIndex is a
+    bijection, so its terms placed at shift s name it."""
     n = fmap.seq.n
+    placed = set()  # the terms of each form built, at their shift
 
     def keep(w, atoms):
         terms = fmap.terms(w)
@@ -208,6 +239,11 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
                 return s != shifts[0]
             if w in skip:
                 continue
+            shift = s * n
+            key = tuple([(r + shift, c) for r, c in terms if r + shift >= 1])
+            if key in placed:
+                continue
+            placed.add(key)
             phi = fmap.form(terms, s)
             if constant:
                 phi = phi.shift_constant(constant)

@@ -520,20 +520,37 @@ def _wall_entries(w: Wall, host: str, views) -> list:
     return out
 
 
-def _pair_entries(p: WallPair, sup_views, cov_views) -> list:
-    """The entries of p's k-pair sites: a column on the pair step in both
-    members moves in both, if the new state fits both views.  They are
-    keyed by both views, on the supporting member's column table."""
-    sup, cov = p.supporting.column_table, p.covering.column_table
+# the move-table host of a member on each ground
+_HOST = {LEVEL1: "wall", SUPPORTING: "supporting", COVERING: "covering"}
+
+
+def member_entries(w: Wall) -> tuple:
+    """(views, entries) of one member: a level-1 wall, or one truncated
+    wall of a pair.  views holds each column's local view (_views) and
+    entries its move-table entry, on the host of w's ground.  NotProper
+    unless w is proper; a pair is proper exactly when both members are."""
+    if not is_proper(w):
+        raise NotProper(w)
+    views = _views(w)
+    return views, _wall_entries(w, _HOST[w.ground], views)
+
+
+def pair_entries(p: WallPair, sup_views, cov_views) -> list:
+    """The entries of p's k-pair sites, from its members' views: a column
+    on the pair step in both members moves in both, if the new state
+    fits both views.  They are keyed by both views, on the supporting
+    member's column table."""
+    sup = p.supporting.column_table
     table = sup.tables.setdefault("pair", {})
-    tbar = thresholds(sup.X, sup.k)[1]
-    low, high = _PAIR_STEP
     out = []
     for vs, vc in zip(sup_views, cov_views):
         if vs[3] != vc[3] or vs[3] not in _PAIR_STEP:
             continue
         moves = table.get((vs, vc))
         if moves is None:
+            cov = p.covering.column_table
+            tbar = thresholds(sup.X, sup.k)[1]
+            low, high = _PAIR_STEP
             moves = [(Site(action, "pair", sup.k, vs[0], tbar, tbar, "pair"), new)
                      for action, old, new in (("add", low, high),
                                               ("remove", high, low))
@@ -548,14 +565,11 @@ def move_entries(w) -> list:
     moves sites() and transitions() list: a pair's supporting member,
     then its covering member, then its k-pair sites.  NotProper unless w
     is proper."""
-    if not is_proper(w):
-        raise NotProper(w)
     if isinstance(w, WallPair):
-        sup, cov = _views(w.supporting), _views(w.covering)
-        return (_wall_entries(w.supporting, "supporting", sup)
-                + _wall_entries(w.covering, "covering", cov)
-                + _pair_entries(w, sup, cov))
-    return _wall_entries(w, "wall", _views(w))
+        sup_views, sup = member_entries(w.supporting)
+        cov_views, cov = member_entries(w.covering)
+        return sup + cov + pair_entries(w, sup_views, cov_views)
+    return member_entries(w)[1]
 
 
 def _moves(w):

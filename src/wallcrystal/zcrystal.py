@@ -183,9 +183,18 @@ def wt_pairing(seq: AdaptedSequence, a: ZElement, k: int,
     return weight_pairings(seq, a, lam)[_slot(seq, k)]
 
 
+def _phi(seq: AdaptedSequence, profile, i: int,
+         lam: DominantWeight | None) -> int:
+    """phi at slot i, read from a's sigma profile: epsilon plus the
+    weight pairing (see weight_pairings)."""
+    eps, _, _, weight = profile
+    lam = DominantWeight.zero(seq.n) if lam is None else lam.check_rank(seq.n)
+    return eps[i] + lam.values[i] - weight[i]
+
+
 def phi(seq: AdaptedSequence, a: ZElement, k: int,
         lam: DominantWeight | None = None) -> int:
-    return epsilon(seq, a, k) + wt_pairing(seq, a, k, lam)
+    return _phi(seq, _sigma_profile(seq, a), _slot(seq, k), lam)
 
 
 def f_tilde(seq: AdaptedSequence, a: ZElement, k: int) -> ZElement:
@@ -253,10 +262,13 @@ def star_length(seq: AdaptedSequence, k: int, a: ZElement) -> int:
 def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
                    lam: DominantWeight):
     """The tensor-rule action on a x r_lambda: the move dies when phi
-    drops to the wall of the highest-weight crystal."""
-    if phi(seq, a, k, lam) <= 0:
+    drops to the wall of the highest-weight crystal.  phi and f_tilde
+    read one sigma profile."""
+    profile = _sigma_profile(seq, a)
+    i = _slot(seq, k)
+    if _phi(seq, profile, i, lam) <= 0:
         return None
-    return f_tilde(seq, a, k)
+    return a.bump(profile[1][i], 1)
 
 
 # --- generation and verification --------------------------------------

@@ -222,6 +222,16 @@ def test_parse_type():
         parse_type("E8", 9)
 
 
+def test_two_parses_of_one_type_are_one_dict_key():
+    # a family hashes by identity, as its members are singletons
+    a, b = parse_type("D2", 3), parse_type("d2", 3)
+    assert a is not b and a.family is b.family
+    table = {a: "first"}
+    table[b] = "second"
+    assert table == {a: "second"} and hash(a) == hash(b)
+    assert len({f: None for f in list(Family) + list(Family)}) == len(Family)
+
+
 def test_halfint_arithmetic():
     t = HalfInt(3)
     assert t + 1 == HalfInt(5)

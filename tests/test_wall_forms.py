@@ -5,15 +5,17 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallcrystal.affine_data import AffineType, Family, HalfInt, langlands_dual
+from wallcrystal.affine_data import (
+    AffineType, Family, HalfInt, langlands_dual, parse_type,
+)
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, LinearForm, _forms, beta, closure, lambda_form,
     parse_form, support_bound, x,
 )
 from wallcrystal.walls import (
-    Site, Wall, WallPair, enumerate_walls, ground_state, parse_wall, sites,
-    transitions, wall_literal,
+    Site, Wall, WallPair, enumerate_walls, ground_state, move_entries,
+    parse_wall, search_walls, sites, transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
     HostMismatch, NotStabilized, OutOfRange, WallFormMap, box_form,
@@ -287,21 +289,38 @@ def test_windowed_provenance_reproduces_each_form(g, order):
 
 
 def test_grow_loop_forms_each_wall_once(monkeypatch):
-    # growing the budget re-enumerates walls but forms each of them once
+    # the windowed search forms every pair it visits (each colour of D2
+    # is class 2), but builds each member's views and entries once per
+    # map, so a pair reuses the members earlier pairs built, and fewer
+    # members are built than pairs visited
     import wallcrystal.wall_forms as wall_forms
 
-    seen = []
-    entries = wall_forms.move_entries
+    built, visited = [], []
+    member = wall_forms.member_entries
+    walk = wall_forms.search_walls
 
     def counted(w):
-        seen.append(w)
-        return entries(w)
+        built.append((w.ground, w.states))
+        return member(w)
 
-    monkeypatch.setattr(wall_forms, "move_entries", counted)
+    def walked(X, k, keep, max_atoms=None):
+        def keep_counted(w, atoms):
+            visited.append(w)
+            return keep(w, atoms)
+        walk(X, k, keep_counted, max_atoms)
+
+    monkeypatch.setattr(wall_forms, "member_entries", counted)
+    monkeypatch.setattr(wall_forms, "search_walls", walked)
     seq = ex1_seq()
-    comb_infinity(seq, (2, 2), support_max=2 * seq.n)
-    assert len(seen) > len(enumerate_walls(seq.wall_type, 1, 2))
-    assert len(seen) == len(set(seen))
+    for k in seq.base_type.index_set:
+        built.clear()
+        visited.clear()
+        comb_infinity(seq, (2, 2), k=k, support_max=4 * seq.n)
+        assert len(built) == len(set(built)), k
+        assert all(isinstance(w, WallPair) for w in visited), k
+        assert {(m.ground, m.states) for w in visited
+                for m in (w.supporting, w.covering)} == set(built), k
+        assert len(built) < len(visited), k
 
 
 # --- the column-state tree the windowed search walks ------------------
@@ -350,6 +369,51 @@ def test_column_state_tree_support_bound_never_drops(X):
         for p, by_cost in children.items():
             least = [min(by_cost[c]) for c in sorted(by_cost)]
             assert least == sorted(least), (k, wall_literal(p), least)
+
+
+@pytest.mark.parametrize("X", TREE_TYPES, ids=lambda X: f"{X.family.value}{X.n}")
+def test_member_terms_equal_the_entry_sum_in_search_order(X):
+    # one map meets every wall in the search's order, so a pair's members
+    # are mostly kept from earlier pairs; its terms must still be the sum
+    # of its move-table entries' pairs, zeros dropped, by r
+    g = langlands_dual(X)
+    seq = from_permutation(g, tuple(range(g.n, 0, -1)))
+    fmap = WallFormMap(seq)
+    for k in X.index_set:
+        met = []
+
+        def keep(w, atoms):
+            acc = {}
+            for entry in move_entries(w):
+                for r, c in fmap._moves_terms(k, entry):
+                    acc[r] = acc.get(r, 0) + c
+            want = tuple(sorted(it for it in acc.items() if it[1]))
+            assert fmap.terms(w) == want, wall_literal(w)
+            met.append(w)
+            return True
+
+        search_walls(X, k, keep, max_atoms=TREE_BLOCKS)
+        assert len(met) > 1, k
+
+
+# the windows of the lattice_cut settings on which the wall families are
+# checked against the closure: (type, rank, order, W)
+CUT_WINDOWS = [("C1", 3, (3, 2, 1), 14), ("A2odd", 4, (2, 4, 3, 1), 18),
+               ("D2", 3, (3, 2, 1), 15)]
+
+
+@pytest.mark.parametrize("name,rank,order,W", CUT_WINDOWS,
+                         ids=[f"{c[0]} W={c[3]}" for c in CUT_WINDOWS])
+def test_every_colour_within_a_window_equals_the_closure(name, rank, order, W):
+    # the forms of every colour's walls supported within W, s up to one
+    # period past W, are the S' closure of the x(s, k) certified on W
+    seq = from_permutation(parse_type(name, rank), order)
+    s_max = W // seq.n + 1
+    walls = comb_infinity(seq, (s_max, 0), support_max=W)
+    seeds = [x(s, k) for s in range(1, s_max + 1)
+             for k in seq.base_type.index_set]
+    cert, _ = closure(seq, seeds, W)
+    assert walls.forms == _forms(seq, cert)
 
 
 # a budget per setting well past the deepest wall whose forms lie in the

@@ -130,6 +130,37 @@ def test_highest_weight_rule():
     assert f_tilde_lambda(seq, a, 3, lam) is None
 
 
+def test_phi_and_lambda_action_read_one_sigma_profile(monkeypatch):
+    # each reads epsilon, the weight and the first position from one
+    # profile, and gives what the one-value readers give
+    import wallcrystal.zcrystal as zcrystal
+
+    seq = ex1_seq()
+    lam = DominantWeight((1, 1, 1))
+    elements = sorted(generate(seq, 4, lam), key=lambda e: e.items())
+    calls = []
+    profile = zcrystal._sigma_profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(zcrystal, "_sigma_profile", counted)
+    moves = 0
+    for a in elements:
+        for k in seq.base_type.index_set:
+            want = epsilon(seq, a, k) + wt_pairing(seq, a, k, lam)
+            step = f_tilde(seq, a, k) if want > 0 else None
+            calls.clear()
+            assert phi(seq, a, k, lam) == want
+            assert len(calls) == 1
+            calls.clear()
+            assert f_tilde_lambda(seq, a, k, lam) == step
+            assert len(calls) == 1
+            moves += step is not None
+    assert len(elements) > 20 and moves > 0
+
+
 def test_lambda_action_agrees_with_plain_action():
     seq = ex2_seq()
     lam = DominantWeight((1, 1, 1, 1))
