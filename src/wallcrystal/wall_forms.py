@@ -15,8 +15,7 @@ from wallcrystal.affine_data import (
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form
 from wallcrystal.walls import (
-    Site, WallPair, apply, ground_state, member_entries, pair_entries,
-    search_walls, sites, wall_literal,
+    Site, WallPair, member_entries, pair_entries, search_walls, wall_literal,
 )
 from wallcrystal.zcrystal import ZElement, render_element, star_length
 
@@ -218,15 +217,16 @@ def _meta(seq, **extra):
 
 
 def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
-               skip=()):
+               min_atoms=0):
     """Walk the walls of colour k depth-first (walls.search_walls) and add
-    each form L_{s,k}(w) + constant, s in shifts and w not in skip, to
-    prov with its first witness.  The walk is cut past budget added
-    atoms or, with a window given, at each wall whose form at the first
-    shift leaves single indices 1..window.  A form's support moves up by
-    a period with s, so the first form past the window ends a wall's
-    scan of the shifts.  Each form is built once: r -> DoubleIndex is a
-    bijection, so its terms placed at shift s name it."""
+    each form L_{s,k}(w) + constant, s in shifts and w of at least
+    min_atoms added atoms, to prov with its first witness.  The walk is
+    cut past budget added atoms or, with a window given, at each wall
+    whose form at the first shift leaves single indices 1..window.  A
+    form's support moves up by a period with s, so the first form past
+    the window ends a wall's scan of the shifts.  Each form is built
+    once: r -> DoubleIndex is a bijection, so its terms placed at shift
+    s name it."""
     n = fmap.seq.n
     placed = set()  # the terms of each form built, at their shift
 
@@ -237,7 +237,7 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
             # most 0 when every term falls below index 1
             if window is not None and terms and terms[-1][0] + s * n > window:
                 return s != shifts[0]
-            if w in skip:
+            if atoms < min_atoms:
                 continue
             shift = s * n
             key = tuple([(r + shift, c) for r, c in terms if r + shift >= 1])
@@ -418,18 +418,12 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
 
     def walls(s=0, j=k, exclude_first=False):
         """{L_{s,j}(T) + hk} over the walls within the budget but the
-        ground (and the one-block wall when requested)."""
-        g = ground_state(X, j)
-        skip = [g]
-        if exclude_first:
-            first = [st for st in sites(g) if st.action == "add" and st.column == 0]
-            lowest = min(st.level for st in first)
-            first = [st for st in first if st.level == lowest]
-            assert len(first) == 1
-            skip.append(apply(g, first[0]))
+        ground (and the one-block wall when requested), skipped by added
+        atoms: the ground is the one wall of none, and a fork colour j,
+        class 1, has one wall of one."""
         prov = {}
         _wall_walk(WallFormMap(seq), prov, j, (s,), hk, budget=budget,
-                   skip=tuple(skip))
+                   min_atoms=2 if exclude_first else 1)
         return IneqSet(prov, meta)
 
     tbar, tbarbar = thresholds(X, k)[1:]

@@ -92,7 +92,6 @@ def _back_assignment(X: AffineType, k: int, column: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def _pattern_period(X: AffineType, k: int, ground: str, parity: int):
     """(head, cycle): the column pattern's cells below its first integer
     level past the ground cell, and its cells over one period from that
@@ -126,45 +125,14 @@ def _pattern_period(X: AffineType, k: int, ground: str, parity: int):
     return tuple(cells[:start]), tuple(cells[start:])
 
 
-@lru_cache(maxsize=None)
-def _pattern(X: AffineType, k: int, ground: str, parity: int, count: int) -> tuple:
-    """The first `count` cells of the column pattern (non-A1 types): the
-    head of _pattern_period, then its cycle tiled upward; column_pattern
-    asks only for powers of two, so a column that grows cell by cell is
-    built a logarithmic number of times."""
-    assert X.family is not Family.A1
-    _check_ground(X, k, ground)
-    head, cycle = _pattern_period(X, k, ground, parity)
-    cells = list(head[:count])
-    step = period(X).twice
-    lift = 0
-    while len(cells) < count:
-        for c in cycle[:count - len(cells)]:
-            level = HalfInt(c.level.twice + lift)
-            args = (level,) if len(c.args) == 1 else \
-                tuple([HalfInt(a.twice + lift) for a in c.args])
-            cells.append(Cell(c.kind, level, c.colors, args))
-        lift += step
-    return tuple(cells)
-
-
 def column_pattern(X: AffineType, k: int, ground: str, column: int, count: int = 8):
-    """The first `count` pattern cells of the given column.  An A1 column
-    is its neighbour's pattern one level lower, and its cells carry the
-    level less the column as their argument.  ValueError for a count
-    below 0, ClassMismatch for a ground outside k's class."""
+    """The first `count` pattern cells of the given column, read from its
+    column table (_Column.cell).  ValueError for a count below 0,
+    ClassMismatch for a ground outside k's class."""
     if count < 0:
         raise ValueError(f"count {count} is below 0")
-    if X.family is Family.A1:
-        _check_ground(X, k, ground)
-        cells = []
-        for m in range(count):
-            lvl = HalfInt.of(k - column + m)
-            cells.append(Cell("full", lvl, (periodic_map(X, lvl),),
-                              (lvl - column,)))
-        return tuple(cells)
-    cells = _pattern(X, k, ground, column % 2, 1 << (count - 1).bit_length())
-    return cells if len(cells) == count else cells[:count]
+    table = _column(X, k, ground)
+    return tuple([table.cell(column, m) for m in range(count)])
 
 
 def _check_ground(X: AffineType, k: int, ground: str) -> None:
@@ -178,46 +146,22 @@ def _check_ground(X: AffineType, k: int, ground: str) -> None:
         raise ClassMismatch(f"{k} is not class {want} in {X}")
 
 
-def _base_top(X: AffineType, k: int, ground: str) -> str:
-    """Partial code of a bare column: its ground atom is the front atom
-    of a split base cell or the lower atom of a doubled one, and a full
-    base cell (A1) has none."""
-    _check_ground(X, k, ground)
-    if ground == LEVEL1:
-        kind = column_pattern(X, k, ground, 0, 1)[0].kind
-        return {"split": FRONT, "double": LOWER, "full": NONE}[kind]
-    return LOWER
-
-
-def _cost_groups(X, k, ground, base):
-    """The non-bare states of one column, grouped by added atoms in
-    increasing order; endless, since a column has no top."""
-    cells = ()
-    atoms = 0 if base[1] == NONE else -1  # the ground atom
-    for m in itertools.count():
-        if m == len(cells):
-            cells = column_pattern(X, k, ground, 0, 2 * m + 8)
-        cell = cells[m]
-        partials = ()
-        if cell.kind == "split":
-            # the base split cell of a level-1 ground always keeps its
-            # front atom, so its only partial state is the bare one
-            partials = () if (m == 0 and ground == LEVEL1) else (FRONT, BACK)
-        elif cell.kind == "double":
-            partials = (LOWER,)
-        group = tuple((m, code) for code in partials if (m, code) != base)
-        if group:
-            yield atoms + 1, group
-        atoms += cell.natoms
-        yield atoms, ((m + 1, NONE),)
+# the partial codes of a column on a cell of each kind: the first names
+# a bare column's ground atom, the front atom of a split base cell or the
+# lower atom of a doubled one, and a full base cell (A1) has none
+_PARTIAL_TOPS = {"full": (), "split": (FRONT, BACK), "double": (LOWER,)}
 
 
 class _Column:
-    """The states a column of one (type, colour, ground) may take: the
-    bare state and the others grouped by added atoms, listed on demand
-    from _cost_groups.  One table serves every column of a wall, since a
-    column's parity only decides which atom of a split cell sits at the
-    back, never the kinds of its cells.
+    """The column of one (type, colour, ground): its pattern cells, and
+    the states it may take.
+
+    It owns the cells of both parities as the head and cycle of
+    _pattern_period, and cell() reads any of them by index; an A1 cell
+    is read from its formula.  A column's parity only decides which atom
+    of a split cell sits at the back, never the kinds of its cells, so
+    one list of states serves every column of a wall: the bare state and
+    the others grouped by added atoms, listed row by row on demand.
 
     It also holds the move tables of site detection: per host, a column's
     local view (_views) -> its moves, as one shared tuple of (site, new
@@ -225,14 +169,41 @@ class _Column:
     dropped, so a caller may key its own values by an entry's id."""
 
     def __init__(self, X, k, ground):
+        _check_ground(X, k, ground)
         self.X, self.k, self.ground = X, k, ground
-        self.base = (0, _base_top(X, k, ground))
-        self._source = _cost_groups(X, k, ground, self.base)
+        self._periods = None if X.family is Family.A1 else \
+            [_pattern_period(X, k, ground, p) for p in (0, 1)]
+        self._lift = period(X).twice
+        tops = _PARTIAL_TOPS[self.cell(0, 0).kind]
+        self.base = (0, tops[0] if tops else NONE)
         self._listed = []
         self._atoms = {self.base: 0}
         self._rows = 0  # every state of a lower row is listed
+        self._filled = 0 if self.base[1] == NONE else -1  # atoms of (_rows, NONE)
         self.tables = {}  # host -> {local view: moves}
         self._sites, self._entries = {}, {}
+
+    def cell(self, column: int, m: int) -> Cell:
+        """Cell m, from 0 at the base, of the given column's pattern: a
+        head cell, or a cycle cell lifted by whole periods.  An A1 cell
+        sits at level k - column + m and carries that level less the
+        column as its argument."""
+        if self._periods is None:
+            level = HalfInt.of(self.k - column + m)
+            return Cell("full", level, (periodic_map(self.X, level),),
+                        (level - column,))
+        head, cycle = self._periods[column % 2]
+        if m < len(head):
+            return head[m]
+        lifts, j = divmod(m - len(head), len(cycle))
+        c = cycle[j]
+        if not lifts:
+            return c
+        lift = lifts * self._lift
+        level = HalfInt(c.level.twice + lift)
+        args = (level,) if len(c.args) == 1 else \
+            tuple([HalfInt(a.twice + lift) for a in c.args])
+        return Cell(c.kind, level, c.colors, args)
 
     def shared(self, moves) -> tuple:
         """The one stored tuple of these (site, new state) moves."""
@@ -241,12 +212,19 @@ class _Column:
         return self._entries.setdefault(moves, moves)
 
     def _more(self):
-        c, group = next(self._source)
-        self._listed.append((c, group))
-        for st in group:
-            self._atoms[st] = c
-        if group[0][1] == NONE:  # a row is listed once its cell is full
-            self._rows = group[0][0]
+        """List the states of row m = _rows past the bare state, from
+        cell(0, m): the partial states of its cell, then the state that
+        fills it.  The base cell's only partial state is the bare one."""
+        m = self._rows
+        cell = self.cell(0, m)
+        tops = _PARTIAL_TOPS[cell.kind] if m else ()
+        for c, group in ((self._filled + 1, tuple([(m, top) for top in tops])),
+                         (self._filled + cell.natoms, ((m + 1, NONE),))):
+            if group:
+                self._listed.append((c, group))
+                self._atoms.update(dict.fromkeys(group, c))
+        self._filled += cell.natoms
+        self._rows = m + 1
 
     def __iter__(self):
         listed = self._listed
@@ -487,13 +465,13 @@ def _column_moves(column: _Column, view, host: str) -> list:
     when it fits, hides the single step in the same direction."""
     i, inside, _, old, _, _, _, _ = view
     m, top = old
-    cells = column_pattern(column.X, column.k, column.ground, i, m + 1)
     pair = column.ground != LEVEL1 and old in _PAIR_STEP
     # additions step out of the state on the next cell, removals back
     # into it on the top cell: the last full one or the partial one
-    looks = ((cells[m], _OUT),)
+    cell = column.cell(i, m)
+    looks = ((cell, _OUT),)
     if inside:
-        looks += ((cells[m - 1] if top == NONE else cells[m], _INTO),)
+        looks += ((column.cell(i, m - 1) if top == NONE else cell, _INTO),)
     out = []
     for cell, steps in looks:
         for rows, other, action, grade, atom in steps[cell.kind].get(top, ()):
@@ -746,16 +724,16 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
 
 def _render_wall(w: Wall) -> str:
     X, k, ground = w.wall_type, w.k, w.ground
+    column = w.column_table
     ncols = max(len(w.states), 1)
     cols = []
     height = max([w.state(i)[0] + (0 if w.state(i)[1] == NONE else 1)
                   for i in range(ncols)] + [1])
     for i in range(ncols + 1):  # one extra bare column on the left
         m, top = w.state(i)
-        cells = column_pattern(X, k, ground, i, height + 1)
         rows = []  # two half-rows per unit cell, bottom first
         for mm in range(height):
-            cell = cells[mm]
+            cell = column.cell(i, mm)
             if mm < m:
                 have = 2
             elif mm == m and top != NONE:
@@ -837,7 +815,7 @@ def parse_wall(text: str, n: int):
     kind, fam, k, rest = m.group(1), m.group(2), int(m.group(3)), m.group(4)
     X = parse_type(fam, n)
     # the colour's class decides its grounds: check it before any pattern
-    _base_top(X, k, SUPPORTING if kind == "pair" else _KIND[kind])
+    _check_ground(X, k, SUPPORTING if kind == "pair" else _KIND[kind])
     if kind == "pair":
         mm = re.fullmatch(r"sup=\[([^\]]*)\];cov=\[([^\]]*)\]", rest)
         if not mm:

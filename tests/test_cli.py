@@ -145,7 +145,7 @@ def test_walls_enum_and_render():
 
 
 def test_walls_render_tall_column():
-    # one pattern lookup per column, not one per cell
+    # 5000 rows of cells, each read by index from the column table
     start = time.monotonic()
     code, pic = run("walls", "render", "--rank", "3",
                     "--wall", "ground=yw:D2:k=1;cols=[5000]")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallcrystal.affine_data import (
-    AffineType, Family, HalfInt, langlands_dual, parse_type,
+    AffineType, Family, HalfInt, index_class, langlands_dual, parse_type,
 )
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
@@ -14,7 +14,7 @@ from wallcrystal.linear_forms import (
     parse_form, support_bound, x,
 )
 from wallcrystal.walls import (
-    Site, Wall, WallPair, enumerate_walls, ground_state, move_entries,
+    Site, Wall, WallPair, apply, enumerate_walls, ground_state, move_entries,
     parse_wall, search_walls, sites, transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
@@ -334,6 +334,25 @@ TREE_TYPES = [
     AffineType(Family.A2ODD, 4), AffineType(Family.D1, 6),
     AffineType(Family.A2EVEN, 3), AffineType(Family.A2EVEN_DAGGER, 3),
 ]
+
+
+@pytest.mark.parametrize("X", TREE_TYPES, ids=lambda X: f"{X.family.value}{X.n}")
+def test_walls_of_no_and_one_added_atom(X):
+    # comb_lambda skips the ground and, for a fork colour (class 1), the
+    # one-block wall by their added atoms: the ground is the only wall of
+    # none, and a class-1 colour has one wall of one, the ground with its
+    # lowest column-0 block added
+    for k in X.index_set:
+        g = ground_state(X, k)
+        by_atoms = {}
+        for w in enumerate_walls(X, k, 1):
+            by_atoms.setdefault(w.atoms, []).append(w)
+        assert by_atoms[0] == [g], k
+        if index_class(X, k) == 1:
+            first = [s for s in sites(g) if s.action == "add" and s.column == 0]
+            lowest = min(s.level for s in first)
+            (site,) = [s for s in first if s.level == lowest]
+            assert by_atoms[1] == [apply(g, site)], k
 
 
 def _tree_parent(w):

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wallcrystal.walls as walls
 from wallcrystal.affine_data import (
     AffineType, Family, HalfInt, half_height_colors, in_domain, index_class,
     next_domain_point, period, periodic_map, thresholds,
@@ -133,15 +134,11 @@ def test_a1_block_colors():
     assert [c.colors[0] for c in cells] == [1, 2, 3]
 
 
-def test_column_pattern_cached_per_power_of_two():
-    # a column read at every length from 1 to 300 builds its pattern at
-    # most once per power of two, and every read is a prefix of the longest
-    from wallcrystal.walls import _pattern
-
+def test_column_pattern_reads_are_prefixes():
+    # a column read at every length from 1 to 300 has that many cells,
+    # and every read is a prefix of the longest
     X = AffineType(Family.B1, 4)
-    before = _pattern.cache_info().currsize
     got = [column_pattern(X, 1, LEVEL1, 0, count) for count in range(1, 301)]
-    assert _pattern.cache_info().currsize - before <= 10
     assert [len(cells) for cells in got] == list(range(1, 301))
     assert all(cells == got[-1][:len(cells)] for cells in got)
 
@@ -229,6 +226,34 @@ def test_tiled_pattern_matches_cell_by_cell_scan(X):
                     (k, ground, parity)
 
 
+def _lift(cell, by):
+    """cell one whole number of periods higher."""
+    return Cell(cell.kind, cell.level + by, cell.colors,
+                tuple([a + by for a in cell.args]))
+
+
+@pytest.mark.parametrize("X", PATTERN_TYPES + [AffineType(Family.A1, 3)],
+                         ids=str)
+def test_cell_reads_lift_the_cycle_by_one_period(X):
+    # past the head, cell m + L is cell m a period higher, L the cells per
+    # period, out to 40 periods: every colour, ground and parity, and A1
+    # columns 0..3 (no head, one cell per integer level)
+    per = period(X)
+    for k in X.index_set:
+        grounds = [LEVEL1] if index_class(X, k) == 1 else [SUPPORTING, COVERING]
+        for ground in grounds:
+            table = walls._column(X, k, ground)
+            for column in range(4) if X.family is Family.A1 else (0, 1):
+                if X.family is Family.A1:
+                    head, cells = 0, per.floor()
+                else:
+                    h, cycle = walls._pattern_period(X, k, ground, column)
+                    head, cells = len(h), len(cycle)
+                for m in range(head, head + 40 * cells):
+                    assert table.cell(column, m + cells) == \
+                        _lift(table.cell(column, m), per), (k, ground, column, m)
+
+
 @pytest.mark.parametrize("X", PATTERN_TYPES + [AffineType(Family.A1, 3)],
                          ids=str)
 def test_column_pattern_rejects_a_ground_outside_the_class(X):
@@ -276,12 +301,10 @@ def test_class_mismatch():
 
 
 def test_parse_wall_checks_the_class_before_any_pattern(monkeypatch):
-    import wallcrystal.walls as walls
-
     def no_pattern(*args):
         raise AssertionError("a pattern was built")
 
-    monkeypatch.setattr(walls, "column_pattern", no_pattern)
+    monkeypatch.setattr(walls, "_pattern_period", no_pattern)
     for text in ("ground=sup:D2:k=1;cols=[99999]",
                  "ground=yw:C1:k=1;cols=[99999]",
                  "ground=pair:D2:k=1;sup=[99999];cov=[1]"):
