@@ -219,12 +219,6 @@ def cartan_entry(X: AffineType, i: int, j: int) -> int:
     return cartan_matrix(X)[i - 1][j - 1]
 
 
-def neighbors(X: AffineType, k: int) -> tuple:
-    """Indices j != k with a_{k,j} < 0."""
-    row = cartan_matrix(X)[k - 1]
-    return tuple(j for j in X.index_set if j != k and row[j - 1] < 0)
-
-
 _DUAL = {
     Family.A1: Family.A1,
     Family.D1: Family.D1,

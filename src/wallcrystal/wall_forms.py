@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from wallcrystal.affine_data import (
-    AffineType, Family, HalfInt, cartan_entry, cell_atoms, domain_points,
-    in_domain, index_class, neighbors, period, periodic_map, thresholds,
+    AffineType, Family, HalfInt, cell_atoms, domain_points, in_domain,
+    index_class, period, periodic_map, thresholds,
 )
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, LinearForm, render_form
@@ -244,9 +244,8 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
             if key in placed:
                 continue
             placed.add(key)
-            phi = fmap.form(terms, s)
-            if constant:
-                phi = phi.shift_constant(constant)
+            phi = LinearForm(constant, [(fmap.coordinate(r), c)
+                                        for r, c in key])
             if phi not in prov:
                 prov[phi] = f"L[{s},{k}]({wall_literal(w)})"
         return True
@@ -286,15 +285,6 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
 
 
 # --- box forms (closed chains for highest-weight families) ------------
-
-
-def _pi_ext(X: AffineType, t):
-    """The periodic colour map extended periodically to integers below 1."""
-    t = HalfInt.of(t)
-    p = period(X)
-    while t < 1:
-        t = t + p
-    return periodic_map(X, t)
 
 
 def box_form(seq: AdaptedSequence, ell, r, variant: str = "plain") -> LinearForm:
@@ -387,20 +377,71 @@ def _fork_pair(hk, k, j):
     return dict.fromkeys(pair, f"pair[{j}]")
 
 
+def _beside_cells(X: AffineType, k: int) -> tuple:
+    """The colour sets of the cells at floor(T-bar_k) - 1 and + 1, lower
+    first: the cells beside the one holding T-bar_k, the pattern
+    extended periodically below 1."""
+    t = thresholds(X, k)[1].floor()
+    cells = []
+    for u in (t - 1, t + 1):
+        if u < 1:
+            u += period(X).floor()
+        cells.append(frozenset(periodic_map(X, a) for a in cell_atoms(X, u)))
+    return tuple(cells)
+
+
+def _middle_chains(seq, k, hk, neighbours, before, budget) -> dict:
+    """The four-form chains of a colour k with four neighbours, two of
+    them before k: over the pair before k and over the pair after it,
+    each pair ranked by single index, at the odd shifts below
+    2 budget."""
+    rank = lambda t: seq.single_index(DoubleIndex(1, t))
+    prov = {}
+    for (r1, r2) in (sorted(before, key=rank),
+                     sorted(neighbours - before, key=rank)):
+        p = seq.p(k, r1)
+        for s in range(1, 2 * budget, 2):
+            chain = [
+                ("three-up", LinearForm(hk, {
+                    DoubleIndex(s, r1): 1, DoubleIndex(s, r2): 1,
+                    DoubleIndex(s + p, k): -1})),
+                ("step", LinearForm(hk, {
+                    DoubleIndex(s, r1): 1, DoubleIndex(s + 1, r2): -1})),
+                ("step", LinearForm(hk, {
+                    DoubleIndex(s, r2): 1, DoubleIndex(s + 1, r1): -1})),
+                ("three-down", LinearForm(hk, {
+                    DoubleIndex(s + p, k): 1, DoubleIndex(s + 1, r1): -1,
+                    DoubleIndex(s + 1, r2): -1})),
+            ]
+            for tag, phi in chain:
+                prov.setdefault(phi, f"{tag}[{r1},{r2};{s}]")
+    return prov
+
+
 def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
                 budget: int) -> IneqSet:
-    """COMB_k[lambda]: the singleton, fork pairs, box chains or walls,
-    by which of k's neighbours come before k in the order.  Every colour
-    but the fork colours of B1, A2odd and D1 and the colours next to a
-    fork takes one four-way chain split (chain_split), on the colours one
-    step below and above T-bar_k along the pattern.
+    """COMB_k[lambda], decided by the two cells beside T-bar_k's cell
+    (_beside_cells).  A cell is before k when all its colours come
+    before k in the order, after k when none does, and split when one
+    does (a split cell holds {1, 2} or {n-1, n}).  By the two cells:
+    - both after: the singleton <h_k, lambda> - x[1,k];
+    - both before: the walls of k at s = 0;
+    - one split, the other after: the fork pair of the split cell's
+      colour before k;
+    - one split, the other before: the walls of the split cell's colour
+      after k, at s = -1 and without its one-block wall;
+    - only the upper cell before: the box chain from T-bar_k;
+    - only the lower cell before: the box chain from T-double-bar_k,
+      or on A1 the tilde chain running down from k.
+    One colour is an exception: colour 3 of D1 at rank 5, whose two
+    cells are both split cells.  With two of its four neighbours before
+    it, it takes the four-form chains (_middle_chains).
 
     The budget bounds both the box-chain length and the wall-enumeration
     block count.  A negative budget, a colour outside the index set or a
     weight of the wrong rank raises ValueError.
     """
     X = seq.wall_type
-    fam = X.family
     n = X.n
     if budget < 0:
         raise ValueError(f"budget {budget} is negative")
@@ -409,111 +450,46 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
     lam.check_rank(n)
     hk = lam.pairing(k)
     meta = _meta(seq, k=k, **{"lambda": list(lam.values)})
-    singleton = IneqSet({LinearForm(hk, {DoubleIndex(1, k): -1}): "singleton"},
-                        meta)
 
     def boxes(ell):
-        points = _box_points(X, ell, budget)
-        return IneqSet(_box_family(seq, ell, hk, points), meta)
+        return IneqSet(_box_family(seq, ell, hk, _box_points(X, ell, budget)),
+                       meta)
 
-    def walls(s=0, j=k, exclude_first=False):
-        """{L_{s,j}(T) + hk} over the walls within the budget but the
-        ground (and the one-block wall when requested), skipped by added
-        atoms: the ground is the one wall of none, and a fork colour j,
-        class 1, has one wall of one."""
+    def walls(s=0, j=k, min_atoms=1):
+        """{L_{s,j}(T) + hk} over the walls within the budget of at
+        least min_atoms added atoms: the ground is the one wall of none,
+        and a split cell's colour, class 1, has one wall of one."""
         prov = {}
         _wall_walk(WallFormMap(seq), prov, j, (s,), hk, budget=budget,
-                   min_atoms=2 if exclude_first else 1)
+                   min_atoms=min_atoms)
         return IneqSet(prov, meta)
 
+    lower, upper = _beside_cells(X, k)
+    before = {t for t in lower | upper if _below(seq, t, k)}
+    if len(lower) == len(upper) == len(before) == 2:
+        return IneqSet(
+            _middle_chains(seq, k, hk, lower | upper, before, budget), meta)
+    lower_before, upper_before = lower <= before, upper <= before
+    split = [cell for cell in (lower, upper)
+             if cell & before and not cell <= before]
+    if split:
+        (cell,) = split
+        if lower_before or upper_before:
+            (j,) = cell - before
+            return walls(s=-1, j=j, min_atoms=2)
+        (j,) = cell & before
+        return IneqSet(_fork_pair(hk, k, j), meta)
+    if not lower_before and not upper_before:
+        return IneqSet({LinearForm(hk, {DoubleIndex(1, k): -1}): "singleton"},
+                       meta)
+    if lower_before and upper_before:
+        return walls()
     tbar, tbarbar = thresholds(X, k)[1:]
-
-    def chain_split():
-        """The singleton, the box chain from tbar or tbarbar, or the
-        walls, by which of the colours one step below and above tbar
-        along the pattern come before k."""
-        below_next = _below(seq, _pi_ext(X, tbar + 1), k)
-        below_prev = _below(seq, _pi_ext(X, tbar - 1), k)
-        if not below_next and not below_prev:
-            return singleton
-        if below_next and below_prev:
-            return walls()
-        if below_next:
-            return boxes(tbar)
-        if fam is Family.A1:  # A1's chain runs down from k
-            points = [(r, "tilde") for r in range(k, k - budget, -1)]
-            return IneqSet(_box_family(seq, k, hk, points), meta)
-        return boxes(tbarbar)
-
-    if fam not in (Family.B1, Family.A2ODD, Family.D1):
-        return chain_split()
-    fork_low = {1, 2}
-    fork_high = {n - 1, n} if fam is Family.D1 else set()
-    if k in fork_low or k in fork_high:
-        (j,) = [j for j in neighbors(X, k)
-                if cartan_entry(X, k, j) == -1 and cartan_entry(X, j, k) == -1]
-        if _below(seq, k, j):
-            return singleton
-        return walls()
-    if fam is Family.D1 and n == 5 and k == 3:
-        # the middle colour of the smallest two-fork type: both fork
-        # pairs are adjacent to k, so the case split runs over the
-        # four neighbours
-        ranked = sorted([1, 2, 4, 5],
-                        key=lambda t: seq.single_index(DoubleIndex(1, t)))
-        below = [t for t in ranked if _below(seq, t, k)]
-        above = [t for t in ranked if not _below(seq, t, k)]
-        if len(below) == 0:
-            return singleton
-        if len(below) == 1:
-            return IneqSet(_fork_pair(hk, k, below[0]), meta)
-        if len(below) == 3:
-            return walls(s=-1, j=above[0], exclude_first=True)
-        if len(below) == 4:
-            return walls()
-        # two below and two above: four-form chains over both pairs
-        prov = {}
-        for (r1, r2) in [(below[0], below[1]), (above[0], above[1])]:
-            p31 = seq.p(3, r1)
-            for s in range(1, 2 * budget, 2):  # odd shifts only
-                chain = [
-                    ("three-up", LinearForm(hk, {
-                        DoubleIndex(s, r1): 1, DoubleIndex(s, r2): 1,
-                        DoubleIndex(s + p31, 3): -1})),
-                    ("step", LinearForm(hk, {
-                        DoubleIndex(s, r1): 1, DoubleIndex(s + 1, r2): -1})),
-                    ("step", LinearForm(hk, {
-                        DoubleIndex(s, r2): 1, DoubleIndex(s + 1, r1): -1})),
-                    ("three-down", LinearForm(hk, {
-                        DoubleIndex(s + p31, 3): 1, DoubleIndex(s + 1, r1): -1,
-                        DoubleIndex(s + 1, r2): -1})),
-                ]
-                for tag, phi in chain:
-                    prov.setdefault(phi, f"{tag}[{r1},{r2};{s}]")
-        return IneqSet(prov, meta)
-    branch = (k == 3) or (fam is Family.D1 and k == n - 2)
-    if not branch:
-        return chain_split()
-    # the colour adjacent to a fork: j1, j2 the class-1 fork colours,
-    # j3 the remaining neighbour
-    if k == 3:
-        j1, j2 = 1, 2
-    else:
-        j1, j2 = n - 1, n
-    (j3,) = [j for j in neighbors(X, k) if j not in (j1, j2)]
-    c1, c2, c3 = (_below(seq, t, k) for t in (j1, j2, j3))
-    if not c1 and not c2 and not c3:
-        return singleton
-    if c1 != c2 and not c3:
-        return IneqSet(_fork_pair(hk, k, j1 if c1 else j2), meta)
-    if c1 and c2 and c3:
-        return walls()
-    if c1 != c2 and c3:
-        j = j2 if c1 else j1
-        return walls(s=-1, j=j, exclude_first=True)
-    if (not c1 and not c2 and c3 and k == 3) or \
-            (c1 and c2 and not c3 and k != 3):
+    if upper_before:
         return boxes(tbar)
+    if X.family is Family.A1:  # A1's chain runs down from k
+        points = [(r, "tilde") for r in range(k, k - budget, -1)]
+        return IneqSet(_box_family(seq, k, hk, points), meta)
     return boxes(tbarbar)
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallcrystal.affine_data import (
-    AffineType, Family, HalfInt, index_class, langlands_dual, parse_type,
+    _MIN_RANK, AffineType, Family, HalfInt, cartan_entry, index_class,
+    langlands_dual, parse_type,
 )
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import (
@@ -18,8 +19,8 @@ from wallcrystal.walls import (
     parse_wall, search_walls, sites, transitions, wall_literal,
 )
 from wallcrystal.wall_forms import (
-    HostMismatch, NotStabilized, OutOfRange, WallFormMap, box_form,
-    comb_infinity, comb_lambda, epsilon_star, site_form, wall_form,
+    HostMismatch, NotStabilized, OutOfRange, WallFormMap, _beside_cells,
+    box_form, comb_infinity, comb_lambda, epsilon_star, site_form, wall_form,
 )
 from wallcrystal.zcrystal import ZElement, check_in_binf, generate
 
@@ -607,6 +608,29 @@ def test_comb_lambda_rejects_bad_input():
     for k in (0, 4):
         with pytest.raises(ValueError, match=f"colour {k} is not in"):
             comb_lambda(seq, k, lam, 4)
+
+
+EVERY_TYPE = [AffineType(family, n) for family in Family
+              for n in range(_MIN_RANK[family], 10)]
+
+
+@pytest.mark.parametrize("X", EVERY_TYPE, ids=str)
+def test_cells_beside_tbar_are_neighbours_and_split_only_next_to_a_fork(X):
+    # comb_lambda decides colour k by the two cells beside T-bar_k's
+    # cell.  Their colours are Cartan neighbours of k; a cell of two
+    # colours holds {1, 2} or {n-1, n} and lies beside colour 3 or n-2
+    # of B1, A2odd and D1; both cells hold two colours only for colour 3
+    # of D1 at rank 5
+    n = X.n
+    split_at = {Family.B1: {3}, Family.A2ODD: {3},
+                Family.D1: {3, n - 2}}.get(X.family, set())
+    for k in X.index_set:
+        cells = _beside_cells(X, k)
+        assert all(cartan_entry(X, k, c) < 0 for cell in cells for c in cell), k
+        split = [cell for cell in cells if len(cell) == 2]
+        assert all(cell in ({1, 2}, {n - 1, n}) for cell in split), k
+        assert bool(split) == (k in split_at), k
+        assert (len(split) == 2) == (X == AffineType(Family.D1, 5) and k == 3), k
 
 
 def test_comb_lambda_d1_middle_rank():
