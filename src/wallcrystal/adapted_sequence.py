@@ -4,6 +4,7 @@ and the shift tables P_ell(t) used by the wall-to-form assignment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from wallcrystal.affine_data import (
     AffineType,
@@ -11,6 +12,7 @@ from wallcrystal.affine_data import (
     Family,
     HalfInt,
     cartan_entry,
+    cartan_matrix,
     cell_atoms,
     in_domain,
     langlands_dual,
@@ -108,6 +110,22 @@ class AdaptedSequence:
     def first_occurrence(self, k: int) -> int:
         """iota^(k): the smallest r with entry(r) = k."""
         return self.period_perm.index(k) + 1
+
+    @cached_property
+    def profile_tables(self) -> tuple:
+        """(slot, first, columns), the tables the sigma profile reads,
+        built on the first read: slot[r % n] is entry(r) - 1, first[k - 1]
+        is iota^(k), and columns[k - 1] is the Cartan column of colour k.
+        A cached_property writes to the instance dict, past the frozen
+        __setattr__."""
+        n, perm = self.n, self.period_perm
+        slot = [0] * n
+        first = [0] * n
+        for r, c in enumerate(perm, 1):
+            slot[r % n] = c - 1
+            first[c - 1] = r
+        columns = tuple(zip(*cartan_matrix(self.base_type)))
+        return tuple(slot), tuple(first), columns
 
     # --- shift tables ------------------------------------------------
 

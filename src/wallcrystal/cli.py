@@ -179,27 +179,50 @@ def _verify_props(args, seq, out):
     drops by the site's root (twice it for a double site).  Each wall's
     sites and moves are found once, and the map builds each member's
     terms once, though a wall is met again as each smaller wall's
-    successor."""
+    successor.  The check runs on single indices: the drop is the
+    wall's terms less its successor's, taken once per addition and moved
+    up by s periods (indices below 1 vanish), and each root is read once
+    from `beta` as its (single index, coefficient) pairs, a nonzero
+    constant kept at index 0, where no term lies."""
     X = seq.wall_type
+    n = seq.n
     shifts = (0, 1, 3)
     bad = {s: [] for s in shifts}
     total = 0
     fmap = WallFormMap(seq)
+    roots = {}  # (single index, double site) -> the root's pairs
+
+    def root(r, double):
+        got = roots.get((r, double))
+        if got is None:
+            b = beta(seq, fmap.coordinate(r))
+            got = {seq.single_index(d): c for d, c in b.terms}
+            if b.constant:
+                got[0] = b.constant
+            if double:
+                got = {q: c + c for q, c in got.items()}
+            roots[r, double] = got
+        return got
+
     for k in X.index_set:
         for w in enumerate_walls(X, k, args.blocks):
             here = fmap.terms(w)
-            adds = [(st, fmap.index(k, st), fmap.terms(nxt))
-                    for st, nxt in transitions(w) if st.action == "add"]
+            adds = []
+            for st, nxt in transitions(w):
+                if st.action == "add":
+                    drop = dict(here)
+                    for q, c in fmap.terms(nxt):
+                        drop[q] = drop.get(q, 0) - c
+                    adds.append((st, fmap.index(k, st), st.grade == "double",
+                                 [(q, c) for q, c in drop.items() if c]))
             for s in shifts:
-                base = fmap.form(here, s)
-                for st, r, there in adds:
-                    r += s * seq.n
-                    if r < 1:
+                sn = s * n
+                for st, r, double, drop in adds:
+                    if r + sn < 1:
                         continue
-                    b = beta(seq, fmap.coordinate(r))
-                    want = b + b if st.grade == "double" else b
                     total += 1
-                    if base - fmap.form(there, s) != want:
+                    if ({q + sn: c for q, c in drop if q + sn >= 1}
+                            != root(r + sn, double)):
                         bad[s].append((s, k, wall_literal(w), st))
     bad = [item for s in shifts for item in bad[s]]
     out.write(f"props checked={total} violations={len(bad)}\n")

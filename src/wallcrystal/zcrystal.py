@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from itertools import repeat
 
-from wallcrystal.affine_data import cartan_entry, cartan_matrix
+from wallcrystal.affine_data import cartan_entry
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
 from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, x
 
@@ -30,7 +30,7 @@ class ZElement:
 
     def _fill(self, items: dict):
         object.__setattr__(self, "_entries", items)
-        object.__setattr__(self, "_hash", hash(tuple(sorted(items.items()))))
+        object.__setattr__(self, "_hash", None)  # found on the first hash
 
     def __setattr__(self, *a):
         raise AttributeError("ZElement is immutable")
@@ -66,6 +66,9 @@ class ZElement:
         return isinstance(other, ZElement) and self._entries == other._entries
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash(tuple(sorted(self._entries.items()))))
         return self._hash
 
     def __repr__(self):
@@ -121,15 +124,14 @@ def _sigma_profile(seq: AdaptedSequence, a: ZElement):
     every colour k, updated at each support position.  Between two
     support positions sigma_j = w[colour of j] is constant, so a gap costs
     one check per colour, at that colour's first and last position in
-    it.  The last period past the support has sigma = 0 at every colour,
-    so epsilon is never negative.
+    it, and the last position is found only when w[k] can attain the
+    best.  The last period past the support has sigma = 0 at every
+    colour, so epsilon is never negative.  Each position's colour, each
+    colour's first position and its Cartan column are read from tables
+    built once per sequence (`AdaptedSequence.profile_tables`).
     """
     n = seq.n
-    perm = seq.period_perm
-    cartan = cartan_matrix(seq.base_type)
-    occ = [0] * n  # occ[k - 1] is the first position of colour k
-    for i, c in enumerate(perm):
-        occ[c - 1] = i + 1
+    slot, occ, columns = seq.profile_tables
     items = a.items()
     w = [0] * n
     best, first, last = [-1] * n, [0] * n, [0] * n
@@ -137,23 +139,24 @@ def _sigma_profile(seq: AdaptedSequence, a: ZElement):
     for r, v in reversed([(0, 0)] + items):
         # the gap r < j <= hi
         for k in range(n):
-            jl = hi - (hi - occ[k]) % n
-            if jl > r:
-                s = w[k]
-                if s >= best[k]:
+            s = w[k]
+            if s >= best[k]:
+                jl = hi - (hi - occ[k]) % n
+                if jl > r:
                     if s > best[k]:
                         best[k], last[k] = s, jl
                     first[k] = r + 1 + (occ[k] - r - 1) % n
         if not r:
             break
-        c = perm[(r - 1) % n] - 1
+        c = slot[r % n]
         s = v + w[c]
         if s >= best[c]:
             if s > best[c]:
                 best[c], last[c] = s, r
             first[c] = r
+        column = columns[c]
         for k in range(n):
-            w[k] += cartan[k][c] * v
+            w[k] += column[k] * v
         hi = r - 1
     return best, first, last, w
 

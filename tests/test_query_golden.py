@@ -1,5 +1,7 @@
-"""Goldens of the small verifier and epsstar queries, and mutation checks
-showing that `verify crystal` and `verify props` catch a broken operator."""
+"""Goldens of the small verifier and epsstar queries, mutation checks
+showing that `verify crystal` and `verify props` catch a broken operator,
+and the single-index `verify props` check pinned to its LinearForm
+reference."""
 
 import io
 
@@ -8,6 +10,8 @@ import pytest
 import wallcrystal.cli as cli
 import wallcrystal.zcrystal as zcrystal
 from wallcrystal.linear_forms import x
+from wallcrystal.wall_forms import WallFormMap
+from wallcrystal.walls import enumerate_walls, wall_literal
 
 SETTINGS = {
     "D2": ("--type", "D2", "--rank", "3", "--order", "3,2,1"),
@@ -241,3 +245,79 @@ def test_verify_props_catches_a_wrong_root(monkeypatch, name):
     first = text.splitlines()[0]
     assert first.startswith("props checked=") and not first.endswith(" violations=0")
     assert text.splitlines()[1].startswith("  violation: (0, ")
+
+
+def _props_reference(seq, blocks):
+    """(checked, violations) of `verify props` on LinearForms: at each
+    shift, the wall form less its successor's form against `beta`
+    (doubled at a double site), with `beta` and `transitions` looked up
+    on cli, as the check itself reads them."""
+    X = seq.wall_type
+    shifts = (0, 1, 3)
+    bad = {s: [] for s in shifts}
+    total = 0
+    fmap = WallFormMap(seq)
+    for k in X.index_set:
+        for w in enumerate_walls(X, k, blocks):
+            here = fmap.terms(w)
+            adds = [(st, fmap.index(k, st), fmap.terms(nxt))
+                    for st, nxt in cli.transitions(w) if st.action == "add"]
+            for s in shifts:
+                base = fmap.form(here, s)
+                for st, r, there in adds:
+                    r += s * seq.n
+                    if r < 1:
+                        continue
+                    b = cli.beta(seq, fmap.coordinate(r))
+                    want = b + b if st.grade == "double" else b
+                    total += 1
+                    if base - fmap.form(there, s) != want:
+                        bad[s].append((s, k, wall_literal(w), st))
+    return total, [item for s in shifts for item in bad[s]]
+
+
+def _no_patch(monkeypatch):
+    pass
+
+
+def _root_off_on_odd_colours(monkeypatch):
+    real = cli.beta
+    monkeypatch.setattr(cli, "beta", lambda seq, d: real(seq, d) + x(d.s, d.k)
+                        if d.k % 2 else real(seq, d))
+
+
+def _root_with_a_constant(monkeypatch):
+    real = cli.beta
+    monkeypatch.setattr(cli, "beta", lambda seq, d: real(seq, d).shift_constant(
+        1 if d.s == 2 else 0))
+
+
+def _successors_rotated(monkeypatch):
+    real = cli.transitions
+
+    def transitions(w):
+        steps = list(real(w))
+        return [(st, steps[i - 1][1]) for i, (st, _) in enumerate(steps)]
+
+    monkeypatch.setattr(cli, "transitions", transitions)
+
+
+@pytest.mark.parametrize("patch", [_no_patch, _root_off_on_odd_colours,
+                                   _root_with_a_constant, _successors_rotated])
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_verify_props_matches_the_linear_form_reference(monkeypatch, name, patch):
+    patch(monkeypatch)
+    found = 0
+    for blocks in (1, 2, 3):
+        args = cli._parser().parse_args(
+            ["verify", "props", *SETTINGS[name], "--blocks", str(blocks)])
+        seq = cli._sequence(args)
+        out = io.StringIO()
+        bad = cli._verify_props(args, seq, out)
+        total, want = _props_reference(seq, blocks)
+        assert out.getvalue().startswith(
+            f"props checked={total} violations={len(want)}\n")
+        assert bad == want
+        found += len(bad)
+    # the patched checks find violations, so the comparison has teeth
+    assert (found > 0) == (patch is not _no_patch)

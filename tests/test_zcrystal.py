@@ -429,10 +429,29 @@ def _sigma_reference(seq, a, k):
     return eps, arg[0], arg[-1]
 
 
-@pytest.mark.parametrize("name,g,order,lam_values", ACCEPTANCE,
-                         ids=[s[0] for s in ACCEPTANCE])
-def test_sigma_profile_matches_sigma(name, g, order, lam_values):
-    seq = from_permutation(g, order)
+def _charts(order):
+    """The orders of the charts `star_length` builds: for each colour k,
+    the period starting with k and the rest of it in this order."""
+    return [(k,) + tuple(c for c in order if c != k) for k in order]
+
+
+# every order once per case, so that tables kept per type and not per
+# sequence would give a later order the tables of an earlier one
+PROFILE_CASES = [(name, g, [order] + [c for c in _charts(order) if c != order],
+                  lam_values) for name, g, order, lam_values in ACCEPTANCE]
+PROFILE_CASES.append(("D1 rank 5 orders", AffineType(Family.D1, 5),
+                      list(itertools.permutations(range(1, 6)))[::13],
+                      (1, 0, 1, 0, 1)))
+
+
+@pytest.mark.parametrize("name,g,orders,lam_values", PROFILE_CASES,
+                         ids=[s[0] for s in PROFILE_CASES])
+def test_sigma_profile_matches_sigma(name, g, orders, lam_values):
+    for order in orders:
+        _check_sigma_profile(from_permutation(g, order), lam_values)
+
+
+def _check_sigma_profile(seq, lam_values):
     colours = list(seq.base_type.index_set)
     for a in generate(seq, 5):
         for k in colours:
@@ -440,6 +459,9 @@ def test_sigma_profile_matches_sigma(name, g, order, lam_values):
             assert epsilon(seq, a, k) == eps
             assert f_tilde(seq, a, k) == a.bump(first, 1)
             assert e_tilde(seq, a, k) == (a.bump(last, -1) if eps > 0 else None)
+        assert weight_pairings(seq, a) == [
+            -sum(cartan_entry(seq.base_type, k, seq.entry(r)) * v
+                 for r, v in a.items()) for k in colours]
 
     def reference_generate(depth, lam):
         seen = {ZElement()}
@@ -461,6 +483,28 @@ def test_sigma_profile_matches_sigma(name, g, order, lam_values):
     for lam in (None, DominantWeight(lam_values)):
         for depth in range(6):
             assert generate(seq, depth, lam) == reference_generate(depth, lam)
+
+
+def test_profile_tables_are_built_once_per_sequence(monkeypatch):
+    import wallcrystal.adapted_sequence as adapted_sequence
+
+    built = []
+    real = adapted_sequence.cartan_matrix
+    monkeypatch.setattr(adapted_sequence, "cartan_matrix",
+                        lambda X: built.append(X) or real(X))
+    seq = ex2_seq()
+    tables = seq.profile_tables
+    assert built == [seq.base_type]
+    for a in generate(seq, 4, DominantWeight((1, 1, 1, 1))):
+        for k in seq.base_type.index_set:
+            epsilon(seq, a, k)
+            e_tilde(seq, a, k)
+            phi(seq, a, k)
+    assert built == [seq.base_type] and seq.profile_tables is tables
+    # another order of the same type has tables of its own
+    other = from_permutation(seq.base_type, (1, 2, 3, 4))
+    assert other.profile_tables[:2] != tables[:2]
+    assert other.profile_tables[2] == tables[2] and len(built) == 2
 
 
 def test_negative_depth_and_box_are_rejected():
