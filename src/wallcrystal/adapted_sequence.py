@@ -16,6 +16,7 @@ from wallcrystal.affine_data import (
     cell_atoms,
     in_domain,
     langlands_dual,
+    period,
     periodic_map,
 )
 
@@ -181,38 +182,28 @@ class ShiftTable:
         point.  Below it P_ell is a seed or 0, except on A1, which walks
         up."""
         X, ell = self.X, self.ell
+        seed = self._seed(t)
         if t < ell:
             if X.family is not Family.A1:
-                seed = self._seed(t, ell)
                 return None, 0 if seed is None else seed
             u = t + 1
         else:
-            seed = self._seed(ell, t)
             if seed is not None:
                 return None, seed
             u = t - 1 if t.is_integer else cell_atoms(X, t)[0] - 1
         return u, self.seq.p(periodic_map(X, t), periodic_map(X, u))
 
-    def _seed(self, lo: HalfInt, hi: HalfInt):
-        """The special half-step seeds P_{j1}(j2) when {j1,j2} is one of the
-        two exceptional pairs; only these may be negative."""
-        seq, X, ell = self.seq, self.X, self.ell
-        fam = X.family
-        n = X.n
-        pair = {lo, hi}
-        if ell not in pair:
+    def _seed(self, t: HalfInt):
+        """P_ell(t) when ell and t are the two atoms of a split cell of the
+        first period, else None: p(c, pi'(ell)) - p(c, pi'(t)) for c the
+        colour of the cell above.  Only these values may be negative."""
+        X, ell = self.X, self.ell
+        lo, hi = (t, ell) if t < ell else (ell, t)
+        if hi.twice - lo.twice != 1 or lo > period(X) \
+                or cell_atoms(X, lo) != (lo, hi):
             return None
-        j1 = ell
-        j2 = hi if lo == ell else lo
-        if fam in (Family.B1, Family.A2ODD, Family.D1):
-            if pair == {HalfInt.of(1), HalfInt(3)}:
-                return seq.p(3, periodic_map(X, j1)) - seq.p(3, periodic_map(X, j2))
-        if fam is Family.D1:
-            if pair == {HalfInt.of(n - 2), HalfInt(2 * n - 3)}:
-                return seq.p(n - 2, periodic_map(X, j1)) - seq.p(
-                    n - 2, periodic_map(X, j2)
-                )
-        return None
+        c = periodic_map(X, lo + 1)
+        return self.seq.p(c, periodic_map(X, ell)) - self.seq.p(c, periodic_map(X, t))
 
 
 def from_permutation(X_g: AffineType, perm) -> AdaptedSequence:

@@ -4,6 +4,9 @@ Cartan matrices, index classes, the periodic colour maps pi' with their
 domains D_X, the baseline thresholds T / T-bar / T-double-bar, and
 Langlands duality.  All level data is exact: positions in (1/2)Z are
 stored as doubled integers (see :class:`HalfInt`).
+
+Each family is one row of ``_ROWS``; everything else is read from the
+row or from one period of its cells (``_cells``).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from typing import NamedTuple
 
 
 class Family(enum.Enum):
@@ -28,16 +32,34 @@ class Family(enum.Enum):
     __hash__ = object.__hash__
 
 
-# smallest admissible rank parameter n per family
-_MIN_RANK = {
-    Family.A1: 2,
-    Family.B1: 4,
-    Family.C1: 3,
-    Family.D1: 5,
-    Family.A2EVEN: 3,
-    Family.A2EVEN_DAGGER: 3,
-    Family.A2ODD: 4,
-    Family.D2: 3,
+class _Row(NamedTuple):
+    """One family: its smallest rank n, its Langlands dual, the two
+    ends of its Dynkin chain ("fork", or the pair (a_{1,2}, a_{2,1}) at the
+    low end and (a_{n-1,n}, a_{n,n-1}) at the high end) and the kinds of
+    the two end cells of its colour pattern ("split", "doubled" or
+    "full"), and any name it parses from besides its value."""
+
+    min_rank: int
+    dual: Family
+    low: object
+    high: object
+    low_cell: str
+    high_cell: str
+    aliases: tuple = ()
+
+
+# A1 is the cycle 1..n and has no chain ends
+_ROWS = {
+    Family.A1: _Row(2, Family.A1, None, None, None, None),
+    Family.B1: _Row(4, Family.A2ODD, "fork", (-1, -2), "split", "doubled"),
+    Family.C1: _Row(3, Family.D2, (-1, -2), (-2, -1), "full", "full"),
+    Family.D1: _Row(5, Family.D1, "fork", "fork", "split", "split"),
+    Family.A2EVEN: _Row(3, Family.A2EVEN_DAGGER, (-1, -2), (-1, -2),
+                        "doubled", "full"),
+    Family.A2EVEN_DAGGER: _Row(3, Family.A2EVEN, (-2, -1), (-2, -1),
+                               "doubled", "full", ("a2dagger",)),
+    Family.A2ODD: _Row(4, Family.B1, "fork", (-2, -1), "split", "full"),
+    Family.D2: _Row(3, Family.C1, (-2, -1), (-1, -2), "doubled", "doubled"),
 }
 
 
@@ -94,7 +116,11 @@ class HalfInt:
         return self.twice < HalfInt.of(other).twice
 
     def __hash__(self):
-        return hash(("HalfInt", self.twice))
+        # the hash of the number itself, so that HalfInt.of(k) and k, which
+        # are equal, hash alike; a half point equals no int or other type
+        if self.twice % 2:
+            return hash(self.twice / 2)
+        return hash(self.twice // 2)
 
     def __repr__(self):
         if self.is_integer:
@@ -110,10 +136,11 @@ class AffineType:
     n: int
 
     def __post_init__(self):
-        if self.n < _MIN_RANK[self.family]:
+        least = _ROWS[self.family].min_rank
+        if self.n < least:
             raise ValueError(
                 f"rank n={self.n} below the minimum "
-                f"{_MIN_RANK[self.family]} for {self.family.value}"
+                f"{least} for {self.family.value}"
             )
 
     @property
@@ -124,24 +151,12 @@ class AffineType:
         return f"{self.family.value}(n={self.n})"
 
 
-_FAMILY_ALIASES = {
-    "a1": Family.A1,
-    "b1": Family.B1,
-    "c1": Family.C1,
-    "d1": Family.D1,
-    "a2even": Family.A2EVEN,
-    "a2evendagger": Family.A2EVEN_DAGGER,
-    "a2dagger": Family.A2EVEN_DAGGER,
-    "a2odd": Family.A2ODD,
-    "d2": Family.D2,
-}
-
-
 def parse_type(name: str, n: int) -> AffineType:
     key = name.strip().lower()
-    if key not in _FAMILY_ALIASES:
-        raise ValueError(f"unknown affine family {name!r}")
-    return AffineType(_FAMILY_ALIASES[key], n)
+    for fam, row in _ROWS.items():
+        if key == fam.value.lower() or key in row.aliases:
+            return AffineType(fam, n)
+    raise ValueError(f"unknown affine family {name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +164,9 @@ def cartan_matrix(X: AffineType) -> tuple:
     """The generalized Cartan matrix (a_{i,j}) with <h_i, alpha_j> = a_{i,j}.
 
     Returned as a tuple of tuples indexed 0-based; use :func:`cartan_entry`
-    for 1-based access.
+    for 1-based access.  Past A1 it is a chain of single links with the
+    family's two ends: a fork, where 1 and 2 (n-1 and n) both link to 3
+    (n-2), or one link from 1 to 2 (n-1 to n) with the row's pair.
     """
     n = X.n
     a = [[0] * n for _ in range(n)]
@@ -160,152 +177,88 @@ def cartan_matrix(X: AffineType) -> tuple:
         a[i - 1][j - 1] = aij
         a[j - 1][i - 1] = aji
 
-    fam = X.family
-    if fam is Family.A1:
+    row = _ROWS[X.family]
+    if X.family is Family.A1:
         if n == 2:
             link(1, 2, -2, -2)
         else:
             for i in range(1, n):
                 link(i, i + 1)
             link(n, 1)
-    elif fam is Family.B1:
+        return tuple(tuple(r) for r in a)
+    if row.low == "fork":
         link(1, 3)
         link(2, 3)
-        for i in range(3, n - 1):
-            link(i, i + 1)
-        # (n-1) => n : a_{n,n-1} = -2
-        link(n - 1, n, -1, -2)
-    elif fam is Family.C1:
-        # 1 => 2 : a_{2,1} = -2
-        link(1, 2, -1, -2)
-        for i in range(2, n - 1):
-            link(i, i + 1)
-        # (n-1) <= n : a_{n-1,n} = -2
-        link(n - 1, n, -2, -1)
-    elif fam is Family.D1:
-        link(1, 3)
-        link(2, 3)
-        for i in range(3, n - 2):
-            link(i, i + 1)
+    else:
+        link(1, 2, *row.low)
+    if row.high == "fork":
         link(n - 2, n - 1)
         link(n - 2, n)
-    elif fam is Family.A2EVEN:
-        link(1, 2, -1, -2)
-        for i in range(2, n - 1):
-            link(i, i + 1)
-        link(n - 1, n, -1, -2)
-    elif fam is Family.A2EVEN_DAGGER:
-        link(1, 2, -2, -1)
-        for i in range(2, n - 1):
-            link(i, i + 1)
-        link(n - 1, n, -2, -1)
-    elif fam is Family.A2ODD:
-        link(1, 3)
-        link(2, 3)
-        for i in range(3, n - 1):
-            link(i, i + 1)
-        link(n - 1, n, -2, -1)
-    elif fam is Family.D2:
-        link(1, 2, -2, -1)
-        for i in range(2, n - 1):
-            link(i, i + 1)
-        link(n - 1, n, -1, -2)
-    else:  # pragma: no cover
-        raise AssertionError(fam)
-    return tuple(tuple(row) for row in a)
+    else:
+        link(n - 1, n, *row.high)
+    lo = 3 if row.low == "fork" else 2
+    hi = n - 2 if row.high == "fork" else n - 1
+    for i in range(lo, hi):
+        link(i, i + 1)
+    return tuple(tuple(r) for r in a)
 
 
 def cartan_entry(X: AffineType, i: int, j: int) -> int:
     return cartan_matrix(X)[i - 1][j - 1]
 
 
-_DUAL = {
-    Family.A1: Family.A1,
-    Family.D1: Family.D1,
-    Family.C1: Family.D2,
-    Family.D2: Family.C1,
-    Family.A2ODD: Family.B1,
-    Family.B1: Family.A2ODD,
-    Family.A2EVEN: Family.A2EVEN_DAGGER,
-    Family.A2EVEN_DAGGER: Family.A2EVEN,
-}
-
-
 def langlands_dual(X: AffineType) -> AffineType:
     """The Langlands dual type; walls for type-X crystals live in the dual."""
-    return AffineType(_DUAL[X.family], X.n)
+    return AffineType(_ROWS[X.family].dual, X.n)
+
+
+@lru_cache(maxsize=None)
+def _cells(X: AffineType) -> tuple:
+    """One period of the colour pattern, a (kind, colours) pair per cell
+    from position 1 on: kind "split" (two colours, the integer atom's
+    first), "doubled" (half height) or "full".  Past A1 the period walks
+    the Dynkin chain up, from the low end cell through the full cells
+    between to the high end cell, and back down the full cells; A1's is
+    the cycle 1..n."""
+    n = X.n
+    if X.family is Family.A1:
+        return tuple(("full", (c,)) for c in range(1, n + 1))
+    row = _ROWS[X.family]
+    low = (row.low_cell, (1, 2) if row.low_cell == "split" else (1,))
+    high = (row.high_cell, (n - 1, n) if row.high_cell == "split" else (n,))
+    middle = [("full", (c,))
+              for c in range(len(low[1]) + 1, n - len(high[1]) + 1)]
+    return (low, *middle, high, *reversed(middle))
+
+
+def _cell(X: AffineType, t: HalfInt) -> tuple:
+    """The cell at position floor(t), for t in D_X."""
+    cells = _cells(X)
+    return cells[(t.twice // 2 - 1) % len(cells)]
 
 
 def period(X: AffineType) -> HalfInt:
     """Period of the colour map on its domain."""
-    n = X.n
-    fam = X.family
-    if fam is Family.A1:
-        return HalfInt.of(n)
-    if fam in (Family.C1, Family.D2, Family.A2EVEN, Family.A2EVEN_DAGGER):
-        return HalfInt.of(2 * n - 2)
-    if fam in (Family.B1, Family.A2ODD):
-        return HalfInt.of(2 * n - 4)
-    if fam is Family.D1:
-        return HalfInt.of(2 * n - 6)
-    raise AssertionError(fam)  # pragma: no cover
+    return HalfInt.of(len(_cells(X)))
 
 
 def in_domain(X: AffineType, t) -> bool:
+    """Every integer on A1; past it every t >= 1 that is an integer or the
+    half point of a split cell."""
     t = HalfInt.of(t)
-    fam = X.family
-    if fam is Family.A1:
+    if X.family is Family.A1:
         return t.is_integer
-    if t.is_integer:
-        return t.twice >= 2
-    per = period(X).twice // 2
-    if fam in (Family.B1, Family.A2ODD):
-        # 3/2 + per * Z>=0
-        return t.twice >= 3 and (t.twice - 3) % (2 * per) == 0
-    if fam is Family.D1:
-        if t.twice >= 3 and (t.twice - 3) % (2 * per) == 0:
-            return True
-        base = 2 * X.n - 3  # twice (n - 3/2)
-        return t.twice >= base and (t.twice - base) % (2 * per) == 0
-    return False
+    return t.twice >= 2 and (t.is_integer or _cell(X, t)[0] == "split")
 
 
 def periodic_map(X: AffineType, t) -> int:
     """The colour pi'_X(t) for t in D_X (pi_{A1}(t) for every integer t)."""
     t = HalfInt.of(t)
-    n = X.n
-    fam = X.family
-    if fam is Family.A1:
-        if not t.is_integer:
-            raise DomainError(f"{t} not an integer position")
-        return (t.floor() - 1) % n + 1
     if not in_domain(X, t):
+        if X.family is Family.A1:
+            raise DomainError(f"{t} not an integer position")
         raise DomainError(f"{t} not in the domain of the colour map for {X}")
-    per = period(X)
-    # reduce into the base window starting at 1
-    red = HalfInt((t.twice - 2) % per.twice + 2)
-    if fam in (Family.C1, Family.D2, Family.A2EVEN, Family.A2EVEN_DAGGER):
-        ell = red.floor()
-        return ell if ell <= n else 2 * n - ell
-    if fam in (Family.B1, Family.A2ODD):
-        if not red.is_integer:
-            return 2
-        ell = red.floor()
-        if ell == 1:
-            return 1
-        if 2 <= ell <= n - 1:
-            return ell + 1
-        return 2 * n - ell - 1
-    if fam is Family.D1:
-        if not red.is_integer:
-            return 2 if red.twice == 3 else n
-        ell = red.floor()
-        if ell == 1:
-            return 1
-        if 2 <= ell <= n - 2:
-            return ell + 1
-        return 2 * n - ell - 3
-    raise AssertionError(fam)  # pragma: no cover
+    return _cell(X, t)[1][t.twice % 2]
 
 
 def domain_points(X: AffineType, start, stop):
@@ -334,25 +287,18 @@ def next_domain_point(X: AffineType, t) -> HalfInt:
 
 @lru_cache(maxsize=None)
 def index_class(X: AffineType, k: int) -> int:
-    """1 if the fundamental weight at k carries a level-1 Young wall, else 2.
+    """1 if the fundamental weight at k carries a level-1 Young wall, else 2:
+    class 1 is every colour of a split or doubled cell, and every colour
+    on A1.
 
     Memoized per (type, colour); an index outside 1..n raises on every call.
     """
-    n = X.n
-    fam = X.family
-    if not 1 <= k <= n:
-        raise ValueError(f"index {k} outside 1..{n}")
-    class1 = {
-        Family.A1: set(range(1, n + 1)),
-        Family.B1: {1, 2, n},
-        Family.D1: {1, 2, n - 1, n},
-        Family.A2EVEN: {1},
-        Family.A2EVEN_DAGGER: {1},
-        Family.A2ODD: {1, 2},
-        Family.D2: {1, n},
-        Family.C1: set(),
-    }[fam]
-    return 1 if k in class1 else 2
+    if not 1 <= k <= X.n:
+        raise ValueError(f"index {k} outside 1..{X.n}")
+    if X.family is Family.A1:
+        return 1
+    return 1 if any(k in colours for kind, colours in _cells(X)
+                    if kind != "full") else 2
 
 
 @lru_cache(maxsize=None)
@@ -364,9 +310,6 @@ def thresholds(X: AffineType, k: int):
     Memoized per (type, colour), so the returned HalfInts are shared and
     must not be mutated.
     """
-    if X.family is Family.A1:
-        t = None if index_class(X, k) != 1 else k
-        return (t, HalfInt.of(k), HalfInt.of(k + X.n))
     if not 1 <= k <= X.n:  # no domain point maps to k: the scan never ends
         raise ValueError(f"index {k} outside 1..{X.n}")
     hits = []
@@ -382,16 +325,10 @@ def thresholds(X: AffineType, k: int):
 
 
 def half_height_colors(X: AffineType) -> frozenset:
-    """Colours whose blocks have half-unit height (and unit thickness)."""
-    fam = X.family
-    n = X.n
-    if fam is Family.D2:
-        return frozenset({1, n})
-    if fam in (Family.A2EVEN, Family.A2EVEN_DAGGER):
-        return frozenset({1})
-    if fam is Family.B1:
-        return frozenset({n})
-    return frozenset()
+    """Colours whose blocks have half-unit height (and unit thickness):
+    those of the doubled cells."""
+    return frozenset(c for kind, colours in _cells(X) if kind == "doubled"
+                     for c in colours)
 
 
 def cell_atoms(X: AffineType, t) -> tuple:
@@ -405,12 +342,10 @@ def cell_atoms(X: AffineType, t) -> tuple:
         raise DomainError(f"{t} not in the domain of the colour map for {X}")
     if not t.is_integer:
         return (t - HalfInt(1), t)
-    half = t + HalfInt(1)
-    if in_domain(X, half):
-        return (t, half)
-    if periodic_map(X, t) in half_height_colors(X):
-        return (t, t)
-    return (t,)
+    kind = _cell(X, t)[0]
+    if kind == "split":
+        return (t, t + HalfInt(1))
+    return (t, t) if kind == "doubled" else (t,)
 
 
 def split_cell_pairs(X: AffineType) -> tuple:
@@ -419,10 +354,4 @@ def split_cell_pairs(X: AffineType) -> tuple:
     Each pair is listed with the colour sitting at the integer domain
     point first.
     """
-    fam = X.family
-    n = X.n
-    if fam in (Family.B1, Family.A2ODD):
-        return ((1, 2),)
-    if fam is Family.D1:
-        return ((1, 2), (n - 1, n))
-    return ()
+    return tuple(colours for kind, colours in _cells(X) if kind == "split")

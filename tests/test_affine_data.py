@@ -201,10 +201,14 @@ def test_cell_atoms():
 def test_cells_tile_the_domain():
     # over two periods, each domain point lies in exactly one cell; a
     # doubled cell's colour is half height and a split cell's colours are
-    # a split pair, the half-point colour second
-    for X in (AffineType(f, n) for f in ALL_FAMILIES for n in range(5, 8)):
+    # a split pair, the half-point colour second.  The cells of a period
+    # follow the Cartan matrix: cyclic neighbours hold linked colours, a
+    # split cell's two colours are unlinked, and every colour occurs
+    for X in (AffineType(f, n) for f in ALL_FAMILIES
+              for n in range(MIN_N[f], 13)):
         pairs = set(split_cell_pairs(X))
-        points = domain_points(X, 1, 1 + 2 * period(X).floor())
+        per = period(X).floor()
+        points = domain_points(X, 1, 1 + 2 * per)
         cells = {cell_atoms(X, t) for t in points}
         assert sorted(t for c in cells for t in set(c)) == points, X
         for c in cells:
@@ -213,6 +217,15 @@ def test_cells_tile_the_domain():
                 assert colours[0] in half_height_colors(X), (X, c)
             elif len(c) == 2:
                 assert colours in pairs and c[1] - c[0] == HalfInt(1), (X, c)
+        a = cartan_matrix(X)
+        row = [tuple(periodic_map(X, t) for t in dict.fromkeys(cell_atoms(X, p)))
+               for p in range(1, per + 1)]
+        for here, above in zip(row, row[1:] + row[:1]):
+            assert all(c != d and a[c - 1][d - 1] < 0
+                       for c in here for d in above), (X, here, above)
+            if len(here) == 2:
+                assert a[here[0] - 1][here[1] - 1] == 0, (X, here)
+        assert sorted({c for cell in row for c in cell}) == list(X.index_set), X
 
 
 def test_parse_type():
@@ -230,6 +243,15 @@ def test_two_parses_of_one_type_are_one_dict_key():
     table[b] = "second"
     assert table == {a: "second"} and hash(a) == hash(b)
     assert len({f: None for f in list(Family) + list(Family)}) == len(Family)
+
+
+def test_halfint_hashes_as_the_number_it_stands_for():
+    # equal objects hash alike: an integral HalfInt finds its int in a set
+    # or dict and back, and the hash does not depend on the hash seed
+    assert HalfInt.of(1) == 1 and 1 in {HalfInt.of(1)}
+    assert {HalfInt.of(2): "x"}.get(2) == "x" and HalfInt.of(-3) in {-3}
+    assert hash(HalfInt.of(5)) == hash(5) and hash(HalfInt(-7)) == hash(-3.5)
+    assert len({HalfInt(3), HalfInt(3), 1, HalfInt(2)}) == 2
 
 
 def test_halfint_arithmetic():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallcrystal.affine_data import (
-    _MIN_RANK, AffineType, Family, HalfInt, cartan_entry, index_class,
+    _ROWS, AffineType, Family, HalfInt, cartan_entry, index_class,
     langlands_dual, parse_type,
 )
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
@@ -611,7 +611,7 @@ def test_comb_lambda_rejects_bad_input():
 
 
 EVERY_TYPE = [AffineType(family, n) for family in Family
-              for n in range(_MIN_RANK[family], 10)]
+              for n in range(_ROWS[family].min_rank, 10)]
 
 
 @pytest.mark.parametrize("X", EVERY_TYPE, ids=str)

@@ -153,7 +153,9 @@ def test_column_pattern_rejects_a_negative_count():
 
 def test_only_affine_data_decides_the_cells():
     # walls and wall_forms read a cell's atoms from affine_data.cell_atoms;
-    # neither keeps its own half-height test or split partner
+    # neither keeps its own half-height test or split partner.  Past
+    # affine_data no module names a family but A1, so a family's cells
+    # and seeds come only from its row there; cli may refuse A2evenDagger
     import ast
     from pathlib import Path
 
@@ -164,6 +166,17 @@ def test_only_affine_data_decides_the_cells():
                  if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert "cell_atoms" in names, name
         assert not names & {"half_height_colors", "_partner"}, name
+    allowed = dict.fromkeys(
+        ("walls.py", "wall_forms.py", "adapted_sequence.py",
+         "linear_forms.py", "zcrystal.py"), {"A1"})
+    allowed["cli.py"] = {"A1", "A2EVEN_DAGGER"}
+    for name, members in allowed.items():
+        tree = ast.parse((src / name).read_text())
+        named = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "Family"}
+        assert named <= members, (name, named - members)
 
 
 def _reference_pattern(X, k, ground, parity, count):
