@@ -21,7 +21,7 @@ from wallcrystal.wall_forms import (
     NotStabilized, WallFormMap, comb_infinity, comb_lambda, epsilon_star,
 )
 from wallcrystal.zcrystal import (
-    ZElement, _sigma_profile, f_tilde, generate, parse_element,
+    ZElement, _sigma_profile, f_tilde, generate, parse_element, render_element,
 )
 # the crystal operators, bound here under their names for callers and
 # tracers that look them up on this module
@@ -236,14 +236,14 @@ def _verify_crystal(args, seq, out):
     e_tilde_k b = a, epsilon_k rises by one, phi_k falls by one, and the
     weight pairings change by the Cartan column of k.  epsilon, f_tilde,
     e_tilde and the weight are read from one sigma profile of a and one
-    of each b."""
+    of each b.  Up to 20 failing (a, k) pairs are printed as witnesses."""
     import random
 
     rng = random.Random(args.seed)
     colours = list(seq.base_type.index_set)
     # entry k - 1 is the Cartan column of colour k
     columns = list(zip(*cartan_matrix(seq.base_type)))
-    bad = 0
+    bad = []
     for _ in range(args.samples):
         a = ZElement()
         for _ in range(rng.randint(0, args.depth)):
@@ -258,8 +258,10 @@ def _verify_crystal(args, seq, out):
                   and eps_b[i] - w_b[i] == eps_a[i] - w_a[i] - 1
                   and tuple(q - p for p, q in zip(w_a, w_b)) == column)
             if not ok:
-                bad += 1
-    out.write(f"crystal samples={args.samples} violations={bad}\n")
+                bad.append(f"colour {i + 1} at {render_element(seq, a)}")
+    out.write(f"crystal samples={args.samples} violations={len(bad)}\n")
+    for line in bad[:20]:
+        out.write(f"  violation: {line}\n")
     return bad
 
 

@@ -5,8 +5,8 @@ generated elements against the inequality systems."""
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
-from itertools import repeat
 
 from wallcrystal.affine_data import cartan_entry
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
@@ -14,9 +14,11 @@ from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, x
 
 
 class ZElement:
-    """A finitely supported sequence a_1, a_2, ... keyed by single index."""
+    """A finitely supported sequence a_1, a_2, ... keyed by single index,
+    held as one tuple of (index, value) pairs sorted by index, with no
+    zero value."""
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_items",)
 
     def __init__(self, entries=None):
         items = {}
@@ -26,53 +28,62 @@ class ZElement:
                     if r < 1:
                         raise ValueError(f"index {r} below 1")
                     items[r] = items.get(r, 0) + v
-        self._fill({r: v for r, v in items.items() if v})
+        items = tuple(sorted((r, v) for r, v in items.items() if v))
+        object.__setattr__(self, "_items", items)
 
-    def _fill(self, items: dict):
-        object.__setattr__(self, "_entries", items)
-        object.__setattr__(self, "_hash", None)  # found on the first hash
+    @staticmethod
+    def _wrap(items: tuple) -> "ZElement":
+        """The element whose pairs are items, unchecked: they must be
+        sorted by index, with no zero value and no index below 1."""
+        a = object.__new__(ZElement)
+        object.__setattr__(a, "_items", items)
+        return a
 
     def __setattr__(self, *a):
         raise AttributeError("ZElement is immutable")
 
     def get(self, r: int) -> int:
-        return self._entries.get(r, 0)
+        items = self._items
+        i = bisect_left(items, (r,))
+        return items[i][1] if i < len(items) and items[i][0] == r else 0
 
     @property
     def support(self):
-        return sorted(self._entries)
+        return [r for r, _ in self._items]
 
-    def items(self):
-        return sorted(self._entries.items())
+    def items(self) -> tuple:
+        return self._items
 
     def total(self) -> int:
-        return sum(self._entries.values())
+        return sum(v for _, v in self._items)
 
     def bump(self, r: int, delta: int) -> "ZElement":
-        out = dict(self._entries)
-        v = out.pop(r, 0) + delta
-        if v:
-            if r < 1:
-                raise ValueError(f"index {r} below 1")
-            out[r] = v
-        b = object.__new__(ZElement)  # the entries are checked already
-        b._fill(out)
-        return b
+        if r < 1 and delta:
+            raise ValueError(f"index {r} below 1")
+        return ZElement._wrap(_bumped(self._items, r, delta))
 
     def as_double(self, seq: AdaptedSequence) -> dict:
-        return {seq.reindex(r): v for r, v in self._entries.items()}
+        return {seq.reindex(r): v for r, v in self._items}
 
     def __eq__(self, other):
-        return isinstance(other, ZElement) and self._entries == other._entries
+        return isinstance(other, ZElement) and self._items == other._items
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash(tuple(sorted(self._entries.items()))))
-        return self._hash
+        return hash(self._items)
 
     def __repr__(self):
-        return f"ZElement({self._entries!r})"
+        return f"ZElement({dict(self._items)!r})"
+
+
+def _bumped(items: tuple, r: int, delta: int) -> tuple:
+    """items with delta added at index r, the pair dropped if it reaches 0."""
+    i = bisect_left(items, (r,))
+    j = i
+    if i < len(items) and items[i][0] == r:
+        delta += items[i][1]
+        j += 1
+    return items[:i] + ((r, delta),) + items[j:] if delta \
+        else items[:i] + items[j:]
 
 
 _ELEM_RE = re.compile(r"a\[(\d+),(\d+)\]\s*=\s*(-?\d+)")
@@ -114,7 +125,14 @@ def sigma(seq: AdaptedSequence, a: ZElement, j: int) -> int:
 
 
 def _sigma_profile(seq: AdaptedSequence, a: ZElement):
-    """(epsilon, first, last, weight), lists indexed by colour - 1.
+    """(epsilon, first, last, weight) of a, lists indexed by colour - 1
+    (see `_profile`)."""
+    return _profile(seq, a._items)
+
+
+def _profile(seq: AdaptedSequence, items: tuple):
+    """(epsilon, first, last, weight), lists indexed by colour - 1, of the
+    element whose (index, value) pairs are items, sorted by index.
 
     For colour k, epsilon is the largest sigma_j over the positions j of
     colour k up to one period past the support, first and last are the
@@ -128,15 +146,16 @@ def _sigma_profile(seq: AdaptedSequence, a: ZElement):
     best.  The last period past the support has sigma = 0 at every
     colour, so epsilon is never negative.  Each position's colour, each
     colour's first position and its Cartan column are read from tables
-    built once per sequence (`AdaptedSequence.profile_tables`).
+    built once per sequence (`AdaptedSequence.profile_tables`), and the
+    pairs are read from the element's own sorted tuple, last first, so
+    no call sorts.
     """
     n = seq.n
     slot, occ, columns = seq.profile_tables
-    items = a.items()
     w = [0] * n
     best, first, last = [-1] * n, [0] * n, [0] * n
     hi = (items[-1][0] if items else 0) + n
-    for r, v in reversed([(0, 0)] + items):
+    for r, v in reversed(((0, 0),) + items):
         # the gap r < j <= hi
         for k in range(n):
             s = w[k]
@@ -284,26 +303,27 @@ def generate(seq: AdaptedSequence, depth: int,
         raise ValueError(f"depth {depth} is negative")
     if lam is not None:
         lam.check_rank(seq.n)
-    zero = ZElement()
-    seen = {zero}
-    frontier = [zero]
+    # the search runs on the elements' sorted tuples of (index, value)
+    # pairs; each survivor is wrapped as a ZElement once, at the end
+    seen = {()}
+    frontier = [()]
     colours = range(seq.n)
     for _ in range(depth):
         nxt = []
         for a in frontier:
-            eps, first, _, weight = _sigma_profile(seq, a)
+            eps, first, _, weight = _profile(seq, a)
             for k in colours:
                 # phi_k = epsilon_k + <h_k, lam> - sum_r C[k, i_r] a_r
                 if lam is not None and eps[k] + lam.values[k] <= weight[k]:
                     continue
-                b = a.bump(first[k], 1)
+                b = _bumped(a, first[k], 1)
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
         if not nxt:
             break
         frontier = nxt
-    return seen
+    return set(map(ZElement._wrap, seen))
 
 
 def _window_forms(seq, support_cap, s_max, lam=None):
@@ -346,9 +366,12 @@ def _cut_points(forms, box: int, depth: int) -> list:
     when the top bit of its lane is set, so x_L is allowed when q & mask
     == mask, and q steps to x_L + 1 by adding the column of the
     coefficients of x_L.  The settled lanes are then shifted out.  Every
-    value is at most |constant| + depth max|coefficient| in size, below
-    2**(bits - 1), so no lane carries into the next and the values are
-    exact for any size of coefficient.
+    value and every coefficient is at most |constant| + max(depth, 1)
+    max|coefficient| in size, below 2**(bits - 1), so no lane carries
+    into the next and the values are exact for any size of coefficient.
+    The sorted forms are transposed once, so the column of level L is a
+    slice of the L-th row of the transpose, the lanes not yet shifted
+    out; 8-bit lanes are packed as one bytes object per column.
     """
     lanes = []  # (first index, form) of the forms with a variable
     for v in forms:
@@ -358,7 +381,7 @@ def _cut_points(forms, box: int, depth: int) -> list:
         elif v[0] < 0:
             raise ValueError("inconsistent constant inequality in the window")
     lanes.sort(key=lambda lane: lane[0], reverse=True)
-    bound = max((abs(v[0]) + depth * max(map(abs, v[1:box + 1]))
+    bound = max((abs(v[0]) + max(depth, 1) * max(map(abs, v[1:box + 1]))
                  for _, v in lanes), default=0)
     bits = 8
     while bound >> (bits - 1):
@@ -366,6 +389,8 @@ def _cut_points(forms, box: int, depth: int) -> list:
     size, half = bits // 8, 1 << (bits - 1)
 
     def packed(values):  # lane i holds values[i] + half
+        if bits == 8:
+            return int.from_bytes(bytes([c + half for c in values]), "little")
         return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
                                        for c in values), "little")
 
@@ -373,12 +398,15 @@ def _cut_points(forms, box: int, depth: int) -> list:
         return int.from_bytes(half.to_bytes(size, "little") * count, "little")
 
     at_level = Counter(first for first, _ in lanes)
-    frontier = [(packed([v[0] for _, v in lanes]), depth, ())]
+    # rows[L][i] is the coefficient of x_L in lane i, rows[0] the constants
+    rows = list(zip(*(v for _, v in lanes))) or [()] * (box + 1)
+    frontier = [(packed(rows[0]), depth, ())]
+    gone = 0  # lanes settled and shifted out so far
     for level in range(box, 0, -1):
-        column = packed([v[level] for _, v in lanes]) - biased_zeros(len(lanes))
+        column = packed(rows[level][gone:]) - biased_zeros(len(lanes) - gone)
         settled = at_level[level]
         mask, shift = biased_zeros(settled), bits * settled
-        lanes = lanes[settled:]
+        gone += settled
         nxt = []
         for q, budget, point in frontier:
             allowed = False
@@ -414,7 +442,7 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     if box is not None and box < 0:
         raise ValueError(f"box {box} is negative")
     gen = generate(seq, depth, lam)
-    max_supp = max((max(a.support, default=0) for a in gen), default=0)
+    max_supp = max((a.items()[-1][0] for a in gen if a.items()), default=0)
     if box is None:
         box = max_supp
     if box < max_supp:
@@ -423,8 +451,13 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     forms = _window_forms(seq, box, s_max, lam)
     cut = set(_cut_points(forms, box, depth))
 
-    coords = range(1, box + 1)
-    vectors = {a: tuple(map(a._entries.get, coords, repeat(0))) for a in gen}
+    def dense(a):
+        v = [0] * box
+        for r, c in a.items():
+            v[r - 1] = c
+        return tuple(v)
+
+    vectors = {a: dense(a) for a in gen}
     gen_vecs = set(vectors.values())
     missing = cut - gen_vecs
     extra = gen_vecs - cut

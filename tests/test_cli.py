@@ -122,6 +122,37 @@ def test_verify_star_prints_witnesses(monkeypatch):
     assert len(lines) == 11
 
 
+def test_verify_crystal_prints_witnesses(monkeypatch):
+    # a weight that grows by one more than the Cartan column at colour 1
+    # fails every (element, colour) pair: 10 samples of 3 colours give 30
+    # violations, of which the first 20 are printed in sample order
+    import wallcrystal.cli as cli
+    from wallcrystal.zcrystal import check_in_binf, parse_element
+
+    real = cli._sigma_profile
+
+    def profile(seq, a):
+        eps, first, last, w = real(seq, a)
+        return eps, first, last, [w[0] + a.total()] + w[1:]
+
+    monkeypatch.setattr(cli, "_sigma_profile", profile)
+    code, text = run("verify", "crystal", "--type", "D2", "--rank", "3",
+                     "--order", "3,2,1", "--samples", "10", "--depth", "4")
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[0] == "crystal samples=10 violations=30"
+    assert len(lines) == 21
+    seq = from_permutation(parse_type("D2", 3), (3, 2, 1))
+    for i, line in enumerate(lines[1:]):
+        m = re.fullmatch(r"  violation: colour (\d) at (.+)", line)
+        assert m and int(m.group(1)) == i % 3 + 1, line
+        a = parse_element(seq, "" if m.group(2) == "0" else m.group(2))
+        assert render_element(seq, a) == m.group(2)
+        check_in_binf(seq, a)
+    # the three colours of one sample name one element
+    assert len({line.split(" at ")[1] for line in lines[1:4]}) == 1
+
+
 def test_epsstar_rejects_elements_outside_binf(capsys):
     # both are nonnegative, yet e_tilde does not lead them down to 0
     d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")

@@ -34,3 +34,22 @@ def test_traced_layer_resolves(layer, module, attribute, keep):
 def test_traced_crystal_op_resolves_on_the_cli(name):
     cli = importlib.import_module("wallcrystal.cli")
     assert callable(getattr(cli, name))
+
+
+def test_lattice_results_keep_the_shape_the_benchmark_reads():
+    # tracing.py counts len(generate(...)) and report["cut"]; checks.py
+    # reads every key of the verify_equivalence report
+    from wallcrystal.adapted_sequence import from_permutation
+    from wallcrystal.affine_data import AffineType, Family
+    from wallcrystal.zcrystal import ZElement, generate, verify_equivalence
+
+    seq = from_permutation(AffineType(Family.D2, 3), (3, 2, 1))
+    gen = generate(seq, 3)
+    assert isinstance(gen, set) and len(gen) > 1
+    assert all(isinstance(a, ZElement) for a in gen)
+    report = verify_equivalence(seq, 3)
+    assert set(report) == {"generated", "cut", "violations", "missing",
+                           "extra", "ok"}
+    assert report["generated"] == report["cut"] == len(gen)
+    assert report["ok"] is True
+    assert report["violations"] == report["missing"] == report["extra"] == []

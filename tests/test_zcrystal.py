@@ -44,6 +44,57 @@ def test_element_basics():
         a._entries = {}
 
 
+_PAIRS = st.lists(st.tuples(st.integers(-1, 12), st.integers(-3, 3)),
+                  max_size=8)
+
+
+@given(pairs=_PAIRS, as_dict=st.booleans(),
+       bumps=st.lists(st.tuples(st.integers(-1, 14), st.integers(-3, 3)),
+                      max_size=12),
+       shuffle=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_element_matches_a_dict_model(pairs, as_dict, bumps, shuffle):
+    # a dict keeps the last value of an index, a pair list adds them up;
+    # either way a nonzero value below index 1 is refused
+    given_pairs = list(dict(pairs).items()) if as_dict else pairs
+    model = {}
+    for r, v in given_pairs:
+        model[r] = model.get(r, 0) + v
+    if any(r < 1 and v for r, v in given_pairs):
+        with pytest.raises(ValueError, match="below 1"):
+            ZElement(dict(pairs) if as_dict else pairs)
+        return
+    a = ZElement(dict(pairs) if as_dict else pairs)
+    model = {r: v for r, v in model.items() if v}
+
+    def check(a):
+        items = a.items()
+        assert items == tuple(sorted(model.items()))
+        assert all(v for _, v in items) and all(r >= 1 for r, _ in items)
+        assert all(a.get(r) == model.get(r, 0) for r in range(-1, 16))
+        assert a.total() == sum(model.values())
+        assert a.support == sorted(model)
+        # built in any order, from a dict or from pairs, it is the same
+        # element with the same hash
+        listed = list(model.items())
+        shuffle.shuffle(listed)
+        for b in (ZElement(listed), ZElement(dict(listed))):
+            assert b == a and hash(b) == hash(a)
+
+    check(a)
+    for r, d in bumps:
+        if r < 1 and d:
+            with pytest.raises(ValueError, match="below 1"):
+                a.bump(r, d)
+            continue
+        a = a.bump(r, d)
+        model[r] = model.get(r, 0) + d
+        if not model[r]:
+            del model[r]
+            assert r not in a.support  # a bump to 0 drops the pair
+        check(a)
+
+
 def test_element_literal_round_trip():
     seq = ex1_seq()
     a = parse_element(seq, "a[1,3]=1;a[2,2]=4")
@@ -579,6 +630,8 @@ def test_cut_points_match_brute_force_on_random_forms():
         wide += max(abs(v[0]) + depth * max(map(abs, v[1:]), default=0)
                     for v in forms) >= 128
     assert compared >= 100 and wide >= 10 and inconsistent >= 20
+    # at depth 0 a coefficient still needs a lane that holds it
+    assert _cut_points({(0, 200)}, 1, 0) == [(0,)]
 
 
 def test_verify_equivalence_imports_no_numpy():
