@@ -151,13 +151,15 @@ def _cmd_enum(args, out):
 
 def _verify_closure(args, seq, out):
     window = (args.periods - 2) * seq.n
+    # past s = W // n + 1, x(s, k) and every wall form at s lie past W
+    s_max = min(args.s_max, window // seq.n + 1)
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
         vectors, _ = closure(
-            seq, [x(s, k) for s in range(1, args.s_max + 1)], window)
+            seq, [x(s, k) for s in range(1, s_max + 1)], window)
         certs = _forms(seq, vectors)
-        ineqs = comb_infinity(seq, (args.s_max, 2), k=k, support_max=window)
+        ineqs = comb_infinity(seq, (s_max, 2), k=k, support_max=window)
         ok = ineqs.forms == certs
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "
                   f"cert={len(certs)} walls={len(ineqs)}\n")

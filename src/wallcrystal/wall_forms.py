@@ -231,6 +231,8 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
     placed = set()  # the terms of each form built, at their shift
 
     def keep(w, atoms):
+        if budget is not None and atoms > budget:
+            return False
         terms = fmap.terms(w)
         for s in shifts:
             # the form's largest index with a nonzero coefficient, or at
@@ -250,7 +252,7 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
                 prov[phi] = f"L[{s},{k}]({wall_literal(w)})"
         return True
 
-    search_walls(fmap.seq.wall_type, k, keep, max_atoms=budget)
+    search_walls(fmap.seq.wall_type, k, keep)
 
 
 def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
@@ -437,9 +439,10 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
     cells are both split cells.  With two of its four neighbours before
     it, it takes the four-form chains (_middle_chains).
 
-    The budget bounds both the box-chain length and the wall-enumeration
-    block count.  A negative budget, a colour outside the index set or a
-    weight of the wrong rank raises ValueError.
+    The budget bounds the box-chain length, A1's tilde chain (budget
+    points down from k), the four-form chains (odd s < 2 budget) and the
+    walls' added atoms.  A negative budget, a colour outside the index set
+    or a weight of the wrong rank raises ValueError.
     """
     X = seq.wall_type
     n = X.n

@@ -57,6 +57,8 @@ BACK = "back"    # lone half-thickness atom at the back of a split cell
 LOWER = "lower"  # lone lower half-height atom of a doubled cell
 # the partial top each code of a wall literal names
 _CODE_TOP = {"f": FRONT, "b": BACK, "l": LOWER}
+# the code a wall literal gives each lone split-cell atom
+_TOP_CODE = {FRONT: "f", BACK: "b"}
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,11 @@ class _Column:
     def __init__(self, X, k, ground):
         _check_ground(X, k, ground)
         self.X, self.k, self.ground = X, k, ground
-        self._periods = None if X.family is Family.A1 else \
+        a1 = X.family is Family.A1
+        self._periods = None if a1 else \
             [_pattern_period(X, k, ground, p) for p in (0, 1)]
+        # whether two full columns of one height make a wall improper
+        self.full_once = not a1
         self._lift = period(X).twice
         tops = _PARTIAL_TOPS[self.cell(0, 0).kind]
         self.base = (0, tops[0] if tops else NONE)
@@ -309,8 +314,9 @@ class Wall:
         return sum(self.column_atoms(i) for i in range(len(self.states)))
 
     def full_heights(self):
-        """Heights of full columns (unit-thickness integral tops)."""
-        if self.wall_type.family is Family.A1:
+        """Heights of full columns (unit-thickness integral tops) that no
+        other full column may share."""
+        if not self.column_table.full_once:
             return []
         return [m for (m, top) in self.states if top == NONE and m >= 1]
 
@@ -587,7 +593,7 @@ def apply(w, site: Site):
     raise SiteNotPresent(site)
 
 
-def _fitting(column, prev, last_full, a1):
+def _fitting(column, prev, last_full):
     """The non-empty cost groups of the states a column may take when the
     column to its right has state prev (None for column 0) and the
     nearest full column to its right has height last_full."""
@@ -597,7 +603,8 @@ def _fitting(column, prev, last_full, a1):
         fit = [st for st in group
                if (prev is None or _covers(prev, st))
                # two full columns of equal height: improper
-               and (a1 or st[1] != NONE or st[0] != last_full)]
+               and (st[1] != NONE or st[0] != last_full
+                    or not column.full_once)]
         if fit:
             yield c, fit
 
@@ -645,7 +652,7 @@ def _unchecked(cls, **values):
     return obj
 
 
-def search_walls(X: AffineType, k: int, keep, max_atoms=None):
+def search_walls(X: AffineType, k: int, keep):
     """Visit the proper walls (class 1) or wall pairs (class 2) of colour
     k depth-first from the ground state, calling keep(w, atoms) once on
     each wall w reached, with atoms its added atoms.
@@ -658,15 +665,11 @@ def search_walls(X: AffineType, k: int, keep, max_atoms=None):
     ends when this tree is exhausted; it has then reached every wall
     keep accepts, provided keep rejects every extension of a rejected
     wall and every cost group after a wholly rejected one.  A budget on
-    atoms is such a cut, and so is the support window of comb_infinity.
-    With max_atoms given, no wall past that many added atoms is built or
-    handed to keep: a column's scan ends before the first cost group
-    past it (enumerate_walls).  A negative max_atoms raises ValueError."""
-    if max_atoms is not None and max_atoms < 0:
-        raise ValueError(max_atoms)
+    atoms is such a cut (enumerate_walls), and so is the support window
+    of comb_infinity.  Open nodes sit on an explicit stack, so the depth
+    is not bounded by the recursion limit."""
     grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
     columns = [_column(X, k, ground) for ground in grounds]
-    a1 = X.family is Family.A1
 
     def member(ground, states):
         return _unchecked(Wall, wall_type=X, k=k, ground=ground, states=states)
@@ -681,27 +684,31 @@ def search_walls(X: AffineType, k: int, keep, max_atoms=None):
                     for seen, ground, s in zip(shared, grounds, states)]
         return _unchecked(WallPair, supporting=sup, covering=cov)
 
-    def extend(states, prev, last_full, spent):
-        for c, group in _by_total([_fitting(col, p, f, a1) for col, p, f
+    def children(states, prev, last_full, spent):
+        """Each child keep accepts, as its own children's arguments."""
+        for c, group in _by_total([_fitting(col, p, f) for col, p, f
                                    in zip(columns, prev, last_full)]):
             atoms = spent + c
-            if max_atoms is not None and atoms > max_atoms:
-                return
             accepted = False
             for st in group:
                 nxt = tuple([s + (x,) for s, x in zip(states, st)])
-                if not keep(wall(nxt), atoms):
-                    continue
-                accepted = True
-                extend(nxt, st, tuple([m if top == NONE else f
-                                       for (m, top), f in zip(st, last_full)]),
-                       atoms)
+                if keep(wall(nxt), atoms):
+                    accepted = True
+                    yield nxt, st, tuple([m if top == NONE else f for (m, top), f
+                                          in zip(st, last_full)]), atoms
             if not accepted:
                 return
 
     root = ((),) * len(grounds)
+    stack = []
     if keep(wall(root), 0):
-        extend(root, (None,) * len(grounds), (0,) * len(grounds), 0)
+        stack.append(children(root, (None,) * len(root), (0,) * len(root), 0))
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(children(*child))
 
 
 def enumerate_walls(X: AffineType, k: int, max_blocks: int):
@@ -709,13 +716,17 @@ def enumerate_walls(X: AffineType, k: int, max_blocks: int):
     max_blocks added atoms: search_walls cut at that budget, as a
     set-like view in depth-first order (so iteration does not depend on
     hashing).  A negative max_blocks raises ValueError."""
+    if max_blocks < 0:
+        raise ValueError(max_blocks)
     found = {}
 
     def keep(w, atoms):
+        if atoms > max_blocks:
+            return False
         found[w] = None
         return True
 
-    search_walls(X, k, keep, max_atoms=max_blocks)
+    search_walls(X, k, keep)
     return found.keys()
 
 
@@ -765,11 +776,8 @@ def _render_wall(w: Wall) -> str:
     lines = []
     for r in range(2 * height - 1, -1, -1):
         lines.append(" ".join(col[r] for col in cols))
-    tk, tbar, tbarbar = thresholds(X, k)
-    if ground == LEVEL1:
-        baseline = tk
-    else:
-        baseline = tbar if ground == SUPPORTING else tbarbar
+    # a level-1 wall stands on T_k, a truncated one on T-bar or T-double-bar
+    baseline = thresholds(X, k)[(LEVEL1, SUPPORTING, COVERING).index(ground)]
     lines.append(f"(0,{baseline})")
     return "\n".join(lines)
 
@@ -786,19 +794,16 @@ def render(w) -> str:
 _KIND = {"yw": LEVEL1, "sup": SUPPORTING, "cov": COVERING}
 
 
-def _states_from_counts(X, k, ground, tokens):
-    """Column states from added-atom counts; an optional trailing code
-    f/b/l names the partial atom, picking it when ambiguous."""
+def _states_from_counts(X, k, ground, text):
+    """Column states from comma-separated added-atom counts; an optional
+    trailing code f/b/l names the partial atom, picking it when ambiguous."""
     column = _column(X, k, ground)
     states = []
-    for tok in tokens:
+    for tok in filter(str.strip, text.split(",")):
         m = re.fullmatch(r"(\d+)([fbl]?)", tok.strip())
         if not m:
             raise ValueError(f"bad column token {tok!r}")
-        count, code = int(m.group(1)), m.group(2)
-        if code and X.family is Family.A1:
-            raise ValueError("A1 columns take plain counts")
-        states.append(column.state(count, code))
+        states.append(column.state(int(m.group(1)), m.group(2)))
     return tuple(states)
 
 
@@ -820,17 +825,14 @@ def parse_wall(text: str, n: int):
         mm = re.fullmatch(r"sup=\[([^\]]*)\];cov=\[([^\]]*)\]", rest)
         if not mm:
             raise ValueError(f"unparsable pair literal {text!r}")
-        sup_toks = [t for t in mm.group(1).split(",") if t.strip()]
-        cov_toks = [t for t in mm.group(2).split(",") if t.strip()]
-        sup = Wall(X, k, SUPPORTING, _states_from_counts(X, k, SUPPORTING, sup_toks))
-        cov = Wall(X, k, COVERING, _states_from_counts(X, k, COVERING, cov_toks))
+        sup = Wall(X, k, SUPPORTING, _states_from_counts(X, k, SUPPORTING, mm.group(1)))
+        cov = Wall(X, k, COVERING, _states_from_counts(X, k, COVERING, mm.group(2)))
         return WallPair(sup, cov)
     mm = re.fullmatch(r"cols=\[([^\]]*)\]", rest)
     if not mm:
         raise ValueError(f"unparsable wall literal {text!r}")
-    toks = [t for t in mm.group(1).split(",") if t.strip()]
     ground = _KIND[kind]
-    return Wall(X, k, ground, _states_from_counts(X, k, ground, toks))
+    return Wall(X, k, ground, _states_from_counts(X, k, ground, mm.group(1)))
 
 
 def wall_literal(w) -> str:
@@ -845,11 +847,4 @@ def wall_literal(w) -> str:
 
 
 def _count_token(w: Wall, i: int) -> str:
-    count = w.column_atoms(i)
-    m, top = w.state(i)
-    suffix = ""
-    if top == FRONT:
-        suffix = "f"
-    elif top == BACK:
-        suffix = "b"
-    return f"{count}{suffix}"
+    return f"{w.column_atoms(i)}{_TOP_CODE.get(w.state(i)[1], '')}"

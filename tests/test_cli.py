@@ -242,6 +242,27 @@ def test_verify_closure_prints_witnesses(monkeypatch):
     assert not lines[2].startswith("  ")  # the only witness
 
 
+def test_verify_closure_caps_the_seeds_at_the_window(monkeypatch):
+    # seeds past s = W // n + 1 lie past the window: a huge --s-max hands
+    # the closure no more seeds than the window holds, and prints what
+    # --s-max 5 (= W // n + 1 on D2 rank 3, W = 12) prints
+    import wallcrystal.cli as cli
+
+    real, seeds = cli.closure, []
+
+    def closure(seq, given, *args, **kwargs):
+        seeds.extend(given)
+        return real(seq, given, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "closure", closure)
+    d2 = ("verify", "closure", "--type", "D2", "--rank", "3",
+          "--order", "3,2,1", "--periods", "6")
+    big = run(*d2, "--s-max", "1000")
+    n, W = 3, 12
+    assert len(seeds) <= n * (W // n + 1)
+    assert big[0] == 0 and big == run(*d2, "--s-max", "5")
+
+
 def test_thread_cap_env(monkeypatch):
     # the program runs on one thread; a WALLCRYSTAL_THREADS left in the
     # environment, valid or not, must not change what it prints or exits with

@@ -304,11 +304,11 @@ def test_grow_loop_forms_each_wall_once(monkeypatch):
         built.append((w.ground, w.states))
         return member(w)
 
-    def walked(X, k, keep, max_atoms=None):
+    def walked(X, k, keep):
         def keep_counted(w, atoms):
             visited.append(w)
             return keep(w, atoms)
-        walk(X, k, keep_counted, max_atoms)
+        walk(X, k, keep_counted)
 
     monkeypatch.setattr(wall_forms, "member_entries", counted)
     monkeypatch.setattr(wall_forms, "search_walls", walked)
@@ -403,6 +403,8 @@ def test_member_terms_equal_the_entry_sum_in_search_order(X):
         met = []
 
         def keep(w, atoms):
+            if atoms > TREE_BLOCKS:
+                return False
             acc = {}
             for entry in move_entries(w):
                 for r, c in fmap._moves_terms(k, entry):
@@ -412,7 +414,7 @@ def test_member_terms_equal_the_entry_sum_in_search_order(X):
             met.append(w)
             return True
 
-        search_walls(X, k, keep, max_atoms=TREE_BLOCKS)
+        search_walls(X, k, keep)
         assert len(met) > 1, k
 
 
@@ -477,11 +479,11 @@ def test_block_and_window_modes_give_one_provenance(g, order, monkeypatch):
 
     walk = wall_forms.search_walls
 
-    def checked(X, k, keep, max_atoms=None):
+    def checked(X, k, keep):
         def keep_checked(w, atoms):
             assert atoms == w.atoms, wall_literal(w)
             return keep(w, atoms)
-        walk(X, k, keep_checked, max_atoms)
+        walk(X, k, keep_checked)
 
     monkeypatch.setattr(wall_forms, "search_walls", checked)
     seq = from_permutation(g, order)

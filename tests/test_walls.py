@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -646,3 +649,35 @@ def test_column_golden(X):
         text = "\n".join(_column_lines(X, k))
         got = hashlib.sha256(text.encode()).hexdigest()
         assert got == COLUMN_GOLDEN[(X.family.value, X.n, k)], k
+
+
+# a walk far deeper than a recursion limit of 400 allows: D2's and B1's
+# walks fix about one column per four walls, A1's one per wall; A1 stops
+# at 2,000 walls, since each open node of its one path holds its states
+DEEP_WALKS = [("D2", 3, 20_000), ("B1", 4, 20_000), ("A1", 3, 2_000)]
+
+
+@pytest.mark.parametrize("family,rank,walls_cap", DEEP_WALKS,
+                         ids=[f"{f}{n}" for f, n, _ in DEEP_WALKS])
+def test_walk_runs_past_the_recursion_limit(family, rank, walls_cap):
+    code = (
+        "import sys\n"
+        "from wallcrystal.affine_data import AffineType, Family\n"
+        "from wallcrystal.walls import WallPair, search_walls\n"
+        "sys.setrecursionlimit(400)\n"
+        "seen, columns = [0], [0]\n"
+        "def keep(w, atoms):\n"
+        "    seen[0] += 1\n"
+        "    m = w.supporting if isinstance(w, WallPair) else w\n"
+        "    columns[0] = max(columns[0], len(m.states))\n"
+        f"    return seen[0] <= {walls_cap}\n"
+        f"search_walls(AffineType(Family({family!r}), {rank}), 1, keep)\n"
+        "print(seen[0], columns[0])\n")
+    src = os.path.dirname(os.path.dirname(walls.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    seen, columns = map(int, proc.stdout.split())
+    assert seen > walls_cap  # every later wall was offered and rejected
+    assert columns > 1_000, columns
