@@ -11,7 +11,7 @@ from functools import lru_cache
 from wallcrystal.affine_data import Family, cartan_matrix, parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, _forms, beta, closure, positivity_report,
+    DominantWeight, beta, closure, positivity_report,
     render_form, x,
 )
 from wallcrystal.walls import (
@@ -19,6 +19,7 @@ from wallcrystal.walls import (
 )
 from wallcrystal.wall_forms import (
     NotStabilized, WallFormMap, comb_infinity, comb_lambda, epsilon_star,
+    found_forms, wall_walk,
 )
 from wallcrystal.zcrystal import (
     ZElement, _sigma_profile, f_tilde, generate, parse_element, render_element,
@@ -150,26 +151,33 @@ def _cmd_enum(args, out):
 
 
 def _verify_closure(args, seq, out):
+    """Per colour k, the closure of x(s, k), s <= s_max, certified on the
+    window W = (periods - 2) n against the wall forms supported within W
+    (comb_infinity's window mode), both as single-index keys (S' keeps
+    the constant 0); forms are built only for the lines a mismatch prints."""
     window = (args.periods - 2) * seq.n
     # past s = W // n + 1, x(s, k) and every wall form at s lie past W
     s_max = min(args.s_max, window // seq.n + 1)
+    fmap = WallFormMap(seq)
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
         vectors, _ = closure(
             seq, [x(s, k) for s in range(1, s_max + 1)], window)
-        certs = _forms(seq, vectors)
-        ineqs = comb_infinity(seq, (s_max, 2), k=k, support_max=window)
-        ok = ineqs.forms == certs
+        certs = {tuple([(r, c) for r, c in enumerate(v[1:], 1) if c])
+                 for v in vectors}
+        found = {}
+        wall_walk(fmap, found, k, range(1, s_max + 1), window=window)
+        ok = certs == found.keys()
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "
-                  f"cert={len(certs)} walls={len(ineqs)}\n")
+                  f"cert={len(certs)} walls={len(found)}\n")
         if not ok:
             failures.append(k)
-            lines = [(render_form(f), f"closure only: {render_form(f)}")
-                     for f in certs - ineqs.forms]
-            lines += [(render_form(f),
-                       f"walls only: {render_form(f)} {ineqs.provenance[f]}")
-                      for f in ineqs.forms - certs]
+            lines = [(render_form(f), f"closure only: {render_form(f)}") for f
+                     in [fmap.form(key, 0) for key in certs - found.keys()]]
+            walls = found_forms(fmap, {key: found[key] for key in found.keys() - certs})
+            lines += [(render_form(f), f"walls only: {render_form(f)} {witness}")
+                      for f, witness in walls.items()]
             for _, line in sorted(lines)[:20]:
                 out.write(f"  {line}\n")
     return failures

@@ -216,19 +216,17 @@ def _meta(seq, **extra):
     }
 
 
-def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
-               min_atoms=0):
-    """Walk the walls of colour k depth-first (walls.search_walls) and add
-    each form L_{s,k}(w) + constant, s in shifts and w of at least
-    min_atoms added atoms, to prov with its first witness.  The walk is
-    cut past budget added atoms or, with a window given, at each wall
-    whose form at the first shift leaves single indices 1..window.  A
-    form's support moves up by a period with s, so the first form past
-    the window ends a wall's scan of the shifts.  Each form is built
-    once: r -> DoubleIndex is a bijection, so its terms placed at shift
-    s name it."""
+def wall_walk(fmap, found, k, shifts, budget=None, window=None, min_atoms=0):
+    """Walk the walls of colour k depth-first (walls.search_walls) and
+    record each form L_{s,k}(w), s in shifts and w of at least min_atoms
+    added atoms, in found: its key, the (r + s n, c) pairs of w's terms
+    at index 1 or above, names the form (r -> DoubleIndex is a
+    bijection) and maps to its first witness (s, w).  The walk is cut
+    past budget added atoms or, with a window given, at each wall whose
+    form at the first shift leaves single indices 1..window; a form's
+    support moves up a period with s, so the first form past the window
+    ends a wall's scan of the shifts."""
     n = fmap.seq.n
-    placed = set()  # the terms of each form built, at their shift
 
     def keep(w, atoms):
         if budget is not None and atoms > budget:
@@ -243,16 +241,19 @@ def _wall_walk(fmap, prov, k, shifts, constant=0, budget=None, window=None,
                 continue
             shift = s * n
             key = tuple([(r + shift, c) for r, c in terms if r + shift >= 1])
-            if key in placed:
-                continue
-            placed.add(key)
-            phi = LinearForm(constant, [(fmap.coordinate(r), c)
-                                        for r, c in key])
-            if phi not in prov:
-                prov[phi] = f"L[{s},{k}]({wall_literal(w)})"
+            if key not in found:
+                found[key] = (s, w)
         return True
 
     search_walls(fmap.seq.wall_type, k, keep)
+
+
+def found_forms(fmap, found, constant=0) -> dict:
+    """The forms a walk recorded in found, each plus constant -> the
+    literal L[s,k](wall) of its first witness."""
+    return {LinearForm(constant, [(fmap.coordinate(r), c) for r, c in key]):
+            f"L[{s},{w.k}]({wall_literal(w)})"
+            for key, (s, w) in found.items()}
 
 
 def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
@@ -277,13 +278,13 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
         raise ValueError(f"support_max {support_max} is below 1")
     colours = [k] if k is not None else list(seq.base_type.index_set)
     fmap = WallFormMap(seq)
-    prov = {}  # form -> its first witness
+    found = {}  # single-index key -> its first witness
     for kk in colours:
-        _wall_walk(fmap, prov, kk, range(1, s_max + 1),
-                   budget=block_max if support_max is None else None,
-                   window=support_max)
+        wall_walk(fmap, found, kk, range(1, s_max + 1),
+                  budget=block_max if support_max is None else None,
+                  window=support_max)
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
-    return IneqSet(prov, meta)
+    return IneqSet(found_forms(fmap, found), meta)
 
 
 # --- box forms (closed chains for highest-weight families) ------------
@@ -462,10 +463,9 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         """{L_{s,j}(T) + hk} over the walls within the budget of at
         least min_atoms added atoms: the ground is the one wall of none,
         and a split cell's colour, class 1, has one wall of one."""
-        prov = {}
-        _wall_walk(WallFormMap(seq), prov, j, (s,), hk, budget=budget,
-                   min_atoms=min_atoms)
-        return IneqSet(prov, meta)
+        fmap, found = WallFormMap(seq), {}
+        wall_walk(fmap, found, j, (s,), budget=budget, min_atoms=min_atoms)
+        return IneqSet(found_forms(fmap, found, hk), meta)
 
     lower, upper = _beside_cells(X, k)
     before = {t for t in lower | upper if _below(seq, t, k)}

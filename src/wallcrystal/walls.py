@@ -666,8 +666,11 @@ def search_walls(X: AffineType, k: int, keep):
     keep accepts, provided keep rejects every extension of a rejected
     wall and every cost group after a wholly rejected one.  A budget on
     atoms is such a cut (enumerate_walls), and so is the support window
-    of comb_infinity.  Open nodes sit on an explicit stack, so the depth
-    is not bounded by the recursion limit."""
+    of comb_infinity.  Open nodes sit on an explicit stack, so the
+    recursion limit does not bound the depth, and hold only their depth
+    in one shared path of states.  A column's cost groups depend only on
+    (prev, last_full), the states to its right and the nearest full
+    column's heights: each is listed once per walk, as far as read."""
     grounds = (LEVEL1,) if index_class(X, k) == 1 else (SUPPORTING, COVERING)
     columns = [_column(X, k, ground) for ground in grounds]
 
@@ -684,25 +687,40 @@ def search_walls(X: AffineType, k: int, keep):
                     for seen, ground, s in zip(shared, grounds, states)]
         return _unchecked(WallPair, supporting=sup, covering=cov)
 
-    def children(states, prev, last_full, spent):
+    def merged(prev, last_full):
+        return _by_total([_fitting(col, p, f) for col, p, f
+                          in zip(columns, prev, last_full)])
+
+    # (prev, last_full) -> an unread tee of its merged groups: each copy
+    # reads from the first group, and the tee keeps every group read
+    tees = {}
+    path = [[] for _ in grounds]  # per member, the states of the open path
+
+    def children(depth, groups, last_full, spent):
         """Each child keep accepts, as its own children's arguments."""
-        for c, group in _by_total([_fitting(col, p, f) for col, p, f
-                                   in zip(columns, prev, last_full)]):
+        for c, group in groups:
             atoms = spent + c
             accepted = False
             for st in group:
-                nxt = tuple([s + (x,) for s, x in zip(states, st)])
-                if keep(wall(nxt), atoms):
+                for states, x in zip(path, st):
+                    states[depth:] = (x,)
+                if keep(wall(tuple([tuple(s) for s in path])), atoms):
                     accepted = True
-                    yield nxt, st, tuple([m if top == NONE else f for (m, top), f
-                                          in zip(st, last_full)]), atoms
+                    full = tuple([m if top == NONE else f for (m, top), f
+                                  in zip(st, last_full)])
+                    tee = tees.get((st, full))
+                    if tee is None:
+                        tee = tees[st, full] = itertools.tee(
+                            merged(st, full), 1)[0]
+                    yield depth + 1, tee.__copy__(), full, atoms
             if not accepted:
                 return
 
-    root = ((),) * len(grounds)
-    stack = []
-    if keep(wall(root), 0):
-        stack.append(children(root, (None,) * len(root), (0,) * len(root), 0))
+    none_full = (0,) * len(grounds)
+    stack = []  # the root's groups are unbounded, and read once
+    if keep(wall(((),) * len(grounds)), 0):
+        stack.append(children(0, merged((None,) * len(grounds), none_full),
+                              none_full, 0))
     while stack:
         child = next(stack[-1], None)
         if child is None:

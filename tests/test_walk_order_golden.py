@@ -15,9 +15,10 @@ import hashlib
 import pytest
 
 import wallcrystal.wall_forms as wall_forms
+import wallcrystal.walls as walls
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.affine_data import AffineType, Family, langlands_dual
-from wallcrystal.walls import search_walls, wall_literal
+from wallcrystal.walls import NONE, WallPair, search_walls, wall_literal
 
 BUDGET = 6
 
@@ -107,3 +108,53 @@ def test_walk_order_golden(X, monkeypatch):
     assert budget and window
     assert _digest(budget) == ORDER_GOLDEN[(name, "budget")]
     assert _digest(window) == ORDER_GOLDEN[(name, "window")]
+
+
+def _step_key(w):
+    """The (prev, last_full) a wall's children are listed under: per
+    member, its leftmost column state (None if it has none) and the row
+    of its leftmost full state (0 if it has none)."""
+    members = (w.supporting, w.covering) if isinstance(w, WallPair) else (w,)
+    prev = tuple([m.states[-1] if m.states else None for m in members])
+    full = tuple([next((row for row, top in reversed(m.states)
+                        if top == NONE), 0) for m in members])
+    return prev, full
+
+
+@pytest.mark.parametrize("X", TYPES, ids=lambda X: f"{X.family.value}{X.n}")
+def test_each_column_step_is_merged_once_per_walk(X, monkeypatch):
+    # search_walls merges the members' cost groups (_by_total) once per
+    # distinct (prev, last_full) of the walls keep accepts, under both
+    # cuts of the order golden, and so less often than it opens a node
+    merge, calls = walls._by_total, [0]
+
+    def counted(streams):
+        calls[0] += 1
+        return merge(streams)
+
+    walk, log = wall_forms.search_walls, []
+
+    def recorded(X, k, keep):
+        keys, accepted = set(), [0]
+
+        def keep_recorded(w, atoms):
+            if not keep(w, atoms):
+                return False
+            keys.add(_step_key(w))
+            accepted[0] += 1
+            return True
+        calls[0] = 0
+        walk(X, k, keep_recorded)
+        log.append((calls[0], len(keys), accepted[0]))
+
+    monkeypatch.setattr(walls, "_by_total", counted)
+    monkeypatch.setattr(wall_forms, "search_walls", recorded)
+    for k in X.index_set:
+        recorded(X, k, lambda w, atoms: atoms <= BUDGET)
+    g = langlands_dual(X)
+    seq = from_permutation(g, tuple(range(g.n, 0, -1)))
+    for k in X.index_set:
+        wall_forms.comb_infinity(seq, (2, 0), k=k, support_max=3 * seq.n)
+    assert len(log) == 2 * X.n
+    assert all(merged == distinct for merged, distinct, _ in log), log
+    assert sum(merged for merged, _, _ in log) < sum(n for _, _, n in log)

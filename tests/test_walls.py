@@ -653,7 +653,7 @@ def test_column_golden(X):
 
 # a walk far deeper than a recursion limit of 400 allows: D2's and B1's
 # walks fix about one column per four walls, A1's one per wall; A1 stops
-# at 2,000 walls, since each open node of its one path holds its states
+# at 2,000 walls, since each wall's states tuple is as long as its path
 DEEP_WALKS = [("D2", 3, 20_000), ("B1", 4, 20_000), ("A1", 3, 2_000)]
 
 
@@ -681,3 +681,33 @@ def test_walk_runs_past_the_recursion_limit(family, rank, walls_cap):
     seen, columns = map(int, proc.stdout.split())
     assert seen > walls_cap  # every later wall was offered and rejected
     assert columns > 1_000, columns
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_deep_walk_keeps_one_path_of_states():
+    # A1's walk fixes one column per wall, so 6,000 walls open a path of
+    # 6,000 columns.  Open nodes share that path, so memory grows with d,
+    # not d^2 / 2: when each node held its own states tuple the child
+    # peaked at 164 MB, and it peaks near 20 MB now.  VmHWM is read, not
+    # ru_maxrss, which a child inherits from the test process.
+    code = (
+        "import re\n"
+        "from wallcrystal.affine_data import AffineType, Family\n"
+        "from wallcrystal.walls import search_walls\n"
+        "seen = [0]\n"
+        "def keep(w, atoms):\n"
+        "    seen[0] += 1\n"
+        "    return seen[0] <= 6_000\n"
+        "search_walls(AffineType(Family.A1, 3), 1, keep)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)\n"
+        "print(seen[0], peak)\n")
+    src = os.path.dirname(os.path.dirname(walls.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    seen, peak_kb = map(int, proc.stdout.split())
+    assert seen > 6_000
+    assert peak_kb < 50 * 1024, peak_kb
