@@ -11,7 +11,7 @@ from functools import lru_cache
 from wallcrystal.affine_data import Family, cartan_matrix, parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, beta, closure, positivity_report,
+    DominantWeight, _keys, beta, closure, positivity_report,
     render_form, x,
 )
 from wallcrystal.walls import (
@@ -162,10 +162,8 @@ def _verify_closure(args, seq, out):
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
-        vectors, _ = closure(
-            seq, [x(s, k) for s in range(1, s_max + 1)], window)
-        certs = {tuple([(r, c) for r, c in enumerate(v[1:], 1) if c])
-                 for v in vectors}
+        certs = _keys(closure(
+            seq, [x(s, k) for s in range(1, s_max + 1)], window)[0])
         found = {}
         wall_walk(fmap, found, k, range(1, s_max + 1), window=window)
         ok = certs == found.keys()

@@ -271,8 +271,8 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
 
     `window` (W below) is the last single index a certified form may
     touch; it must be at least one period n.  Returns (certified,
-    frontier) as lists of dense vectors (see `_dense`; `_forms` reads
-    them as LinearForm).  The search has one bound: it applies the
+    frontier) as lists of dense vectors (see `_dense`; `_keys` and
+    `_forms` read them).  The search has one bound: it applies the
     operator at every r <= W and keeps the forms supported within W,
     which are the certified ones.  The frontier holds the seeds supported
     past W; a successor of one is kept only when it falls within W.  The
@@ -413,11 +413,20 @@ def _keyed_search(seeds: list, down: list, up: list, window: int, bits: int):
     return seen
 
 
+def _key(v: tuple) -> tuple:
+    """The nonzero (single index, coefficient) pairs of the dense vector
+    v by index, its constant left out: the key of wall_forms.wall_walk."""
+    return tuple([(r, c) for r, c in enumerate(v[1:], 1) if c])
+
+
+def _keys(vectors: list) -> set:
+    """The keys of dense vectors of constant 0, as S' keeps them."""
+    return {_key(v) for v in vectors}
+
+
 def _forms(seq: AdaptedSequence, vectors: list) -> set:
-    """Dense vectors (see `_dense`) as a set of LinearForm."""
-    width = max(map(len, vectors), default=1)
-    index = [seq.reindex(r) for r in range(1, width)]  # index[r - 1] is r
-    return {LinearForm(v[0], zip(compress(index, v[1:]), compress(v[1:], v[1:])))
+    """Dense vectors as a set of LinearForm."""
+    return {LinearForm(v[0], [(seq.reindex(r), c) for r, c in _key(v)])
             for v in vectors}
 
 

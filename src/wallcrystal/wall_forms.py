@@ -150,11 +150,11 @@ class WallFormMap:
         return _sorted_terms(self._add_entries(
             w.k, pair_entries(w, sup_views, cov_views), acc))
 
-    def form(self, terms: tuple, s: int) -> LinearForm:
-        """L_{s,k}(w), given w's terms."""
+    def form(self, terms: tuple, s: int, constant=0) -> LinearForm:
+        """L_{s,k}(w) + constant, given w's terms."""
         shift = s * self.seq.n
-        return LinearForm(0, [(self.coordinate(r + shift), c)
-                              for r, c in terms if r + shift >= 1])
+        return LinearForm(constant, [(self.coordinate(r + shift), c)
+                                     for r, c in terms if r + shift >= 1])
 
 
 def _sorted_terms(acc: dict) -> tuple:
@@ -251,8 +251,7 @@ def wall_walk(fmap, found, k, shifts, budget=None, window=None, min_atoms=0):
 def found_forms(fmap, found, constant=0) -> dict:
     """The forms a walk recorded in found, each plus constant -> the
     literal L[s,k](wall) of its first witness."""
-    return {LinearForm(constant, [(fmap.coordinate(r), c) for r, c in key]):
-            f"L[{s},{w.k}]({wall_literal(w)})"
+    return {fmap.form(key, 0, constant): f"L[{s},{w.k}]({wall_literal(w)})"
             for key, (s, w) in found.items()}
 
 

@@ -708,11 +708,9 @@ def search_walls(X: AffineType, k: int, keep):
                     accepted = True
                     full = tuple([m if top == NONE else f for (m, top), f
                                   in zip(st, last_full)])
-                    tee = tees.get((st, full))
-                    if tee is None:
-                        tee = tees[st, full] = itertools.tee(
-                            merged(st, full), 1)[0]
-                    yield depth + 1, tee.__copy__(), full, atoms
+                    if (st, full) not in tees:
+                        tees[st, full] = itertools.tee(merged(st, full), 1)[0]
+                    yield depth + 1, tees[st, full].__copy__(), full, atoms
             if not accepted:
                 return
 
