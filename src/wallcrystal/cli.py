@@ -153,7 +153,7 @@ def _cmd_enum(args, out):
 def _verify_closure(args, seq, out):
     """Per colour k, the closure of x(s, k), s <= s_max, certified on the
     window W = (periods - 2) n against the wall forms supported within W
-    (comb_infinity's window mode), both as single-index keys (S' keeps
+    (wall_walk cut at the window), both as single-index keys (S' keeps
     the constant 0); forms are built only for the lines a mismatch prints."""
     window = (args.periods - 2) * seq.n
     # past s = W // n + 1, x(s, k) and every wall form at s lie past W
@@ -179,6 +179,15 @@ def _verify_closure(args, seq, out):
             for _, line in sorted(lines)[:20]:
                 out.write(f"  {line}\n")
     return failures
+
+
+def _witnesses(out, head, bad):
+    """Print `head violations=N` and up to 20 of the bad items as
+    witnesses; return bad."""
+    out.write(f"{head} violations={len(bad)}\n")
+    for item in bad[:20]:
+        out.write(f"  violation: {item}\n")
+    return bad
 
 
 def _verify_props(args, seq, out):
@@ -232,11 +241,8 @@ def _verify_props(args, seq, out):
                     if ({q + sn: c for q, c in drop if q + sn >= 1}
                             != root(r + sn, double)):
                         bad[s].append((s, k, wall_literal(w), st))
-    bad = [item for s in shifts for item in bad[s]]
-    out.write(f"props checked={total} violations={len(bad)}\n")
-    for item in bad[:20]:
-        out.write(f"  violation: {item}\n")
-    return bad
+    return _witnesses(out, f"props checked={total}",
+                      [item for s in shifts for item in bad[s]])
 
 
 def _verify_crystal(args, seq, out):
@@ -267,10 +273,7 @@ def _verify_crystal(args, seq, out):
                   and tuple(q - p for p, q in zip(w_a, w_b)) == column)
             if not ok:
                 bad.append(f"colour {i + 1} at {render_element(seq, a)}")
-    out.write(f"crystal samples={args.samples} violations={len(bad)}\n")
-    for line in bad[:20]:
-        out.write(f"  violation: {line}\n")
-    return bad
+    return _witnesses(out, f"crystal samples={args.samples}", bad)
 
 
 def _verify_star(args, seq, out):
@@ -286,10 +289,7 @@ def _verify_star(args, seq, out):
                 epsilon_star(seq, k, v)
             except NotStabilized as e:
                 bad.append(str(e))
-    out.write(f"star checked={checked} violations={len(bad)}\n")
-    for line in bad[:20]:
-        out.write(f"  violation: {line}\n")
-    return bad
+    return _witnesses(out, f"star checked={checked}", bad)
 
 
 def _verify_positivity(args, seq, out):

@@ -95,12 +95,11 @@ class WallFormMap:
 
     def __init__(self, seq: AdaptedSequence):
         self.seq = seq
-        self._entry_terms = {}  # id of a move-table entry -> its terms
         self._members = {}  # (k, ground, states) -> (views, terms)
-        # (colour, site) -> r, and single index -> DoubleIndex
+        # (colour, site) -> r
         self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
             DoubleIndex(_site_offset(seq, k, site), site.color)))
-        self.coordinate = lru_cache(maxsize=None)(seq.reindex)
+        self.coordinate = seq.reindex  # single index -> DoubleIndex
 
     def _moves_terms(self, k, moves) -> tuple:
         """The (r, signed weight) pairs of one move-table entry of colour
@@ -112,15 +111,11 @@ class WallFormMap:
         return tuple(acc.items())
 
     def _add_entries(self, k, entries, acc) -> dict:
-        """acc with the pairs of each move-table entry added.  The table
-        is shared by every sequence, so each entry's pairs are found once
-        per map, and held by the entry's id (no entry is dropped)."""
-        known = self._entry_terms
+        """acc with the pairs of each move-table entry of colour k added.
+        The map keeps no value per entry: the members that read them are
+        built once per map (_member)."""
         for moves in entries:
-            pairs = known.get(id(moves))
-            if pairs is None:
-                pairs = known[id(moves)] = self._moves_terms(k, moves)
-            for r, c in pairs:
+            for r, c in self._moves_terms(k, moves):
                 acc[r] = acc.get(r, 0) + c
         return acc
 

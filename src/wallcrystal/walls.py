@@ -166,9 +166,7 @@ class _Column:
     the others grouped by added atoms, listed row by row on demand.
 
     It also holds the move tables of site detection: per host, a column's
-    local view (_views) -> its moves, as one shared tuple of (site, new
-    state).  Equal moves and sites are stored once, and no entry is ever
-    dropped, so a caller may key its own values by an entry's id."""
+    local view (_views) -> its moves, as a tuple of (site, new state)."""
 
     def __init__(self, X, k, ground):
         _check_ground(X, k, ground)
@@ -186,7 +184,6 @@ class _Column:
         self._rows = 0  # every state of a lower row is listed
         self._filled = 0 if self.base[1] == NONE else -1  # atoms of (_rows, NONE)
         self.tables = {}  # host -> {local view: moves}
-        self._sites, self._entries = {}, {}
 
     def cell(self, column: int, m: int) -> Cell:
         """Cell m, from 0 at the base, of the given column's pattern: a
@@ -209,12 +206,6 @@ class _Column:
         args = (level,) if len(c.args) == 1 else \
             tuple([HalfInt(a.twice + lift) for a in c.args])
         return Cell(c.kind, level, c.colors, args)
-
-    def shared(self, moves) -> tuple:
-        """The one stored tuple of these (site, new state) moves."""
-        moves = tuple([(self._sites.setdefault(site, site), st)
-                       for site, st in moves])
-        return self._entries.setdefault(moves, moves)
 
     def _more(self):
         """List the states of row m = _rows past the bare state, from
@@ -499,7 +490,7 @@ def _wall_entries(w: Wall, host: str, views) -> list:
     for view in views:
         moves = table.get(view)
         if moves is None:
-            moves = table[view] = column.shared(_column_moves(column, view, host))
+            moves = table[view] = tuple(_column_moves(column, view, host))
         out.append(moves)
     return out
 
@@ -535,11 +526,10 @@ def pair_entries(p: WallPair, sup_views, cov_views) -> list:
             cov = p.covering.column_table
             tbar = thresholds(sup.X, sup.k)[1]
             low, high = _PAIR_STEP
-            moves = [(Site(action, "pair", sup.k, vs[0], tbar, tbar, "pair"), new)
-                     for action, old, new in (("add", low, high),
-                                              ("remove", high, low))
-                     if vs[3] == old and _fits(sup, vs, new) and _fits(cov, vc, new)]
-            moves = table[(vs, vc)] = sup.shared(moves)
+            moves = table[(vs, vc)] = tuple([
+                (Site(action, "pair", sup.k, vs[0], tbar, tbar, "pair"), new)
+                for action, old, new in (("add", low, high), ("remove", high, low))
+                if vs[3] == old and _fits(sup, vs, new) and _fits(cov, vc, new)])
         out.append(moves)
     return out
 

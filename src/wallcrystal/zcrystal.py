@@ -326,7 +326,7 @@ def generate(seq: AdaptedSequence, depth: int,
     return set(map(ZElement._wrap, seen))
 
 
-def _window_forms(seq, support_cap, s_max, lam=None):
+def _window_forms(seq, support_cap, lam=None):
     """All inequality forms supported within the single-index window, as
     dense vectors (constant, then the coefficients of 1..support_cap),
     taken from the certified operator closures (their agreement with the
@@ -334,7 +334,8 @@ def _window_forms(seq, support_cap, s_max, lam=None):
     # the closures certify windows of at least one period
     window = max(support_cap, seq.n)
     width = support_cap + 1
-    seeds = [x(s, k) for s in range(1, s_max + 1)
+    # past s = support_cap // n + 1, every x(s, k) lies past the window
+    seeds = [x(s, k) for s in range(1, support_cap // seq.n + 2)
              for k in seq.base_type.index_set]
     cert, _ = closure(seq, seeds, window)
     out = {v[:width] for v in cert if not any(v[width:])}
@@ -447,8 +448,7 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
         box = max_supp
     if box < max_supp:
         raise ValueError(f"box {box} does not cover generated support {max_supp}")
-    s_max = box // seq.n + 1
-    forms = _window_forms(seq, box, s_max, lam)
+    forms = _window_forms(seq, box, lam)
     cut = set(_cut_points(forms, box, depth))
 
     def dense(a):

@@ -55,7 +55,7 @@ def lattice_digests(name, depth, lam_values):
     gen = generate(seq, depth, lam)
     box = max((r for a in gen for r in a.support), default=0)
     vectors = [tuple(a.get(r) for r in range(1, box + 1)) for a in gen]
-    forms = _window_forms(seq, box, box // seq.n + 1, lam)
+    forms = _window_forms(seq, box, lam)
     return _sha(vectors), _sha(_cut_points(forms, box, depth))
 
 

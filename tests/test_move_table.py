@@ -7,17 +7,21 @@ the two neighbouring columns and the heights of the full columns.  The
 table must give the same moves in the same order on every wall up to
 budget 8 of every colour of eight wall types.  The wall-to-form map keeps
 its per-sequence values per map, so running two orders of one wall type
-in turn must give each the family a fresh map gives."""
+in turn must give each the family a fresh map gives; and it keeps no
+value per table entry, so a map that outlives the tables' entries must
+still give the terms a fresh map gives."""
 
+import gc
 import re
 
 import pytest
 
 from wallcrystal.affine_data import AffineType, Family, thresholds
 from wallcrystal.adapted_sequence import from_permutation
+from wallcrystal import walls
 from wallcrystal.walls import (
     BACK, FRONT, LEVEL1, LOWER, NONE, Site, WallPair, column_pattern,
-    enumerate_walls, move_entries, parse_wall,
+    enumerate_walls, move_entries, parse_wall, wall_literal,
 )
 from wallcrystal.wall_forms import WallFormMap, comb_infinity, site_form
 
@@ -179,3 +183,33 @@ def test_two_orders_of_one_type_in_turn():
     # the two orders read the same walls differently
     assert any(first[(seqs[0].period_perm, k)] != first[(seqs[1].period_perm, k)]
                for k in g.index_set)
+
+
+# four of the binf_window settings: (type, order)
+OUTLIVED = [(AffineType(Family.C1, 3), (3, 2, 1)),
+            (AffineType(Family.D2, 3), (3, 2, 1)),
+            (AffineType(Family.B1, 4), (2, 4, 3, 1)),
+            (AffineType(Family.A2ODD, 4), (2, 4, 3, 1))]
+
+
+def test_a_map_that_outlives_the_move_tables_gives_fresh_terms():
+    # each map meets every wall within budget 3, then the tables are
+    # dropped (the column cache refills lazily) and their entries freed;
+    # a map that held values by an entry's id would read a freed id
+    # again under a new entry and give it the old entry's terms
+    seqs = [from_permutation(g, order) for g, order in OUTLIVED]
+    maps = [WallFormMap(seq) for seq in seqs]
+    for seq, fmap in zip(seqs, maps):
+        for k in seq.base_type.index_set:
+            for w in enumerate_walls(seq.wall_type, k, 3):
+                fmap.terms(w)
+    walls._column.cache_clear()
+    gc.collect()
+    met = 0
+    for seq, fmap in zip(seqs, maps):
+        fresh = WallFormMap(seq)
+        for k in seq.base_type.index_set:
+            for w in enumerate_walls(seq.wall_type, k, 6):
+                assert fmap.terms(w) == fresh.terms(w), wall_literal(w)
+                met += 1
+    assert met == 254
