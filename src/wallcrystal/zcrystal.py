@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
+from itertools import compress
 
 from wallcrystal.affine_data import cartan_entry
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
@@ -299,12 +300,18 @@ def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
 def generate(seq: AdaptedSequence, depth: int,
              lam: DominantWeight | None = None) -> set:
     """All words of lowering operators of length <= depth applied to 0."""
+    return set(map(ZElement._wrap, _generated(seq, depth, lam)))
+
+
+def _generated(seq: AdaptedSequence, depth: int,
+               lam: DominantWeight | None) -> set:
+    """The elements `generate` returns, each as its sorted tuple of
+    (index, value) pairs: the breadth-first search runs on the tuples,
+    and `verify_equivalence` compares them as they are."""
     if depth < 0:
         raise ValueError(f"depth {depth} is negative")
     if lam is not None:
         lam.check_rank(seq.n)
-    # the search runs on the elements' sorted tuples of (index, value)
-    # pairs; each survivor is wrapped as a ZElement once, at the end
     seen = {()}
     frontier = [()]
     colours = range(seq.n)
@@ -323,7 +330,7 @@ def generate(seq: AdaptedSequence, depth: int,
         if not nxt:
             break
         frontier = nxt
-    return set(map(ZElement._wrap, seen))
+    return seen
 
 
 def _window_forms(seq, support_cap, lam=None):
@@ -346,10 +353,26 @@ def _window_forms(seq, support_cap, lam=None):
     return out
 
 
+def _dense(items: tuple, box: int) -> tuple:
+    """The length-box vector of the point whose sorted (index, value)
+    pairs are items."""
+    v = [0] * box
+    for r, c in items:
+        v[r - 1] = c
+    return tuple(v)
+
+
 def _cut_points(forms, box: int, depth: int) -> list:
     """The nonnegative integer points of length box with coordinate sum
     <= depth on which every form (dense, as `_window_forms` returns them)
-    is >= 0, as a list of tuples in no set order.
+    is >= 0, as a list of dense tuples in no set order: the dense view of
+    the sweep `_cut`."""
+    return [_dense(point, box) for point in _cut(forms, box, depth)]
+
+
+def _cut(forms, box: int, depth: int) -> list:
+    """The points of `_cut_points`, each as its sorted tuple of (index,
+    value) pairs with no zero value, the shape of a generated element.
 
     The sweep assigns the coordinates top-down, x_box at level box first,
     then x_{box - 1}, ..., x_1, to a whole frontier of partial points.  A
@@ -358,14 +381,17 @@ def _cut_points(forms, box: int, depth: int) -> list:
     point, so the values of x_L it allows form a half-line, and those
     that every form settled at L allows form an interval.  Each partial
     point branches into exactly that interval (capped by its remaining
-    budget), so no point that fails a form is ever built.
+    budget), so no point that fails a form is ever built.  A partial
+    point is the sparse tuple of its coordinates assigned so far, and
+    (L, x_L) is prepended only when x_L > 0, so the pairs stay sorted by
+    index.
 
-    A partial point carries one int q holding the value of every form not
-    yet settled, form i in lane i of `bits` bits, biased by
-    2**(bits - 1).  The forms are sorted by first index, last first, so
-    the lanes settled at L are the lowest ones; a value is >= 0 exactly
-    when the top bit of its lane is set, so x_L is allowed when q & mask
-    == mask, and q steps to x_L + 1 by adding the column of the
+    Beside it, a partial point carries one int q holding the value of
+    every form not yet settled, form i in lane i of `bits` bits, biased
+    by 2**(bits - 1).  The forms are sorted by first index, last first,
+    so the lanes settled at L are the lowest ones; a value is >= 0
+    exactly when the top bit of its lane is set, so x_L is allowed when
+    q & mask == mask, and q steps to x_L + 1 by adding the column of the
     coefficients of x_L.  The settled lanes are then shifted out.  Every
     value and every coefficient is at most |constant| + max(depth, 1)
     max|coefficient| in size, below 2**(bits - 1), so no lane carries
@@ -375,15 +401,17 @@ def _cut_points(forms, box: int, depth: int) -> list:
     out; 8-bit lanes are packed as one bytes object per column.
     """
     lanes = []  # (first index, form) of the forms with a variable
+    bound, scale, levels = 0, max(depth, 1), range(1, box + 1)
     for v in forms:
-        first = next((r for r in range(1, box + 1) if v[r]), 0)
+        coeffs = v[1:box + 1]
+        first = next(compress(levels, coeffs), 0)
         if first:
             lanes.append((first, v))
+            top = max(max(coeffs), -min(coeffs))  # max|coefficient|
+            bound = max(bound, abs(v[0]) + scale * top)
         elif v[0] < 0:
             raise ValueError("inconsistent constant inequality in the window")
     lanes.sort(key=lambda lane: lane[0], reverse=True)
-    bound = max((abs(v[0]) + max(depth, 1) * max(map(abs, v[1:box + 1]))
-                 for _, v in lanes), default=0)
     bits = 8
     while bound >> (bits - 1):
         bits *= 2
@@ -413,7 +441,8 @@ def _cut_points(forms, box: int, depth: int) -> list:
             allowed = False
             for x in range(budget + 1):
                 if q & mask == mask:
-                    nxt.append((q >> shift, budget - x, (x,) + point))
+                    nxt.append((q >> shift, budget - x,
+                                ((level, x),) + point if x else point))
                     allowed = True
                 elif allowed:
                     break  # the allowed values are an interval
@@ -430,42 +459,36 @@ def verify_equivalence(seq: AdaptedSequence, depth: int,
     box is the single-index bound for the candidate lattice points; it
     must cover the support of every generated element (checked).  The
     report lists the mismatches between the two sets restricted to the
-    box, and the generated elements violating a windowed inequality.
-    The lattice points are found by an exact interval sweep on packed
-    ints, one coordinate per level from the top one down, each form
-    settled at its first nonzero coefficient (`_cut_points`).
-    Generated elements are nonnegative with coordinate sum <= depth, so
-    the sweep decides each of them: the violating ones are exactly those
-    outside the cut (`extra`).
+    box, as sorted dense vectors of length box, and the generated
+    elements violating a windowed inequality, in the order of their
+    vectors in `extra`.  The lattice points are found by an exact
+    interval sweep on packed ints, one coordinate per level from the top
+    one down, each form settled at its first nonzero coefficient
+    (`_cut`).  Generated elements are nonnegative with coordinate sum <=
+    depth, so the sweep decides each of them: the violating ones are
+    exactly those outside the cut (`extra`).  Both sides are sets of
+    sorted (index, value) tuples, the search's own elements and the
+    sweep's points, so they are compared as they are; dense vectors and
+    `ZElement`s are built only for the mismatches.
     """
     if depth < 0:
         raise ValueError(f"depth {depth} is negative")
     if box is not None and box < 0:
         raise ValueError(f"box {box} is negative")
-    gen = generate(seq, depth, lam)
-    max_supp = max((a.items()[-1][0] for a in gen if a.items()), default=0)
+    gen = _generated(seq, depth, lam)
+    max_supp = max((a[-1][0] for a in gen if a), default=0)
     if box is None:
         box = max_supp
     if box < max_supp:
         raise ValueError(f"box {box} does not cover generated support {max_supp}")
-    forms = _window_forms(seq, box, lam)
-    cut = set(_cut_points(forms, box, depth))
-
-    def dense(a):
-        v = [0] * box
-        for r, c in a.items():
-            v[r - 1] = c
-        return tuple(v)
-
-    vectors = {a: dense(a) for a in gen}
-    gen_vecs = set(vectors.values())
-    missing = cut - gen_vecs
-    extra = gen_vecs - cut
+    cut = set(_cut(_window_forms(seq, box, lam), box, depth))
+    missing = cut - gen
+    extra = sorted((_dense(a, box), a) for a in gen - cut)
     return {
-        "generated": len(gen_vecs),
+        "generated": len(gen),
         "cut": len(cut),
-        "violations": [a for a, v in vectors.items() if v in extra],
-        "missing": sorted(missing),
-        "extra": sorted(extra),
+        "violations": [ZElement._wrap(a) for _, a in extra],
+        "missing": sorted(_dense(a, box) for a in missing),
+        "extra": [v for v, _ in extra],
         "ok": not missing and not extra,
     }
