@@ -22,11 +22,17 @@ from wallcrystal.wall_forms import (
     found_forms, wall_walk,
 )
 from wallcrystal.zcrystal import (
-    ZElement, _sigma_profile, f_tilde, generate, parse_element, render_element,
+    ZElement, _bumped, _profile, generate, parse_element, render_element,
 )
 # the crystal operators, bound here under their names for callers and
 # tracers that look them up on this module
-from wallcrystal.zcrystal import e_tilde, epsilon, phi, wt_pairing  # noqa: F401
+from wallcrystal.zcrystal import (  # noqa: F401
+    e_tilde, epsilon, f_tilde, phi, wt_pairing,
+)
+
+# the sigma profiles `verify crystal` keeps, most recently used first: as
+# fast as keeping every one, and a flat peak RSS on long runs
+_PROFILES = 1024
 
 
 class UsageError(Exception):
@@ -248,31 +254,45 @@ def _verify_props(args, seq, out):
 def _verify_crystal(args, seq, out):
     """For sampled elements a and every colour k with b = f_tilde_k a:
     e_tilde_k b = a, epsilon_k rises by one, phi_k falls by one, and the
-    weight pairings change by the Cartan column of k.  epsilon, f_tilde,
-    e_tilde and the weight are read from one sigma profile of a and one
-    of each b.  Up to 20 failing (a, k) pairs are printed as witnesses."""
+    weight pairings change by the Cartan column of k.  Each sample is a
+    random word of at most --depth f_tilde steps applied to 0.  Elements
+    are their sorted (index, value) tuples, stepped by `_bumped`, and
+    epsilon, f_tilde, e_tilde and the weight are read from one sigma
+    profile (`_profile`) per distinct element: the words revisit the
+    same small elements in every sample, so the profiles are kept in a
+    cache bounded at _PROFILES entries, which holds the memory of a
+    long run flat.  The random draws do not depend on the element.  Up
+    to 20 failing (a, k) pairs are printed as witnesses."""
     import random
 
     rng = random.Random(args.seed)
-    colours = list(seq.base_type.index_set)
+    # slot k - 1 holds colour k: choice draws the same index from this
+    # range as from the colours 1..n, so the samples do not change
+    colours = range(seq.n)
     # entry k - 1 is the Cartan column of colour k
     columns = list(zip(*cartan_matrix(seq.base_type)))
+
+    @lru_cache(maxsize=_PROFILES)
+    def profile(a):
+        return _profile(seq, a)
+
     bad = []
     for _ in range(args.samples):
-        a = ZElement()
+        a = ()
         for _ in range(rng.randint(0, args.depth)):
-            a = f_tilde(seq, a, rng.choice(colours))
-        eps_a, first_a, _, w_a = _sigma_profile(seq, a)
+            a = _bumped(a, profile(a)[1][rng.choice(colours)], 1)
+        eps_a, first_a, _, w_a = profile(a)
         for i, column in enumerate(columns):
-            b = a.bump(first_a[i], 1)
-            eps_b, _, last_b, w_b = _sigma_profile(seq, b)
+            b = _bumped(a, first_a[i], 1)
+            eps_b, _, last_b, w_b = profile(b)
             # the profile's weight is sum_r C[k, i_r] a_r, so phi_k = eps_k - w_k
-            ok = (eps_b[i] > 0 and b.bump(last_b[i], -1) == a
+            ok = (eps_b[i] > 0 and _bumped(b, last_b[i], -1) == a
                   and eps_b[i] == eps_a[i] + 1
                   and eps_b[i] - w_b[i] == eps_a[i] - w_a[i] - 1
                   and tuple(q - p for p, q in zip(w_a, w_b)) == column)
             if not ok:
-                bad.append(f"colour {i + 1} at {render_element(seq, a)}")
+                bad.append(f"colour {i + 1} at "
+                           f"{render_element(seq, ZElement._wrap(a))}")
     return _witnesses(out, f"crystal samples={args.samples}", bad)
 
 

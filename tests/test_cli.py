@@ -127,15 +127,18 @@ def test_verify_crystal_prints_witnesses(monkeypatch):
     # fails every (element, colour) pair: 10 samples of 3 colours give 30
     # violations, of which the first 20 are printed in sample order
     import wallcrystal.cli as cli
+    import wallcrystal.zcrystal as zcrystal
     from wallcrystal.zcrystal import check_in_binf, parse_element
 
-    real = cli._sigma_profile
+    real = zcrystal._profile
 
-    def profile(seq, a):
-        eps, first, last, w = real(seq, a)
-        return eps, first, last, [w[0] + a.total()] + w[1:]
+    def profile(seq, items):
+        eps, first, last, w = real(seq, items)
+        return eps, first, last, [w[0] + sum(v for _, v in items)] + w[1:]
 
-    monkeypatch.setattr(cli, "_sigma_profile", profile)
+    for module in (zcrystal, cli):
+        if hasattr(module, "_profile"):
+            monkeypatch.setattr(module, "_profile", profile)
     code, text = run("verify", "crystal", "--type", "D2", "--rank", "3",
                      "--order", "3,2,1", "--samples", "10", "--depth", "4")
     assert code == 2
@@ -151,6 +154,62 @@ def test_verify_crystal_prints_witnesses(monkeypatch):
         check_in_binf(seq, a)
     # the three colours of one sample name one element
     assert len({line.split(" at ")[1] for line in lines[1:4]}) == 1
+
+
+def test_verify_crystal_profiles_each_element_once(monkeypatch):
+    # each sample reads 1 + |word| + n profiles: the word's elements, a
+    # and its n successors.  The words revisit the same small elements,
+    # and each distinct one is profiled once per command.
+    import random
+
+    import wallcrystal.cli as cli
+    import wallcrystal.zcrystal as zcrystal
+
+    real, seen = zcrystal._profile, []
+
+    def profile(seq, items):
+        seen.append(items)
+        return real(seq, items)
+
+    for module in (zcrystal, cli):
+        if hasattr(module, "_profile"):
+            monkeypatch.setattr(module, "_profile", profile)
+    assert run("verify", "crystal", "--type", "D1", "--rank", "6", "--order",
+               "6,5,4,3,2,1", "--samples", "50", "--seed", "3") \
+        == (0, "crystal samples=50 violations=0\n")
+    rng, lookups = random.Random(3), 0
+    for _ in range(50):
+        length = rng.randint(0, 6)
+        for _ in range(length):
+            rng.choice(range(6))
+        lookups += 1 + length + 6
+    assert len(seen) == len(set(seen)) < lookups, (len(seen), lookups)
+    assert seen[0] == ()
+
+
+def test_verify_crystal_memory_stays_flat():
+    # 4,000 words of up to 60 steps meet about 100,000 distinct elements.
+    # The profile cache is bounded, so the child peaks near 18 MB; with
+    # one profile kept per element it peaked at 77 MB.  VmHWM is read,
+    # not ru_maxrss, which a child inherits from the test process.
+    code = (
+        "import io, re\n"
+        "from wallcrystal.cli import main\n"
+        "out = io.StringIO()\n"
+        "main(['verify', 'crystal', '--type', 'D2', '--rank', '3',\n"
+        "      '--order', '3,2,1', '--samples', '4000', '--depth', '60'],\n"
+        "     out=out)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)\n"
+        "print(out.getvalue().strip(), peak, sep=';')\n")
+    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    text, peak_kb = proc.stdout.strip().split(";")
+    assert text == "crystal samples=4000 violations=0"
+    assert int(peak_kb) < 40 * 1024, peak_kb
 
 
 def test_epsstar_rejects_elements_outside_binf(capsys):

@@ -198,31 +198,36 @@ def test_epsstar_golden(name):
 
 
 def _patch_profile(monkeypatch, change):
-    """Replace the sigma profile, wherever it is bound, by one that change
-    edits in place (epsilon, first, last and the weight lists)."""
-    real = zcrystal._sigma_profile
+    """Replace the sigma profile `_profile`, wherever it is bound, by one
+    that change edits in place (epsilon, first, last and the weight
+    lists); the element is its sorted (index, value) tuple."""
+    real = zcrystal._profile
 
-    def profile(seq, a):
-        eps, first, last, w = (list(v) for v in real(seq, a))
-        change(a, eps, first, last, w)
+    def profile(seq, items):
+        eps, first, last, w = (list(v) for v in real(seq, items))
+        change(items, eps, first, last, w)
         return eps, first, last, w
 
     for module in (zcrystal, cli):
-        if hasattr(module, "_sigma_profile"):
-            monkeypatch.setattr(module, "_sigma_profile", profile)
+        if hasattr(module, "_profile"):
+            monkeypatch.setattr(module, "_profile", profile)
 
 
-def _last_one_up(a, eps, first, last, w):
+def _total(items):
+    return sum(v for _, v in items)
+
+
+def _last_one_up(items, eps, first, last, w):
     last[0] += 1  # e_tilde at colour 1 lowers the wrong position
 
 
-def _epsilon_one_up(a, eps, first, last, w):
-    if a.total():
+def _epsilon_one_up(items, eps, first, last, w):
+    if _total(items):
         eps[0] += 1  # epsilon at colour 1 is one too large off 0
 
 
-def _weight_one_up(a, eps, first, last, w):
-    if a.total():
+def _weight_one_up(items, eps, first, last, w):
+    if _total(items):
         w[0] += 1  # the weight at colour 1 is one off, off 0
 
 
