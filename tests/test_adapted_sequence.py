@@ -61,6 +61,27 @@ def test_p_complementary(seq):
             assert seq.p(i, j) + seq.p(j, i) == 1
 
 
+# every order of these settings: p against the order of first occurrences
+P_SETTINGS = [(Family.A1, 3), (Family.D2, 3), (Family.C1, 3), (Family.B1, 4),
+              (Family.A2ODD, 4), (Family.D1, 5)]
+
+
+@pytest.mark.parametrize("fam,n", P_SETTINGS,
+                         ids=[f"{fam.value}{n}" for fam, n in P_SETTINGS])
+def test_p_is_the_order_of_first_occurrences(fam, n):
+    from wallcrystal.affine_data import cartan_entry
+    g = AffineType(fam, n)
+    for perm in itertools.permutations(range(1, n + 1)):
+        seq = from_permutation(g, perm)
+        for i, j in itertools.product(g.index_set, repeat=2):
+            if cartan_entry(g, i, j) == 0:
+                with pytest.raises(UndefinedPair):
+                    seq.p(i, j)
+            else:
+                want = int(seq.first_occurrence(i) < seq.first_occurrence(j))
+                assert seq.p(i, j) == want, (perm, i, j)
+
+
 def test_reindex_printed_example():
     # iota = (..., 2, 1, 3): single indices 1..6 are (1,3),(1,1),(1,2),(2,3),(2,1),(2,2)
     seq = from_permutation(AffineType(Family.A1, 3), (3, 1, 2))

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from wallcrystal.affine_data import (
     AffineType, DomainError, Family, HalfInt, cartan_matrix, cell_atoms,
-    domain_points, half_height_colors, in_domain, index_class, langlands_dual, parse_type,
-    period, periodic_map, split_cell_pairs, thresholds,
+    domain_points, half_height_colors, in_domain, index_class, langlands_dual,
+    next_domain_point, parse_type, period, periodic_map, split_cell_pairs,
+    thresholds,
 )
 
 ALL_FAMILIES = list(Family)
@@ -172,6 +173,30 @@ def test_thresholds_are_preimages(X):
             assert tk == tbar.floor()
         else:
             assert tk is None
+
+
+def _half_step_scan(X, stop):
+    """The D_X points t with 0 <= t < stop, found one half step at a time."""
+    return [HalfInt(tw) for tw in range(0, stop.twice) if in_domain(X, HalfInt(tw))]
+
+
+@pytest.mark.parametrize("X", [AffineType(fam, n) for fam in ALL_FAMILIES
+                               for n in range(MIN_N[fam], 9)], ids=str)
+def test_domain_readers_agree_with_a_half_step_scan(X):
+    # domain_points, next_domain_point and thresholds against one scan
+    # over three periods, from every start in it
+    span = period(X) + period(X) + period(X)
+    scan = _half_step_scan(X, span + period(X))
+    for tw in range(0, span.twice):
+        t = HalfInt(tw)
+        assert domain_points(X, t, t + period(X)) == \
+            [u for u in scan if t <= u < t + period(X)], t
+        assert next_domain_point(X, t) == next(u for u in scan if u > t), t
+    assert domain_points(X, 0, span) == [u for u in scan if u < span]
+    for k in X.index_set:
+        tbar, tbarbar = [u for u in scan if u >= 1 and periodic_map(X, u) == k][:2]
+        tk = tbar.floor() if index_class(X, k) == 1 else None
+        assert thresholds(X, k) == (tk, tbar, tbarbar), k
 
 
 def test_half_height_and_split_tables():
