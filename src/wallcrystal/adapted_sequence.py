@@ -76,17 +76,11 @@ class AdaptedSequence:
         return self.period_perm[(r - 1) % self.n]
 
     def p(self, i: int, j: int) -> int:
-        """Orientation bit: 1 iff i occurs before j scanning r = 1, 2, ..."""
-        if i == j:
-            return 0
-        if cartan_entry(self.base_type, i, j) == 0:
+        """Orientation bit p_{i,j}: 1 iff iota^(i) < iota^(j), i.e. i first
+        occurs before j.  UndefinedPair unless i = j or i, j are linked."""
+        if i != j and cartan_entry(self.base_type, i, j) == 0:
             raise UndefinedPair((i, j))
-        for c in self.period_perm:
-            if c == i:
-                return 1
-            if c == j:
-                return 0
-        raise AssertionError  # pragma: no cover
+        return int(self.first_occurrence(i) < self.first_occurrence(j))
 
     def reindex(self, r: int) -> DoubleIndex:
         k = self.entry(r)
@@ -94,12 +88,7 @@ class AdaptedSequence:
         return DoubleIndex(s, k)
 
     def single_index(self, d: DoubleIndex) -> int:
-        try:
-            pos = self.period_perm.index(d.k)  # 0-based within period
-        except ValueError:
-            raise ValueError(f"colour {d.k} outside the index set "
-                             f"1..{self.n}") from None
-        return (d.s - 1) * self.n + pos + 1
+        return (d.s - 1) * self.n + self.first_occurrence(d.k)
 
     def compare(self, d1: DoubleIndex, d2: DoubleIndex) -> int:
         r1, r2 = self.single_index(d1), self.single_index(d2)
@@ -110,7 +99,11 @@ class AdaptedSequence:
 
     def first_occurrence(self, k: int) -> int:
         """iota^(k): the smallest r with entry(r) = k."""
-        return self.period_perm.index(k) + 1
+        try:
+            return self.period_perm.index(k) + 1
+        except ValueError:
+            raise ValueError(f"colour {k} outside the index set "
+                             f"1..{self.n}") from None
 
     @cached_property
     def profile_tables(self) -> tuple:
@@ -119,14 +112,10 @@ class AdaptedSequence:
         is iota^(k), and columns[k - 1] is the Cartan column of colour k.
         A cached_property writes to the instance dict, past the frozen
         __setattr__."""
-        n, perm = self.n, self.period_perm
-        slot = [0] * n
-        first = [0] * n
-        for r, c in enumerate(perm, 1):
-            slot[r % n] = c - 1
-            first[c - 1] = r
-        columns = tuple(zip(*cartan_matrix(self.base_type)))
-        return tuple(slot), tuple(first), columns
+        n = self.n
+        return (tuple(self.entry(r) - 1 for r in range(n, 2 * n)),
+                tuple(map(self.first_occurrence, self.base_type.index_set)),
+                tuple(zip(*cartan_matrix(self.base_type))))
 
     # --- shift tables ------------------------------------------------
 

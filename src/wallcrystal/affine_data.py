@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from itertools import islice, takewhile
 from typing import NamedTuple
 
 
@@ -261,28 +262,27 @@ def periodic_map(X: AffineType, t) -> int:
     return _cell(X, t)[1][t.twice % 2]
 
 
-def domain_points(X: AffineType, start, stop):
-    """Sorted D_X points t with start <= t < stop (integers only for A1)."""
-    start = HalfInt.of(start)
-    stop = HalfInt.of(stop)
-    out = []
+def _domain_from(X: AffineType, start: HalfInt):
+    """The D_X points t >= start, in order, found one half step at a time
+    (endless: D_X has a point in every period)."""
     tw = start.twice
-    while tw < stop.twice:
+    while True:
         t = HalfInt(tw)
         if in_domain(X, t):
-            out.append(t)
+            yield t
         tw += 1
-    return out
+
+
+def domain_points(X: AffineType, start, stop):
+    """Sorted D_X points t with start <= t < stop (integers only for A1)."""
+    stop = HalfInt.of(stop)
+    points = _domain_from(X, HalfInt.of(start))
+    return list(takewhile(lambda t: t < stop, points))
 
 
 def next_domain_point(X: AffineType, t) -> HalfInt:
-    t = HalfInt.of(t)
-    tw = t.twice + 1
-    while True:
-        cand = HalfInt(tw)
-        if in_domain(X, cand):
-            return cand
-        tw += 1
+    """The least D_X point above t."""
+    return next(_domain_from(X, HalfInt.of(t) + HalfInt(1)))
 
 
 @lru_cache(maxsize=None)
@@ -312,14 +312,8 @@ def thresholds(X: AffineType, k: int):
     """
     if not 1 <= k <= X.n:  # no domain point maps to k: the scan never ends
         raise ValueError(f"index {k} outside 1..{X.n}")
-    hits = []
-    tw = 2
-    while len(hits) < 2:
-        t = HalfInt(tw)
-        if in_domain(X, t) and periodic_map(X, t) == k:
-            hits.append(t)
-        tw += 1
-    tbar, tbarbar = hits
+    tbar, tbarbar = islice((t for t in _domain_from(X, HalfInt.of(1))
+                            if periodic_map(X, t) == k), 2)
     tk = tbar.floor() if index_class(X, k) == 1 else None
     return (tk, tbar, tbarbar)
 

@@ -8,7 +8,7 @@ import json
 import sys
 from functools import lru_cache
 
-from wallcrystal.affine_data import Family, cartan_matrix, parse_type
+from wallcrystal.affine_data import Family, parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, _keys, beta, closure, positivity_report,
@@ -19,7 +19,7 @@ from wallcrystal.walls import (
 )
 from wallcrystal.wall_forms import (
     NotStabilized, WallFormMap, comb_infinity, comb_lambda, epsilon_star,
-    found_forms, wall_walk,
+    found_forms, shifted, wall_walk,
 )
 from wallcrystal.zcrystal import (
     ZElement, _bumped, _profile, generate, parse_element, render_element,
@@ -130,8 +130,7 @@ def _cmd_epsstar(args, out):
     seq = _sequence(args)
     _colour(seq, args.k)
     try:
-        a = parse_element(seq, args.elem)
-        value = epsilon_star(seq, args.k, a.as_double(seq))
+        value = epsilon_star(seq, args.k, parse_element(seq, args.elem))
     except ValueError as e:
         raise UsageError(str(e))
     out.write(f"{value}\n")
@@ -218,7 +217,7 @@ def _verify_props(args, seq, out):
     def root(r, double):
         got = roots.get((r, double))
         if got is None:
-            b = beta(seq, fmap.coordinate(r))
+            b = beta(seq, seq.reindex(r))
             got = {seq.single_index(d): c for d, c in b.terms}
             if b.constant:
                 got[0] = b.constant
@@ -244,8 +243,7 @@ def _verify_props(args, seq, out):
                     if r + sn < 1:
                         continue
                     total += 1
-                    if ({q + sn: c for q, c in drop if q + sn >= 1}
-                            != root(r + sn, double)):
+                    if dict(shifted(drop, sn)) != root(r + sn, double):
                         bad[s].append((s, k, wall_literal(w), st))
     return _witnesses(out, f"props checked={total}",
                       [item for s in shifts for item in bad[s]])
@@ -270,7 +268,7 @@ def _verify_crystal(args, seq, out):
     # range as from the colours 1..n, so the samples do not change
     colours = range(seq.n)
     # entry k - 1 is the Cartan column of colour k
-    columns = list(zip(*cartan_matrix(seq.base_type)))
+    columns = seq.profile_tables[2]
 
     @lru_cache(maxsize=_PROFILES)
     def profile(a):
@@ -302,11 +300,10 @@ def _verify_star(args, seq, out):
     colours = seq.base_type.index_set
     checked, bad = 0, []
     for a in sorted(generate(seq, args.depth), key=ZElement.items):
-        v = a.as_double(seq)
         for k in colours:
             checked += 1
             try:
-                epsilon_star(seq, k, v)
+                epsilon_star(seq, k, a)
             except NotStabilized as e:
                 bad.append(str(e))
     return _witnesses(out, f"star checked={checked}", bad)
@@ -353,11 +350,14 @@ def build_parser():
     p = leaf(ineq, "binf", _cmd_binf)
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=_at_least(1), default=1)
-    p.add_argument("--blocks", type=_at_least(0), default=4)
-    p.add_argument("--support-max", type=_at_least(1), dest="support_max",
-                   metavar="N",
-                   help="keep the forms supported within single indices "
-                   "1..N, over every wall (--blocks is then ignored)")
+    # the window replaces the budget, so the two exclude each other; the
+    # string default is parsed as if given, so an explicit --blocks 4 counts
+    cut = p.add_mutually_exclusive_group()
+    cut.add_argument("--blocks", type=_at_least(0), default="4")
+    cut.add_argument("--support-max", type=_at_least(1), dest="support_max",
+                     metavar="N",
+                     help="keep the forms supported within single indices "
+                     "1..N, over every wall (not with --blocks)")
     output(p)
     p = leaf(ineq, "blam", _cmd_blam)
     p.add_argument("--k", type=int, required=True)

@@ -90,8 +90,8 @@ class WallFormMap:
     and shift s.  A site's coordinate at shift s has single index
     r + s n, with r its single index at s = 0, so the map finds r once
     per (colour, site).  A wall's terms are the pairs (r, signed weight)
-    summed per r and sorted by r.  Coordinates with index below 1
-    vanish."""
+    summed per r and sorted by r; its form at shift s reads them
+    `shifted` by s n, each index r named by seq.reindex(r)."""
 
     def __init__(self, seq: AdaptedSequence):
         self.seq = seq
@@ -99,24 +99,16 @@ class WallFormMap:
         # (colour, site) -> r
         self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
             DoubleIndex(_site_offset(seq, k, site), site.color)))
-        self.coordinate = seq.reindex  # single index -> DoubleIndex
-
-    def _moves_terms(self, k, moves) -> tuple:
-        """The (r, signed weight) pairs of one move-table entry of colour
-        k, each r once."""
-        acc = {}
-        for site, _ in moves:
-            r = self.index(k, site)
-            acc[r] = acc.get(r, 0) + _direction(site) * _weight(site)
-        return tuple(acc.items())
 
     def _add_entries(self, k, entries, acc) -> dict:
-        """acc with the pairs of each move-table entry of colour k added.
-        The map keeps no value per entry: the members that read them are
-        built once per map (_member)."""
+        """acc with the (r, signed weight) pair of every move of the
+        move-table entries of colour k added, in one pass.  The map keeps
+        no value per entry: each member is built once per map (_member)."""
+        index = self.index
         for moves in entries:
-            for r, c in self._moves_terms(k, moves):
-                acc[r] = acc.get(r, 0) + c
+            for site, _ in moves:
+                r = index(k, site)
+                acc[r] = acc.get(r, 0) + _direction(site) * _weight(site)
         return acc
 
     def _member(self, w) -> tuple:
@@ -147,9 +139,15 @@ class WallFormMap:
 
     def form(self, terms: tuple, s: int, constant=0) -> LinearForm:
         """L_{s,k}(w) + constant, given w's terms."""
-        shift = s * self.seq.n
-        return LinearForm(constant, [(self.coordinate(r + shift), c)
-                                     for r, c in terms if r + shift >= 1])
+        reindex = self.seq.reindex
+        return LinearForm(constant, [(reindex(r), c) for r, c
+                                     in shifted(terms, s * self.seq.n)])
+
+
+def shifted(terms, shift: int) -> tuple:
+    """The (r + shift, c) pairs of terms at index 1 or above: with
+    shift = s n, a wall's terms at shift s (x_{s,k} is 0 for s < 1)."""
+    return tuple([(r + shift, c) for r, c in terms if r + shift >= 1])
 
 
 def _sorted_terms(acc: dict) -> tuple:
@@ -214,13 +212,12 @@ def _meta(seq, **extra):
 def wall_walk(fmap, found, k, shifts, budget=None, window=None, min_atoms=0):
     """Walk the walls of colour k depth-first (walls.search_walls) and
     record each form L_{s,k}(w), s in shifts and w of at least min_atoms
-    added atoms, in found: its key, the (r + s n, c) pairs of w's terms
-    at index 1 or above, names the form (r -> DoubleIndex is a
-    bijection) and maps to its first witness (s, w).  The walk is cut
-    past budget added atoms or, with a window given, at each wall whose
-    form at the first shift leaves single indices 1..window; a form's
-    support moves up a period with s, so the first form past the window
-    ends a wall's scan of the shifts."""
+    added atoms, in found: its key, w's terms `shifted` by s n, names
+    the form (r -> DoubleIndex is a bijection) and maps to its first
+    witness (s, w).  The walk is cut past budget added atoms or, with a
+    window given, at each wall whose form at the first shift leaves
+    single indices 1..window; a form's support moves up a period with s,
+    so the first form past the window ends a wall's scan of the shifts."""
     n = fmap.seq.n
 
     def keep(w, atoms):
@@ -234,8 +231,7 @@ def wall_walk(fmap, found, k, shifts, budget=None, window=None, min_atoms=0):
                 return s != shifts[0]
             if atoms < min_atoms:
                 continue
-            shift = s * n
-            key = tuple([(r + shift, c) for r, c in terms if r + shift >= 1])
+            key = shifted(terms, s * n)
             if key not in found:
                 found[key] = (s, w)
         return True
@@ -255,13 +251,14 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
 
     Each colour's walls are searched depth-first from the ground state
     (walls.search_walls), cut past block_max added atoms, and each wall
-    reached is formed once.  With support_max given, the block budget is
-    ignored: the forms are those supported within that single-index
-    window, over every wall, and a wall whose s = 1 form leaves the
-    window is cut with all its extensions, since extending a wall never
-    lowers the largest support index of its s = 1 form (pinned in
-    tests/test_wall_forms.py).  The search tree being exhausted is the
-    certificate that no wall was missed.  In both modes a form's
+    reached is formed once.  With support_max given, the block budget
+    plays no part (`ineq binf` refuses --blocks with --support-max): the
+    forms are those supported within that single-index window, over
+    every wall, and a wall whose s = 1 form leaves the window is cut with
+    all its extensions, since extending a wall never lowers the largest
+    support index of its s = 1 form (pinned in tests/test_wall_forms.py).
+    The search tree being exhausted is the certificate that no wall was
+    missed.  In both modes a form's
     provenance is its first witness in the one depth-first order.  A
     support_max below 1 raises ValueError.
     """
@@ -362,10 +359,6 @@ def _box_family(seq, ell, hk, points):
 # --- COMB[lambda] -----------------------------------------------------
 
 
-def _below(seq, t, k) -> bool:
-    return seq.lt(DoubleIndex(1, t), DoubleIndex(1, k))
-
-
 def _fork_pair(hk, k, j):
     """The fork-pair forms hk - x[1,k] + x[1,j] and hk - x[2,j], tagged
     pair[j]."""
@@ -390,12 +383,11 @@ def _beside_cells(X: AffineType, k: int) -> tuple:
 def _middle_chains(seq, k, hk, neighbours, before, budget) -> dict:
     """The four-form chains of a colour k with four neighbours, two of
     them before k: over the pair before k and over the pair after it,
-    each pair ranked by single index, at the odd shifts below
+    each pair ranked by first occurrence, at the odd shifts below
     2 budget."""
-    rank = lambda t: seq.single_index(DoubleIndex(1, t))
     prov = {}
-    for (r1, r2) in (sorted(before, key=rank),
-                     sorted(neighbours - before, key=rank)):
+    for (r1, r2) in (sorted(before, key=seq.first_occurrence),
+                     sorted(neighbours - before, key=seq.first_occurrence)):
         p = seq.p(k, r1)
         for s in range(1, 2 * budget, 2):
             chain = [
@@ -462,7 +454,8 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         return IneqSet(found_forms(fmap, found, hk), meta)
 
     lower, upper = _beside_cells(X, k)
-    before = {t for t in lower | upper if _below(seq, t, k)}
+    first = seq.first_occurrence
+    before = {t for t in lower | upper if first(t) < first(k)}
     if len(lower) == len(upper) == len(before) == 2:
         return IneqSet(
             _middle_chains(seq, k, hk, lower | upper, before, budget), meta)
@@ -493,9 +486,9 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
 # --- star-twisted string length ---------------------------------------
 
 
-def epsilon_star(seq: AdaptedSequence, k: int, a) -> int:
-    """max(0, -phi(a)) over COMB_k[0], for a in B(infinity) given by its
-    double-index entries.
+def epsilon_star(seq: AdaptedSequence, k: int, a: ZElement) -> int:
+    """max(0, -phi(a)) over COMB_k[0], for a ZElement a in B(infinity);
+    the forms read its double-index entries (a.as_double), built once.
 
     The family is built at budgets 0, 2, 4, ... until its value reaches
     epsilon*_k(a) as read from Kashiwara's chart (zcrystal.star_length).
@@ -503,11 +496,10 @@ def epsilon_star(seq: AdaptedSequence, k: int, a) -> int:
     form exceeding it, or no agreement by budget 2|a| (|a| the sum of
     the entries, a measured bound), raises NotStabilized.  ValueError if
     a is not in B(infinity)."""
-    amap = dict(a)
-    elem = ZElement({seq.single_index(d): v for d, v in amap.items()})
-    want = star_length(seq, k, elem)
+    want = star_length(seq, k, a)
+    amap = a.as_double(seq)
     zero = DominantWeight.zero(seq.n)
-    cap = 2 * sum(amap.values())
+    cap = 2 * a.total()
     budget = 0
     while True:
         forms = comb_lambda(seq, k, zero, budget).forms
@@ -516,6 +508,6 @@ def epsilon_star(seq: AdaptedSequence, k: int, a) -> int:
             return got
         if got > want or budget + 2 > cap:
             raise NotStabilized(
-                f"epsilon*_{k} of {render_element(seq, elem)}: the wall "
+                f"epsilon*_{k} of {render_element(seq, a)}: the wall "
                 f"formula gives {got} at budget {budget}, the chart {want}")
         budget += 2

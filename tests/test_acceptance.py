@@ -183,7 +183,7 @@ def test_criterion_4_star_string_lengths(capsys):
         pool = sorted(generate(seq, 8), key=lambda e: e.items())
         for a in rng.sample(pool, 100):
             v = a.as_double(seq)
-            assert epsilon_star(seq, 3, v) == v.get(D(1, 3), 0)
+            assert epsilon_star(seq, 3, a) == v.get(D(1, 3), 0)
         cap = seq.single_index(D(2, 1))
         small = [a for a in pool if all(r <= cap for r in a.support)]
         assert len(small) >= 100
@@ -193,7 +193,7 @@ def test_criterion_4_star_string_lengths(capsys):
                        v.get(D(2, 3), 0) - v.get(D(1, 2), 0),
                        v.get(D(2, 2), 0) - v.get(D(1, 1), 0),
                        v.get(D(2, 1), 0) - v.get(D(2, 2), 0), 0)
-            assert epsilon_star(seq, 2, v) == want
+            assert epsilon_star(seq, 2, a) == want
 
 
 def test_criterion_5_block_addition_law(capsys):

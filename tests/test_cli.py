@@ -374,6 +374,8 @@ def test_usage_errors_exit_one(capsys):
         ("ineq", "binf", *d2, "--s", "0"),
         ("ineq", "binf", *d2, "--blocks", "-1"),
         ("ineq", "binf", *d2, "--support-max", "-5"),
+        # the window replaces the block budget: the two are refused together
+        ("ineq", "binf", *d2, "--k", "1", "--support-max", "9", "--blocks", "4"),
         # options another mode takes are refused, not ignored
         ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1", "--support-max", "9"),
         ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1", "--s", "2"),

@@ -8,37 +8,14 @@ import io
 import pytest
 
 import wallcrystal.cli as cli
-import wallcrystal.zcrystal as zcrystal
-
-SETTINGS = {
-    "D2": ("--type", "D2", "--rank", "3", "--order", "3,2,1"),
-    "C1": ("--type", "C1", "--rank", "3", "--order", "3,2,1"),
-    "B1": ("--type", "B1", "--rank", "4", "--order", "2,4,3,1"),
-    "A2odd": ("--type", "A2odd", "--rank", "4", "--order", "2,4,3,1"),
-    "D1": ("--type", "D1", "--rank", "6", "--order", "6,5,4,3,2,1"),
-}
-
-
-def _total(items):
-    return sum(v for _, v in items)
+from profile_faults import (
+    SETTINGS, _epsilon_one_up, _last_one_up, _patch_profile, _total,
+    _weight_one_up,
+)
 
 
 def _none(items, eps, first, last, w):
     pass
-
-
-def _last_one_up(items, eps, first, last, w):
-    last[0] += 1  # e_tilde at colour 1 lowers the wrong position
-
-
-def _epsilon_one_up(items, eps, first, last, w):
-    if _total(items):
-        eps[0] += 1  # epsilon at colour 1 is one too large off 0
-
-
-def _weight_one_up(items, eps, first, last, w):
-    if _total(items):
-        w[0] += 1  # the weight at colour 1 is one off, off 0
 
 
 def _weight_grows_by_total(items, eps, first, last, w):
@@ -152,21 +129,6 @@ GOLDEN = {
         (2, "f39e59a09799467e7894e532c8b80d9433dbd0c98365eed411641c55b539bdb5"),
     ],
 }
-
-
-def _patch_profile(monkeypatch, change):
-    """Replace `_profile`, in every module that binds the name, by one
-    whose lists change edits in place."""
-    real = zcrystal._profile
-
-    def profile(seq, items):
-        eps, first, last, w = (list(v) for v in real(seq, items))
-        change(items, eps, first, last, w)
-        return eps, first, last, w
-
-    for module in (zcrystal, cli):
-        if hasattr(module, "_profile"):
-            monkeypatch.setattr(module, "_profile", profile)
 
 
 def _run(name, seed):

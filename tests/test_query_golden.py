@@ -8,18 +8,12 @@ import io
 import pytest
 
 import wallcrystal.cli as cli
-import wallcrystal.zcrystal as zcrystal
+from profile_faults import (
+    SETTINGS, _epsilon_one_up, _last_one_up, _patch_profile, _weight_one_up,
+)
 from wallcrystal.linear_forms import x
 from wallcrystal.wall_forms import WallFormMap
 from wallcrystal.walls import enumerate_walls, wall_literal
-
-SETTINGS = {
-    "D2": ("--type", "D2", "--rank", "3", "--order", "3,2,1"),
-    "C1": ("--type", "C1", "--rank", "3", "--order", "3,2,1"),
-    "B1": ("--type", "B1", "--rank", "4", "--order", "2,4,3,1"),
-    "A2odd": ("--type", "A2odd", "--rank", "4", "--order", "2,4,3,1"),
-    "D1": ("--type", "D1", "--rank", "6", "--order", "6,5,4,3,2,1"),
-}
 
 # `verify props --blocks 1, 2, 3`: the number of block additions checked
 PROPS_CHECKED = {
@@ -197,40 +191,6 @@ def test_epsstar_golden(name):
             == (0, f"{value}\n"), (k, elem)
 
 
-def _patch_profile(monkeypatch, change):
-    """Replace the sigma profile `_profile`, wherever it is bound, by one
-    that change edits in place (epsilon, first, last and the weight
-    lists); the element is its sorted (index, value) tuple."""
-    real = zcrystal._profile
-
-    def profile(seq, items):
-        eps, first, last, w = (list(v) for v in real(seq, items))
-        change(items, eps, first, last, w)
-        return eps, first, last, w
-
-    for module in (zcrystal, cli):
-        if hasattr(module, "_profile"):
-            monkeypatch.setattr(module, "_profile", profile)
-
-
-def _total(items):
-    return sum(v for _, v in items)
-
-
-def _last_one_up(items, eps, first, last, w):
-    last[0] += 1  # e_tilde at colour 1 lowers the wrong position
-
-
-def _epsilon_one_up(items, eps, first, last, w):
-    if _total(items):
-        eps[0] += 1  # epsilon at colour 1 is one too large off 0
-
-
-def _weight_one_up(items, eps, first, last, w):
-    if _total(items):
-        w[0] += 1  # the weight at colour 1 is one off, off 0
-
-
 @pytest.mark.parametrize("change", [_last_one_up, _epsilon_one_up, _weight_one_up])
 @pytest.mark.parametrize("name", ["D2", "B1"])
 def test_verify_crystal_catches_a_wrong_operator(monkeypatch, name, change):
@@ -273,7 +233,7 @@ def _props_reference(seq, blocks):
                     r += s * seq.n
                     if r < 1:
                         continue
-                    b = cli.beta(seq, fmap.coordinate(r))
+                    b = cli.beta(seq, seq.reindex(r))
                     want = b + b if st.grade == "double" else b
                     total += 1
                     if base - fmap.form(there, s) != want:

@@ -407,8 +407,7 @@ def test_member_terms_equal_the_entry_sum_in_search_order(X):
                 return False
             acc = {}
             for entry in move_entries(w):
-                for r, c in fmap._moves_terms(k, entry):
-                    acc[r] = acc.get(r, 0) + c
+                fmap._add_entries(k, [entry], acc)
             want = tuple(sorted(it for it in acc.items() if it[1]))
             assert fmap.terms(w) == want, wall_literal(w)
             met.append(w)
@@ -679,13 +678,13 @@ def test_epsilon_star_printed_formulas():
                       if all(r <= cap for r in b.support)), key=lambda b: b.items())
     for b in rng.sample(members, 40):
         a = b.as_double(seq)
-        assert (epsilon_star(seq, 3, a), epsilon_star(seq, 2, a)) == _printed(a)
+        assert (epsilon_star(seq, 3, b), epsilon_star(seq, 2, b)) == _printed(a)
 
 
 def test_epsilon_star_zero_vector():
     seq = ex1_seq()
     for k in (1, 2, 3):
-        assert epsilon_star(seq, k, {}) == 0
+        assert epsilon_star(seq, k, ZElement()) == 0
 
 
 def test_epsilon_star_budget_cap(monkeypatch):
@@ -694,17 +693,19 @@ def test_epsilon_star_budget_cap(monkeypatch):
     import wallcrystal.wall_forms as wall_forms
 
     seq = ex1_seq()
-    assert epsilon_star(seq, 1, {D(1, 1): 1}) == 1
+    a = ZElement({seq.single_index(D(1, 1)): 1})
+    assert epsilon_star(seq, 1, a) == 1
     real = wall_forms.star_length
     monkeypatch.setattr(wall_forms, "star_length",
                         lambda seq, k, a: real(seq, k, a) + 1)
     with pytest.raises(NotStabilized, match="gives 1 at budget 2, the chart 2"):
-        epsilon_star(seq, 1, {D(1, 1): 1})
+        epsilon_star(seq, 1, a)
 
 
 def test_epsilon_star_rejects_non_members():
     seq = ex1_seq()
     for k, a in ((3, {D(2, 3): 1}), (2, {D(2, 1): 1}), (1, {D(1, 1): -1})):
+        a = ZElement({seq.single_index(d): v for d, v in a.items()})
         with pytest.raises(ValueError, match="not in B\\(infinity\\)"):
             epsilon_star(seq, k, a)
 
@@ -731,7 +732,7 @@ def test_epsilon_star_nonnegative(a):
     except ValueError:
         for k in (2, 3):
             with pytest.raises(ValueError, match="not in B"):
-                epsilon_star(seq, k, a)
+                epsilon_star(seq, k, elem)
         return
     for k in (2, 3):
-        assert epsilon_star(seq, k, a) >= _wall_formula(seq, k, a) >= 0
+        assert epsilon_star(seq, k, elem) >= _wall_formula(seq, k, a) >= 0
