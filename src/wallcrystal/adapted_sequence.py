@@ -4,7 +4,7 @@ and the shift tables P_ell(t) used by the wall-to-form assignment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from wallcrystal.affine_data import (
     AffineType,
@@ -66,8 +66,10 @@ class AdaptedSequence:
     def n(self) -> int:
         return self.base_type.n
 
-    @property
+    @cached_property
     def wall_type(self) -> AffineType:
+        """X = dual(base_type), built on the first read: each shift
+        table reads it."""
         return langlands_dual(self.base_type)
 
     def entry(self, r: int) -> int:
@@ -119,26 +121,54 @@ class AdaptedSequence:
 
     # --- shift tables ------------------------------------------------
 
+    # ell -> the values of P_ell found so far, {t: P_ell(t)}
     _tables: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def shift_table(self, ell) -> "ShiftTable":
+        """P_ell, over the values every earlier table of ell found.  The
+        sequence keeps only the values, which hold no reference back to
+        it, so that a dropped sequence is freed with no cycle left for
+        the collector."""
         ell = HalfInt.of(ell)
-        if ell not in self._tables:
-            self._tables[ell] = ShiftTable(self, ell)
-        return self._tables[ell]
+        values = self._tables.get(ell)
+        table = ShiftTable(self, ell, values)
+        if values is None:
+            self._tables[ell] = table._values
+        return table
+
+    # --- tables that modules above this one keep per sequence --------
+
+    _shared: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+
+    def shared(self, make):
+        """make(), built on the first call with make and kept on the
+        sequence, so that it lives exactly as long as the sequence: how
+        the wall-to-form map keeps its tables (wall_forms.WallFormMap.of)
+        without this module importing it.  make takes no sequence, so
+        what it builds holds none, and a dropped sequence is freed with
+        no cycle left for the collector."""
+        got = self._shared.get(make)
+        if got is None:
+            got = self._shared[make] = make()
+        return got
 
 
 class ShiftTable:
     """Lazy memoized P_ell(t) over the wall type X = dual(base_type)."""
 
-    def __init__(self, seq: AdaptedSequence, ell: HalfInt):
+    def __init__(self, seq: AdaptedSequence, ell: HalfInt, values=None):
+        """values: the values another table of seq and ell found, which
+        this one reads and extends (that table checked ell); a new table
+        checks that ell lies in D_X and starts from {ell: 0}."""
         X = seq.wall_type
-        if not in_domain(X, ell):
-            raise DomainError(f"origin {ell} not in the domain for {X}")
+        if values is None:
+            if not in_domain(X, ell):
+                raise DomainError(f"origin {ell} not in the domain for {X}")
+            values = {ell: 0}
         self.seq = seq
         self.X = X
         self.ell = ell
-        self._values = {ell: 0}
+        self._values = values
 
     def __call__(self, t) -> int:
         t = HalfInt.of(t)
@@ -195,5 +225,28 @@ class ShiftTable:
         return self.seq.p(c, periodic_map(X, ell)) - self.seq.p(c, periodic_map(X, t))
 
 
+# the sequences from_permutation keeps, least recently used dropped first.
+# Each keeps its shift-table values, profile tables and wall-to-form
+# tables: 50-730 KiB after one `verify closure` on an acceptance setting
+# (730 KiB for D1 rank 6 at the default --periods 6).  A query_mix pass
+# of the benchmark meets 20 distinct sequences: its five settings, used
+# in every round, and their star charts, used far less.  Over every rank-4 order of B1, C1, A2odd and
+# D2 (96 sequences) in one process, `verify closure --periods 5` peaked
+# at 21.0, 22.7 and 25.7 MB VmHWM with bounds 16, 32 and 64, 28.0 MB
+# with none and 19.2 MB with no interning, and at the default --periods
+# 6 at 36.2 and 43.3 MB with bounds 16 and 32, 67.3 MB with none and
+# 26.2 MB with no interning (Python 3.11, x86-64 Linux)
+_SEQUENCES = 16
+
+
 def from_permutation(X_g: AffineType, perm) -> AdaptedSequence:
-    return AdaptedSequence(X_g, tuple(perm))
+    """The adapted sequence of X_g repeating perm, one object per
+    (X_g, tuple(perm)) while it is among the _SEQUENCES most recently
+    asked for, so that its tables and wall-to-form map serve every
+    caller."""
+    return _interned(X_g, tuple(perm))
+
+
+@lru_cache(maxsize=_SEQUENCES)
+def _interned(X_g: AffineType, perm: tuple) -> AdaptedSequence:
+    return AdaptedSequence(X_g, perm)

@@ -163,7 +163,7 @@ def _verify_closure(args, seq, out):
     window = (args.periods - 2) * seq.n
     # past s = W // n + 1, x(s, k) and every wall form at s lie past W
     s_max = min(args.s_max, window // seq.n + 1)
-    fmap = WallFormMap(seq)
+    fmap = WallFormMap.of(seq)
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
@@ -211,7 +211,7 @@ def _verify_props(args, seq, out):
     shifts = (0, 1, 3)
     bad = {s: [] for s in shifts}
     total = 0
-    fmap = WallFormMap(seq)
+    fmap = WallFormMap.of(seq)
     roots = {}  # (single index, double site) -> the root's pairs
 
     def root(r, double):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from wallcrystal.affine_data import (
     AffineType, Family, HalfInt, cell_atoms, domain_points, in_domain,
@@ -91,29 +90,53 @@ class WallFormMap:
     r + s n, with r its single index at s = 0, so the map finds r once
     per (colour, site).  A wall's terms are the pairs (r, signed weight)
     summed per r and sorted by r; its form at shift s reads them
-    `shifted` by s n, each index r named by seq.reindex(r)."""
+    `shifted` by s n, each index r named by seq.reindex(r).
 
-    def __init__(self, seq: AdaptedSequence):
+    Every caller in the library reads the sequence's shared map,
+    WallFormMap.of(seq), whose two tables (each member's views and
+    terms, each site's index) the sequence keeps for its lifetime; as
+    adapted_sequence.from_permutation interns sequences, commands on one
+    (type, order) build each member and index once between them.
+    WallFormMap(seq) builds a new, empty map, the reference the tests
+    compare the shared one with."""
+
+    @classmethod
+    def of(cls, seq: AdaptedSequence) -> "WallFormMap":
+        """A map over seq's shared tables."""
+        return cls(seq, seq.shared(_map_tables))
+
+    def __init__(self, seq: AdaptedSequence, tables=None):
         self.seq = seq
-        self._members = {}  # (k, ground, states) -> (views, terms)
-        # (colour, site) -> r
-        self.index = lru_cache(maxsize=None)(lambda k, site: seq.single_index(
-            DoubleIndex(_site_offset(seq, k, site), site.color)))
+        # (k, ground, states) -> (views, terms), and (colour, site) -> r
+        self._members, self._index = tables or _map_tables()
+
+    def index(self, k: int, site: Site) -> int:
+        """r, the single index of the site's coordinate at s = 0 for a
+        wall of colour k, found once per (colour, site)."""
+        r = self._index.get((k, site))
+        if r is None:
+            seq = self.seq
+            r = self._index[k, site] = seq.single_index(
+                DoubleIndex(_site_offset(seq, k, site), site.color))
+        return r
 
     def _add_entries(self, k, entries, acc) -> dict:
         """acc with the (r, signed weight) pair of every move of the
         move-table entries of colour k added, in one pass.  The map keeps
-        no value per entry: each member is built once per map (_member)."""
-        index = self.index
+        no value per entry: each member is built once per table of
+        members (_member)."""
+        known, index = self._index, self.index
         for moves in entries:
             for site, _ in moves:
-                r = index(k, site)
+                r = known.get((k, site))
+                if r is None:
+                    r = index(k, site)
                 acc[r] = acc.get(r, 0) + _direction(site) * _weight(site)
         return acc
 
     def _member(self, w) -> tuple:
         """(views, terms) of one member (walls.member_entries), built
-        once per map.  The key is a plain tuple, so a lookup hashes no
+        once per table of members.  The key is a plain tuple, so a lookup hashes no
         dataclass."""
         key = (w.k, w.ground, w.states)
         got = self._members.get(key)
@@ -144,6 +167,11 @@ class WallFormMap:
                                      in shifted(terms, s * self.seq.n)])
 
 
+def _map_tables() -> tuple:
+    """A map's two empty tables: members and site indices."""
+    return {}, {}
+
+
 def shifted(terms, shift: int) -> tuple:
     """The (r + shift, c) pairs of terms at index 1 or above: with
     shift = s n, a wall's terms at shift s (x_{s,k} is 0 for s < 1)."""
@@ -161,7 +189,7 @@ def wall_form(seq: AdaptedSequence, s: int, k: int, w) -> LinearForm:
     has colour k."""
     if k != w.k:
         raise ValueError(f"colour {k} given for a wall of colour {w.k}")
-    fmap = WallFormMap(seq)
+    fmap = WallFormMap.of(seq)
     return fmap.form(fmap.terms(w), s)
 
 
@@ -268,7 +296,7 @@ def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> Ine
     if support_max is not None and support_max < 1:
         raise ValueError(f"support_max {support_max} is below 1")
     colours = [k] if k is not None else list(seq.base_type.index_set)
-    fmap = WallFormMap(seq)
+    fmap = WallFormMap.of(seq)
     found = {}  # single-index key -> its first witness
     for kk in colours:
         wall_walk(fmap, found, kk, range(1, s_max + 1),
@@ -449,7 +477,7 @@ def comb_lambda(seq: AdaptedSequence, k: int, lam: DominantWeight,
         """{L_{s,j}(T) + hk} over the walls within the budget of at
         least min_atoms added atoms: the ground is the one wall of none,
         and a split cell's colour, class 1, has one wall of one."""
-        fmap, found = WallFormMap(seq), {}
+        fmap, found = WallFormMap.of(seq), {}
         wall_walk(fmap, found, j, (s,), budget=budget, min_atoms=min_atoms)
         return IneqSet(found_forms(fmap, found, hk), meta)
 

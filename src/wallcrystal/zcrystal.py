@@ -10,7 +10,7 @@ from collections import Counter
 from itertools import compress
 
 from wallcrystal.affine_data import cartan_entry
-from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex
+from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex, from_permutation
 from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, x
 
 
@@ -270,12 +270,14 @@ def star_length(seq: AdaptedSequence, k: int, a: ZElement) -> int:
     """epsilon*_k(a), read from Kashiwara's embedding Psi_k: the first
     coordinate of a in the chart whose period starts with k (the rest of
     the period in its order here).  a is led down to 0 by e_tilde, and
-    the recorded word is replayed with f_tilde in that chart.  Every
-    permutation period is adapted, so the chart exists.  ValueError if a
-    is not in B(infinity) or k is not a colour."""
+    the recorded word is replayed with f_tilde in that chart, an
+    interned sequence (from_permutation), so its profile tables serve
+    every call.  Every permutation period is adapted, so the chart
+    exists.  ValueError if a is not in B(infinity) or k is not a
+    colour."""
     _slot(seq, k)
     rest = tuple(c for c in seq.period_perm if c != k)
-    chart = AdaptedSequence(seq.base_type, (k,) + rest)
+    chart = from_permutation(seq.base_type, (k,) + rest)
     b = ZElement()
     for c in reversed(_descent(seq, a)):
         b = f_tilde(chart, b, c)

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from wallcrystal.affine_data import AffineType, DomainError, Family, HalfInt
 from wallcrystal.adapted_sequence import (
-    AdaptedSequence, DoubleIndex, NotAPermutation, UndefinedPair, from_permutation,
+    AdaptedSequence, DoubleIndex, NotAPermutation, ShiftTable, UndefinedPair,
+    from_permutation,
 )
 
 
@@ -33,6 +34,29 @@ def sequences(draw):
 def test_not_a_permutation():
     with pytest.raises(NotAPermutation):
         from_permutation(AffineType(Family.A1, 3), (1, 1, 2))
+
+
+def test_from_permutation_interns_each_order():
+    g = AffineType(Family.D2, 3)
+    seq = from_permutation(g, (3, 2, 1))
+    assert from_permutation(g, [3, 2, 1]) is seq
+    assert from_permutation(g, iter((3, 2, 1))) is seq
+    other = from_permutation(g, (1, 2, 3))
+    assert other is not seq and other != seq
+    assert from_permutation(AffineType(Family.C1, 3), (3, 2, 1)) is not seq
+    # a sequence built directly is equal, but not the interned one
+    direct = AdaptedSequence(g, (3, 2, 1))
+    assert direct == seq and direct is not seq
+
+
+def test_shift_tables_share_their_values():
+    # every table of one sequence and origin reads the values the others
+    # found; the sequence keeps only those values
+    seq = ex1_seq()
+    first = seq.shift_table(2)
+    assert first(HalfInt.of(40)) == seq.shift_table(2)(HalfInt.of(40))
+    assert seq.shift_table(2)._values is first._values
+    assert ShiftTable(seq, HalfInt.of(2))._values == {HalfInt.of(2): 0}
 
 
 def test_entries_read_right_to_left():
@@ -168,7 +192,7 @@ def test_shift_table_deep_point_cold():
     warm = ex1_seq().shift_table(HalfInt.of(2))
     for t in range(100, 1501, 100):
         warm(HalfInt.of(t))
-    cold = ex1_seq().shift_table(HalfInt.of(2))
+    cold = ShiftTable(ex1_seq(), HalfInt.of(2))
     assert cold(HalfInt.of(1500)) == warm(HalfInt.of(1500))
 
 

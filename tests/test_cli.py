@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 import wallcrystal
 from wallcrystal.adapted_sequence import from_permutation
@@ -210,6 +210,37 @@ def test_verify_crystal_memory_stays_flat():
     text, peak_kb = proc.stdout.strip().split(";")
     assert text == "crystal samples=4000 violations=0"
     assert int(peak_kb) < 40 * 1024, peak_kb
+
+
+def test_interned_sequences_keep_memory_flat():
+    # `verify closure --periods 5` on every rank-4 order of four families
+    # builds 96 sequences, six times the interning bound.  Each keeps its
+    # wall-to-form tables while interned, so the child peaks near 21 MB,
+    # against 28 MB with every sequence kept and 19 MB with none.  VmHWM
+    # is read, not ru_maxrss, which a child inherits from the test process.
+    code = (
+        "import io, itertools, re\n"
+        "from wallcrystal import adapted_sequence\n"
+        "from wallcrystal.cli import main\n"
+        "out = io.StringIO()\n"
+        "for family in ('B1', 'C1', 'A2odd', 'D2'):\n"
+        "    for order in itertools.permutations('1234'):\n"
+        "        main(['verify', 'closure', '--type', family, '--rank', '4',\n"
+        "              '--order', ','.join(order), '--periods', '5'], out=out)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)\n"
+        "kept = adapted_sequence._interned.cache_info().currsize\n"
+        "print(out.getvalue().count('MISMATCH'), kept,\n"
+        "      adapted_sequence._SEQUENCES, peak, sep=';')\n")
+    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    mismatches, kept, bound, peak_kb = map(int, proc.stdout.strip().split(";"))
+    assert mismatches == 0
+    assert kept == bound < 96
+    assert peak_kb < 25 * 1024, peak_kb
 
 
 def test_epsstar_rejects_elements_outside_binf(capsys):
@@ -569,10 +600,23 @@ def fuzz_argv(draw):
     if draw(odd):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_JUNK)))
     # the sizes the command reads last, so that they bound every run
-    # whatever came before
+    # whatever came before; a window excludes the block budget and bounds
+    # a windowed `ineq binf` itself, so that draw takes its --support-max
+    # last instead
     for flag in FUZZ_SIZES.get(command, ()):
-        argv += [flag, small(*SIZE_RANGE[flag])]
+        if command == ("ineq", "binf") and "--support-max" in argv:
+            argv += ["--support-max", values["--support-max"]()]
+        else:
+            argv += [flag, small(*SIZE_RANGE[flag])]
     return argv
+
+
+def test_fuzz_draws_windowed_binf_runs():
+    # a windowed `ineq binf` draw is bounded by its window, not refused
+    # for an appended --blocks
+    argv = find(fuzz_argv(), lambda argv: argv[:2] == ["ineq", "binf"]
+                and "--support-max" in argv and "--blocks" not in argv)
+    assert argv[-2] == "--support-max"
 
 
 @given(argv=fuzz_argv())

@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import random
 import re
@@ -287,6 +289,49 @@ def test_windowed_provenance_reproduces_each_form(g, order):
             s, kk, w = int(m.group(1)), int(m.group(2)), parse_wall(m.group(3), seq.n)
             assert kk == k and 1 <= s <= 2
             assert wall_form(seq, s, k, w) == phi
+
+
+def _shared_terms_are_fresh(seq):
+    """The shared map's terms equal a fresh map's on every wall of
+    `walls enum --blocks 4`, for each colour."""
+    shared, fresh = WallFormMap.of(seq), WallFormMap(seq)
+    for k in seq.base_type.index_set:
+        for w in enumerate_walls(seq.wall_type, k, 4):
+            assert shared.terms(w) == fresh.terms(w), (k, wall_literal(w))
+
+
+@pytest.mark.parametrize("g,order", SETTINGS, ids=lambda v: str(v))
+def test_shared_map_gives_fresh_terms(g, order):
+    from wallcrystal import adapted_sequence
+    from wallcrystal.cli import main
+
+    config = ["--type", g.family.value, "--rank", str(g.n),
+              "--order", ",".join(map(str, order))]
+
+    def commands():
+        # each fills the shared map its own way: a window, a budget, the
+        # props walk over successors, and the epsilon-star budget loop
+        for command, options in (
+                (["verify", "closure"], ["--periods", "4"]),
+                (["ineq", "binf"], ["--blocks", "3"]),
+                (["ineq", "blam"], ["--k", "1", "--lambda", ",".join("0" * g.n)]),
+                (["verify", "props"], ["--blocks", "2"]),
+                (["epsstar"], ["--k", "1", "--elem", "a[1,1]=2"])):
+            assert main(command + config + options, out=io.StringIO()) == 0
+
+    seq = from_permutation(g, order)
+    commands()
+    assert WallFormMap.of(seq)._members
+    _shared_terms_are_fresh(seq)
+    # evicted by more distinct sequences than the bound, then rebuilt
+    other = AffineType(Family.D1, 6)
+    for perm in itertools.islice(itertools.permutations(range(1, 7)),
+                                 adapted_sequence._SEQUENCES):
+        from_permutation(other, perm)
+    again = from_permutation(g, order)
+    assert again is not seq and not WallFormMap.of(again)._members
+    commands()
+    _shared_terms_are_fresh(again)
 
 
 def test_grow_loop_forms_each_wall_once(monkeypatch):
