@@ -243,6 +243,34 @@ def test_interned_sequences_keep_memory_flat():
     assert peak_kb < 25 * 1024, peak_kb
 
 
+def test_a_dropped_sequence_is_freed_without_the_collector():
+    # what a sequence keeps (shift-table values, profile tables, wall-to-
+    # form tables) holds no reference back to it, so once the interning
+    # drops it, reference counting alone frees it, after every command
+    # that fills those tables
+    import gc
+    import weakref
+
+    from wallcrystal import adapted_sequence
+
+    d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")
+    gc.disable()
+    try:
+        for argv in (("verify", "closure", *d2), ("verify", "props", *d2),
+                     ("ineq", "blam", *d2, "--k", "1", "--lambda", "1,1,1"),
+                     ("ineq", "binf", *d2, "--support-max", "6"),
+                     ("epsstar", *d2, "--k", "2", "--elem", "a[1,2]=1;a[1,3]=1"),
+                     ("verify", "crystal", *d2)):
+            assert run(*argv)[0] == 0, argv
+        seq = from_permutation(parse_type("D2", 3), (3, 2, 1))
+        ref = weakref.ref(seq)
+        del seq
+        adapted_sequence._interned.cache_clear()
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_epsstar_rejects_elements_outside_binf(capsys):
     # both are nonnegative, yet e_tilde does not lead them down to 0
     d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1")
