@@ -136,21 +136,10 @@ class AdaptedSequence:
             self._tables[ell] = table._values
         return table
 
-    # --- tables that modules above this one keep per sequence --------
-
-    _shared: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-
-    def shared(self, make):
-        """make(), built on the first call with make and kept on the
-        sequence, so that it lives exactly as long as the sequence: how
-        the wall-to-form map keeps its tables (wall_forms.WallFormMap.of)
-        without this module importing it.  make takes no sequence, so
-        what it builds holds none, and a dropped sequence is freed with
-        no cycle left for the collector."""
-        got = self._shared.get(make)
-        if got is None:
-            got = self._shared[make] = make()
-        return got
+    # the wall-to-form map's two tables (wall_forms.WallFormMap.of), which
+    # hold no sequence, so that a dropped sequence is freed with no cycle
+    wall_form_tables: tuple = field(default_factory=lambda: ({}, {}),
+                                    compare=False, hash=False, repr=False)
 
 
 class ShiftTable:

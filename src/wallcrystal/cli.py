@@ -12,7 +12,7 @@ from wallcrystal.affine_data import Family, parse_type
 from wallcrystal.adapted_sequence import from_permutation
 from wallcrystal.linear_forms import (
     DominantWeight, _keys, beta, closure, positivity_report,
-    render_form, x,
+    render_form, seed_shifts, x,
 )
 from wallcrystal.walls import (
     enumerate_walls, parse_wall, render, transitions, wall_literal,
@@ -113,7 +113,9 @@ def _cmd_binf(args, out):
     seq = _sequence(args)
     if args.k is not None:
         _colour(seq, args.k)
-    _emit_ineqs(comb_infinity(seq, (args.s, args.blocks), k=args.k,
+    # argparse fills in --blocks' default even with --support-max
+    budget = args.blocks if args.support_max is None else None
+    _emit_ineqs(comb_infinity(seq, args.s, k=args.k, budget=budget,
                               support_max=args.support_max), args, out)
     return 0
 
@@ -156,21 +158,20 @@ def _cmd_enum(args, out):
 
 
 def _verify_closure(args, seq, out):
-    """Per colour k, the closure of x(s, k), s <= s_max, certified on the
-    window W = (periods - 2) n against the wall forms supported within W
-    (wall_walk cut at the window), both as single-index keys (S' keeps
-    the constant 0); forms are built only for the lines a mismatch prints."""
+    """Per colour k, the closure of x(s, k), s in `seed_shifts` of the
+    window W = (periods - 2) n up to --s-max, certified on W against the
+    wall forms at those shifts supported within W (wall_walk cut at the
+    window), both as single-index keys (S' keeps the constant 0); forms
+    are built only for the lines a mismatch prints."""
     window = (args.periods - 2) * seq.n
-    # past s = W // n + 1, x(s, k) and every wall form at s lie past W
-    s_max = min(args.s_max, window // seq.n + 1)
+    shifts = seed_shifts(seq, window)[:args.s_max]
     fmap = WallFormMap.of(seq)
     failures = []
     for k in seq.base_type.index_set:
         # the closure of a union of seeds is the union of their closures
-        certs = _keys(closure(
-            seq, [x(s, k) for s in range(1, s_max + 1)], window)[0])
+        certs = _keys(closure(seq, [x(s, k) for s in shifts], window)[0])
         found = {}
-        wall_walk(fmap, found, k, range(1, s_max + 1), window=window)
+        wall_walk(fmap, found, k, shifts, window=window)
         ok = certs == found.keys()
         out.write(f"closure k={k} {'ok' if ok else 'MISMATCH'} "
                   f"cert={len(certs)} walls={len(found)}\n")

@@ -283,12 +283,13 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     r <= W through forms supported within W (only the seed may reach
     past W).  That they are every form of the infinite closure supported
     within W is a lemma, claimed for seeds supported within W and for
-    single variables x(s, k) with s <= W // n + 1, the seeds
-    `positivity_report` and `zcrystal` pass.  From a seed within W the
-    step condition is free, since an operator at r > W leaves a form
-    supported within W unchanged.  Other seeds that reach past W are not covered: on D2
-    rank 3 at W = 6, the closure of x(1, 2) + x(3, 2) holds 2 x(2, 2),
-    which no path within the window reaches.  No proof of the lemma is
+    single variables x(s, k) with s in `seed_shifts(seq, W)`, the seeds
+    `positivity_report`, `zcrystal._window_forms` and `verify closure`
+    pass.  From a seed within W the step condition is free, since an
+    operator at r > W leaves a form supported within W unchanged.  Other
+    seeds that reach past W are not covered: on D2 rank 3 at W = 6, the
+    closure of x(1, 2) + x(3, 2) holds 2 x(2, 2), which no path within
+    the window reaches.  No proof of the lemma is
     known here; the bound rests on the pin
     `test_wider_search_certifies_the_same_forms` in
     tests/test_closure_kernel.py, which finds the same certified forms
@@ -373,6 +374,13 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     return certified, frontier
 
 
+def seed_shifts(seq: AdaptedSequence, window: int) -> range:
+    """The shifts s, 1 <= s <= W // n + 1, of the single variables
+    x(s, k) that `closure`'s lemma covers on the window W: every x(s, k)
+    past them lies past W."""
+    return range(1, window // seq.n + 2)
+
+
 def _keyed_search(seeds: list, down: list, up: list, window: int, bits: int):
     """The search of `closure` at lane width `bits`: a dict from key to
     dense vector, or None once a new vector within the window has a lane
@@ -434,10 +442,10 @@ def _forms(seq: AdaptedSequence, vectors: list) -> set:
 def positivity_report(seq: AdaptedSequence, lam: DominantWeight, window: int) -> dict:
     """The three positivity checks over closures certified on `window`,
     the last single index a certified form may touch (see `closure`).
-    The S' seeds x(s, k), s <= window // n + 1, reach every single index
-    of the window; those past it stay in the frontier."""
+    The S' seeds x(s, k), s in `seed_shifts(seq, window)`, reach every
+    single index of the window; those past it stay in the frontier."""
     n = seq.n
-    first_seeds = [x(s, k) for s in range(1, window // n + 2)
+    first_seeds = [x(s, k) for s in seed_shifts(seq, window)
                    for k in seq.base_type.index_set]
     hat_seeds = first_seeds + [lambda_form(seq, k, lam) for k in seq.base_type.index_set]
 

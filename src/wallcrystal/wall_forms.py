@@ -93,22 +93,21 @@ class WallFormMap:
     `shifted` by s n, each index r named by seq.reindex(r).
 
     Every caller in the library reads the sequence's shared map,
-    WallFormMap.of(seq), whose two tables (each member's views and
-    terms, each site's index) the sequence keeps for its lifetime; as
-    adapted_sequence.from_permutation interns sequences, commands on one
-    (type, order) build each member and index once between them.
-    WallFormMap(seq) builds a new, empty map, the reference the tests
-    compare the shared one with."""
+    WallFormMap.of(seq), over the two tables the sequence keeps for its
+    lifetime (AdaptedSequence.wall_form_tables).  As from_permutation
+    interns sequences, commands on one (type, order) build each member
+    and index once between them.  WallFormMap(seq) builds a new, empty
+    map, the reference the tests compare the shared one with."""
 
     @classmethod
     def of(cls, seq: AdaptedSequence) -> "WallFormMap":
-        """A map over seq's shared tables."""
-        return cls(seq, seq.shared(_map_tables))
+        """A map over the tables seq keeps."""
+        return cls(seq, seq.wall_form_tables)
 
     def __init__(self, seq: AdaptedSequence, tables=None):
         self.seq = seq
         # (k, ground, states) -> (views, terms), and (colour, site) -> r
-        self._members, self._index = tables or _map_tables()
+        self._members, self._index = tables or ({}, {})
 
     def index(self, k: int, site: Site) -> int:
         """r, the single index of the site's coordinate at s = 0 for a
@@ -165,11 +164,6 @@ class WallFormMap:
         reindex = self.seq.reindex
         return LinearForm(constant, [(reindex(r), c) for r, c
                                      in shifted(terms, s * self.seq.n)])
-
-
-def _map_tables() -> tuple:
-    """A map's two empty tables: members and site indices."""
-    return {}, {}
 
 
 def shifted(terms, shift: int) -> tuple:
@@ -274,33 +268,36 @@ def found_forms(fmap, found, constant=0) -> dict:
             for key, (s, w) in found.items()}
 
 
-def comb_infinity(seq: AdaptedSequence, window, k=None, support_max=None) -> IneqSet:
-    """{L_{s,k}(Y)} over 1 <= s <= s_max and walls within the block budget.
+def comb_infinity(seq: AdaptedSequence, s_max: int, k=None, budget=None,
+                  support_max=None) -> IneqSet:
+    """{L_{s,k}(Y)} over 1 <= s <= s_max and the walls Y of one cut:
+    exactly one of a block budget and a single-index window support_max.
 
     Each colour's walls are searched depth-first from the ground state
-    (walls.search_walls), cut past block_max added atoms, and each wall
-    reached is formed once.  With support_max given, the block budget
-    plays no part (`ineq binf` refuses --blocks with --support-max): the
-    forms are those supported within that single-index window, over
+    (walls.search_walls), and each wall reached is formed once.  With a
+    budget, the search is cut past budget added atoms.  With support_max,
+    the forms are those supported within that single-index window, over
     every wall, and a wall whose s = 1 form leaves the window is cut with
     all its extensions, since extending a wall never lowers the largest
     support index of its s = 1 form (pinned in tests/test_wall_forms.py).
     The search tree being exhausted is the certificate that no wall was
-    missed.  In both modes a form's
-    provenance is its first witness in the one depth-first order.  A
-    support_max below 1 raises ValueError.
+    missed.  With either cut a form's provenance is its first witness in
+    the one depth-first order.  ValueError unless exactly one cut is
+    given, or for s_max or support_max below 1 or a negative budget.
     """
-    s_max, block_max = window
-    if s_max < 1 or block_max < 0:
-        raise ValueError(window)
+    if (budget is None) == (support_max is None):
+        raise ValueError("give exactly one of budget and support_max")
+    if s_max < 1:
+        raise ValueError(f"s_max {s_max} is below 1")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     if support_max is not None and support_max < 1:
         raise ValueError(f"support_max {support_max} is below 1")
     colours = [k] if k is not None else list(seq.base_type.index_set)
     fmap = WallFormMap.of(seq)
     found = {}  # single-index key -> its first witness
     for kk in colours:
-        wall_walk(fmap, found, kk, range(1, s_max + 1),
-                  budget=block_max if support_max is None else None,
+        wall_walk(fmap, found, kk, range(1, s_max + 1), budget=budget,
                   window=support_max)
     meta = _meta(seq, k=k) if k is not None else _meta(seq)
     return IneqSet(found_forms(fmap, found), meta)

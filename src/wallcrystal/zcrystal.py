@@ -11,7 +11,7 @@ from itertools import compress
 
 from wallcrystal.affine_data import cartan_entry
 from wallcrystal.adapted_sequence import AdaptedSequence, DoubleIndex, from_permutation
-from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, x
+from wallcrystal.linear_forms import DominantWeight, closure, lambda_form, seed_shifts, x
 
 
 class ZElement:
@@ -125,12 +125,6 @@ def sigma(seq: AdaptedSequence, a: ZElement, j: int) -> int:
     return out
 
 
-def _sigma_profile(seq: AdaptedSequence, a: ZElement):
-    """(epsilon, first, last, weight) of a, lists indexed by colour - 1
-    (see `_profile`)."""
-    return _profile(seq, a._items)
-
-
 def _profile(seq: AdaptedSequence, items: tuple):
     """(epsilon, first, last, weight), lists indexed by colour - 1, of the
     element whose (index, value) pairs are items, sorted by index.
@@ -190,7 +184,7 @@ def _slot(seq: AdaptedSequence, k: int) -> int:
 
 
 def epsilon(seq: AdaptedSequence, a: ZElement, k: int) -> int:
-    return _sigma_profile(seq, a)[0][_slot(seq, k)]
+    return _profile(seq, a._items)[0][_slot(seq, k)]
 
 
 def weight_pairings(seq: AdaptedSequence, a: ZElement,
@@ -198,7 +192,7 @@ def weight_pairings(seq: AdaptedSequence, a: ZElement,
     """<h_k, lam + wt(a)> = lam_k - sum_r C[k, i_r] a_r for every colour k,
     as a list indexed by colour - 1: lam less the sigma profile's weight."""
     lam = DominantWeight.zero(seq.n) if lam is None else lam.check_rank(seq.n)
-    return [l - w for l, w in zip(lam.values, _sigma_profile(seq, a)[3])]
+    return [l - w for l, w in zip(lam.values, _profile(seq, a._items)[3])]
 
 
 def wt_pairing(seq: AdaptedSequence, a: ZElement, k: int,
@@ -217,15 +211,15 @@ def _phi(seq: AdaptedSequence, profile, i: int,
 
 def phi(seq: AdaptedSequence, a: ZElement, k: int,
         lam: DominantWeight | None = None) -> int:
-    return _phi(seq, _sigma_profile(seq, a), _slot(seq, k), lam)
+    return _phi(seq, _profile(seq, a._items), _slot(seq, k), lam)
 
 
 def f_tilde(seq: AdaptedSequence, a: ZElement, k: int) -> ZElement:
-    return a.bump(_sigma_profile(seq, a)[1][_slot(seq, k)], 1)
+    return a.bump(_profile(seq, a._items)[1][_slot(seq, k)], 1)
 
 
 def e_tilde(seq: AdaptedSequence, a: ZElement, k: int):
-    eps, _, last, _ = _sigma_profile(seq, a)
+    eps, _, last, _ = _profile(seq, a._items)
     i = _slot(seq, k)
     if eps[i] <= 0:
         return None
@@ -247,7 +241,7 @@ def _descent(seq: AdaptedSequence, a: ZElement) -> list:
                              f"is not in B(infinity)")
     word = []
     while a.total():
-        eps, _, last, _ = _sigma_profile(seq, a)
+        eps, _, last, _ = _profile(seq, a._items)
         k = next((k for k in range(seq.n) if eps[k] > 0), None)
         if k is None:
             raise ValueError(f"no e_tilde applies to {render_element(seq, a)}, "
@@ -289,7 +283,7 @@ def f_tilde_lambda(seq: AdaptedSequence, a: ZElement, k: int,
     """The tensor-rule action on a x r_lambda: the move dies when phi
     drops to the wall of the highest-weight crystal.  phi and f_tilde
     read one sigma profile."""
-    profile = _sigma_profile(seq, a)
+    profile = _profile(seq, a._items)
     i = _slot(seq, k)
     if _phi(seq, profile, i, lam) <= 0:
         return None
@@ -339,12 +333,13 @@ def _window_forms(seq, support_cap, lam=None):
     """All inequality forms supported within the single-index window, as
     dense vectors (constant, then the coefficients of 1..support_cap),
     taken from the certified operator closures (their agreement with the
-    wall-generated families is enforced by the test suite)."""
-    # the closures certify windows of at least one period
+    wall-generated families is enforced by the test suite).  The
+    closures certify max(support_cap, n), at least one period, from the
+    `seed_shifts` seeds; below one period these add x(2, k), which lie
+    past that window, where no step applies, so no form changes."""
     window = max(support_cap, seq.n)
     width = support_cap + 1
-    # past s = support_cap // n + 1, every x(s, k) lies past the window
-    seeds = [x(s, k) for s in range(1, support_cap // seq.n + 2)
+    seeds = [x(s, k) for s in seed_shifts(seq, window)
              for k in seq.base_type.index_set]
     cert, _ = closure(seq, seeds, window)
     out = {v[:width] for v in cert if not any(v[width:])}

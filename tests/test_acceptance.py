@@ -105,7 +105,7 @@ def _golden_family(capsys, num, label, seq, k, wall_lits, patterns):
                 p.format(s=s, a=s + 1, b=s + 2, c=s + 3))) for p in patterns]
             assert got == want
             produced |= {parse_form(t) for t in got}
-        system = comb_infinity(seq, (3, 6), k=k)
+        system = comb_infinity(seq, 3, k=k, budget=6)
         assert produced <= system.forms
         assert time.monotonic() - start < 5.0
 
@@ -127,7 +127,7 @@ def test_criterion_2_second_golden_family(capsys):
                     for p in FAM2]
             assert got == want
             produced |= {parse_form(t) for t in got}
-        assert produced <= comb_infinity(seq, (3, 6), k=3).forms
+        assert produced <= comb_infinity(seq, 3, k=3, budget=6).forms
         # spot values of the shift tables at the two thresholds
         assert seq.shift_table(2)(HalfInt(11)) == 2
         assert seq.shift_table(4)(HalfInt.of(7)) == 2

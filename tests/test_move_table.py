@@ -176,7 +176,7 @@ def test_two_orders_of_one_type_in_turn():
     for _ in range(2):
         for seq in seqs:
             for k in g.index_set:
-                got = comb_infinity(seq, (2, 2), k=k, support_max=2 * g.n)
+                got = comb_infinity(seq, 2, k=k, support_max=2 * g.n)
                 assert got.forms == _fresh_forms(seq, k, got)
                 key = (seq.period_perm, k)
                 assert first.setdefault(key, got.provenance) == got.provenance

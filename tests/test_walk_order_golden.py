@@ -3,7 +3,7 @@
 For every colour of each type below, it records the exact sequence of
 (wall literal, added atoms) that `keep` accepts in `walls.search_walls`,
 under two cuts: a `keep` that accepts every wall of at most 6 added
-atoms, and the window cut of `comb_infinity(seq, (2, 0), k=k,
+atoms, and the window cut of `comb_infinity(seq, 2, k=k,
 support_max=3n)`.  One sha256 per type and cut covers the colour, the
 literal and the atoms of every accepted wall, in walk order.  The
 enumeration golden hashes sorted literals and the COMB goldens see only
@@ -96,7 +96,7 @@ def _window_lines(X, monkeypatch):
     seq = from_permutation(g, tuple(range(g.n, 0, -1)))
     assert seq.wall_type == X
     for k in X.index_set:
-        wall_forms.comb_infinity(seq, (2, 0), k=k, support_max=3 * seq.n)
+        wall_forms.comb_infinity(seq, 2, k=k, support_max=3 * seq.n)
     return lines
 
 
@@ -154,7 +154,7 @@ def test_each_column_step_is_merged_once_per_walk(X, monkeypatch):
     g = langlands_dual(X)
     seq = from_permutation(g, tuple(range(g.n, 0, -1)))
     for k in X.index_set:
-        wall_forms.comb_infinity(seq, (2, 0), k=k, support_max=3 * seq.n)
+        wall_forms.comb_infinity(seq, 2, k=k, support_max=3 * seq.n)
     assert len(log) == 2 * X.n
     assert all(merged == distinct for merged, distinct, _ in log), log
     assert sum(merged for merged, _, _ in log) < sum(n for _, _, n in log)

@@ -187,7 +187,7 @@ def fam_ex2(s):
 
 def test_comb_infinity_contains_first_family():
     seq = ex1_seq()
-    got = comb_infinity(seq, (2, 6), k=1)
+    got = comb_infinity(seq, 2, k=1, budget=6)
     for s in (1, 2):
         assert fam_ex1(s) <= got.forms
     assert all(phi in got for phi in fam_ex1(1))
@@ -195,13 +195,13 @@ def test_comb_infinity_contains_first_family():
 
 def test_comb_infinity_contains_second_family():
     seq = ex2_seq()
-    got = comb_infinity(seq, (1, 6), k=3)
+    got = comb_infinity(seq, 1, k=3, budget=6)
     assert fam_ex2(1) <= got.forms
 
 
 def test_comb_infinity_ground_only():
     seq = ex1_seq()
-    got = comb_infinity(seq, (2, 0))
+    got = comb_infinity(seq, 2, budget=0)
     assert got.forms == frozenset(x(s, k) for s in (1, 2) for k in (1, 2, 3))
 
 
@@ -209,12 +209,25 @@ def test_comb_infinity_rejects_a_window_below_one():
     seq = ex1_seq()
     for W in (0, -5):
         with pytest.raises(ValueError, match=f"support_max {W} is below 1"):
-            comb_infinity(seq, (2, 0), support_max=W)
+            comb_infinity(seq, 2, support_max=W)
+
+
+@pytest.mark.parametrize("s_max,cuts,message", [
+    (2, dict(budget=4, support_max=6), "exactly one of budget and support_max"),
+    (2, {}, "exactly one of budget and support_max"),
+    (2, dict(budget=-1), "budget -1 is negative"),
+    (0, dict(budget=4), "s_max 0 is below 1"),
+    (0, dict(support_max=6), "s_max 0 is below 1"),
+], ids=["both cuts", "no cut", "negative budget", "s_max 0, budget",
+        "s_max 0, window"])
+def test_comb_infinity_takes_exactly_one_cut(s_max, cuts, message):
+    with pytest.raises(ValueError, match=message):
+        comb_infinity(ex1_seq(), s_max, **cuts)
 
 
 def test_comb_infinity_provenance_and_export():
     seq = ex1_seq()
-    got = comb_infinity(seq, (1, 2), k=1)
+    got = comb_infinity(seq, 1, k=1, budget=2)
     doc = got.to_json_doc()
     assert list(doc)[:3] == ["type", "rank", "order"]
     assert doc["type"] == "D2" and doc["rank"] == 3 and doc["order"] == [3, 2, 1]
@@ -233,7 +246,7 @@ def test_comb_infinity_windowed_matches_closure():
     seq = ex1_seq()
     cap = 9
     cert, _ = closure(seq, [x(1, 1)], 9)
-    got = comb_infinity(seq, (1, 3), k=1, support_max=cap)
+    got = comb_infinity(seq, 1, k=1, support_max=cap)
     assert set(got.forms) == {f for f in _forms(seq, cert)
                               if support_bound(seq, f) <= cap}
 
@@ -242,7 +255,7 @@ def test_a1_windowed_matches_closure():
     seq = from_permutation(AffineType(Family.A1, 3), (3, 1, 2))
     for k in (1, 3):
         cert, _ = closure(seq, [x(1, k)], 9)
-        got = comb_infinity(seq, (1, 3), k=k, support_max=9)
+        got = comb_infinity(seq, 1, k=k, support_max=9)
         assert set(got.forms) == {f for f in _forms(seq, cert)
                                   if support_bound(seq, f) <= 9}
 
@@ -274,7 +287,7 @@ def reference_windowed(seq, s_max, block_max, k, support_max):
 def test_windowed_grow_loop_matches_reference(g, order):
     seq = from_permutation(g, order)
     for k in seq.base_type.index_set:
-        got = comb_infinity(seq, (2, 2), k=k, support_max=2 * seq.n)
+        got = comb_infinity(seq, 2, k=k, support_max=2 * seq.n)
         assert got.forms == reference_windowed(seq, 2, 2, k, 2 * seq.n), k
 
 
@@ -283,7 +296,7 @@ def test_windowed_provenance_reproduces_each_form(g, order):
     # every provenance L[s,k](literal) names a wall whose form is the form
     seq = from_permutation(g, order)
     for k in seq.base_type.index_set:
-        got = comb_infinity(seq, (2, 2), k=k, support_max=2 * seq.n)
+        got = comb_infinity(seq, 2, k=k, support_max=2 * seq.n)
         for phi in got:
             m = re.fullmatch(r"L\[(\d+),(\d+)\]\((.*)\)", got.provenance[phi])
             s, kk, w = int(m.group(1)), int(m.group(2)), parse_wall(m.group(3), seq.n)
@@ -361,7 +374,7 @@ def test_grow_loop_forms_each_wall_once(monkeypatch):
     for k in seq.base_type.index_set:
         built.clear()
         visited.clear()
-        comb_infinity(seq, (2, 2), k=k, support_max=4 * seq.n)
+        comb_infinity(seq, 2, k=k, support_max=4 * seq.n)
         assert len(built) == len(set(built)), k
         assert all(isinstance(w, WallPair) for w in visited), k
         assert {(m.ground, m.states) for w in visited
@@ -475,7 +488,7 @@ def test_every_colour_within_a_window_equals_the_closure(name, rank, order, W):
     # period past W, are the S' closure of the x(s, k) certified on W
     seq = from_permutation(parse_type(name, rank), order)
     s_max = W // seq.n + 1
-    walls = comb_infinity(seq, (s_max, 0), support_max=W)
+    walls = comb_infinity(seq, s_max, support_max=W)
     seeds = [x(s, k) for s in range(1, s_max + 1)
              for k in seq.base_type.index_set]
     cert, _ = closure(seq, seeds, W)
@@ -505,7 +518,7 @@ def test_windowed_forms_equal_all_forms_at_a_fixed_budget(g, order):
                     if bound <= W:
                         within[W].add(phi)
         for W in windows:
-            got = comb_infinity(seq, (2, 2), k=k, support_max=W)
+            got = comb_infinity(seq, 2, k=k, support_max=W)
             assert got.forms == within[W], (k, W)
             deepest = max(
                 parse_wall(re.fullmatch(r"L\[\d+,\d+\]\((.*)\)", p).group(1),
@@ -533,8 +546,8 @@ def test_block_and_window_modes_give_one_provenance(g, order, monkeypatch):
     seq = from_permutation(g, order)
     budget = 8
     for k in seq.base_type.index_set:
-        blocks = comb_infinity(seq, (3, budget), k=k)
-        window = comb_infinity(seq, (3, budget), k=k, support_max=3 * seq.n)
+        blocks = comb_infinity(seq, 3, k=k, budget=budget)
+        window = comb_infinity(seq, 3, k=k, support_max=3 * seq.n)
         shared = 0
         for phi in blocks.forms & window.forms:
             witness = window.provenance[phi]

@@ -11,7 +11,7 @@ from wallcrystal.affine_data import AffineType, Family, cartan_entry
 from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
 from wallcrystal.linear_forms import DominantWeight
 from wallcrystal.zcrystal import (
-    ZElement, _sigma_profile, check_in_binf, e_tilde, epsilon, f_tilde,
+    ZElement, _profile, check_in_binf, e_tilde, epsilon, f_tilde,
     f_tilde_lambda, generate, parse_element, phi, render_element, sigma,
     star_length, verify_equivalence, weight_pairings, wt_pairing,
 )
@@ -190,13 +190,13 @@ def test_phi_and_lambda_action_read_one_sigma_profile(monkeypatch):
     lam = DominantWeight((1, 1, 1))
     elements = sorted(generate(seq, 4, lam), key=lambda e: e.items())
     calls = []
-    profile = zcrystal._sigma_profile
+    profile = zcrystal._profile
 
     def counted(*args):
         calls.append(args)
         return profile(*args)
 
-    monkeypatch.setattr(zcrystal, "_sigma_profile", counted)
+    monkeypatch.setattr(zcrystal, "_profile", counted)
     moves = 0
     for a in elements:
         for k in seq.base_type.index_set:
@@ -320,7 +320,7 @@ def test_weight_pairings_match_the_sum_and_the_profile():
         assert weight_pairings(seq, a, lam) == want
         assert [wt_pairing(seq, a, k, lam) for k in colours] == want
         # the profile's running sums, computed in its own downward pass
-        assert [-w for w in _sigma_profile(seq, a)[3]] == weight_pairings(seq, a)
+        assert [-w for w in _profile(seq, a.items())[3]] == weight_pairings(seq, a)
 
 
 def test_highest_weight_generation_is_smaller():
