@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -87,6 +88,38 @@ def test_beta_minus():
     for r in range(1, 4 * seq.n + 1):
         want = beta_at(seq, r - seq.n) if r > seq.n else LinearForm(0, {})
         assert beta_minus(seq, r) == want, r
+
+
+# every family at the ranks of the goldens: every order up to rank 4, and
+# the D1 orders of tests/test_comb_golden.py
+BASIS_SETTINGS = (
+    [(AffineType(fam, n), order)
+     for fam, n in ((Family.A1, 3), (Family.A2EVEN, 3),
+                    (Family.A2EVEN_DAGGER, 3), (Family.D2, 3), (Family.C1, 3),
+                    (Family.B1, 4), (Family.A2ODD, 4))
+     for order in itertools.permutations(range(1, n + 1))]
+    + [(AffineType(Family.D1, 5), order) for order in
+       ((3, 1, 2, 4, 5), (1, 3, 2, 4, 5), (1, 2, 3, 4, 5), (1, 2, 4, 3, 5),
+        (1, 2, 4, 5, 3))]
+    + [(AffineType(Family.D1, 6), (6, 5, 4, 3, 2, 1))])
+
+
+@pytest.mark.parametrize("g,order", BASIS_SETTINGS, ids=[
+    f"{g.family.value}{g.n} {','.join(map(str, order))}"
+    for g, order in BASIS_SETTINGS])
+def test_beta_moves_up_one_period_per_period(g, order):
+    # on single indices beta_{r+n} is beta_r moved up by n, and beta_r
+    # ends at r + n with coefficient 1, so one period of rows gives every
+    # beta the closure steps by
+    seq = from_permutation(g, order)
+    n = seq.n
+
+    def row(r):
+        return {seq.single_index(d): c for d, c in beta_at(seq, r).terms}
+
+    for r in range(1, 4 * n + 1):
+        assert row(r + n) == {i + n: c for i, c in row(r).items()}, r
+        assert max(row(r)) == r + n and row(r)[r + n] == 1, r
 
 
 @pytest.mark.parametrize("g,order", [
