@@ -141,6 +141,12 @@ class AdaptedSequence:
     wall_form_tables: tuple = field(default_factory=lambda: ({}, {}),
                                     compare=False, hash=False, repr=False)
 
+    # beta_1..beta_n as rows of (single index, coefficient) pairs, filled
+    # on the first closure (linear_forms.beta_rows); ints only, so that a
+    # dropped sequence is freed with no cycle
+    beta_table: list = field(default_factory=list,
+                             compare=False, hash=False, repr=False)
+
 
 class ShiftTable:
     """Lazy memoized P_ell(t) over the wall type X = dual(base_type)."""
@@ -215,8 +221,8 @@ class ShiftTable:
 
 
 # the sequences from_permutation keeps, least recently used dropped first.
-# Each keeps its shift-table values, profile tables and wall-to-form
-# tables: 50-730 KiB after one `verify closure` on an acceptance setting
+# Each keeps its shift-table values, profile tables, wall-to-form tables
+# and beta rows: 50-730 KiB after one `verify closure` on an acceptance setting
 # (730 KiB for D1 rank 6 at the default --periods 6).  A query_mix pass
 # of the benchmark meets 20 distinct sequences: its five settings, used
 # in every round, and their star charts, used far less.  Over every rank-4 order of B1, C1, A2odd and

@@ -251,6 +251,28 @@ def support_bound(seq: AdaptedSequence, phi: LinearForm) -> int:
     return max((seq.single_index(d) for d in phi.support), default=0)
 
 
+def _pairs(seq: AdaptedSequence, phi: LinearForm) -> list:
+    """phi's nonzero (single index, coefficient) pairs by index, its
+    constant at index 0."""
+    pairs = [(seq.single_index(d), c) for d, c in phi.terms]
+    if phi.constant:
+        pairs.append((0, phi.constant))
+    return sorted(pairs)
+
+
+def beta_rows(seq: AdaptedSequence) -> list:
+    """beta_1..beta_n as tuples of `_pairs`, built from `beta` on the
+    first read and kept by the sequence (`beta_table`).  Every other beta
+    is one of them moved up by whole periods: beta_r is row
+    ((r - 1) mod n) + 1 moved up by n ((r - 1) // n), since x_{s+1,k}
+    lies n past x_{s,k}."""
+    rows = seq.beta_table
+    if not rows:
+        rows.extend(tuple(_pairs(seq, beta_at(seq, r)))
+                    for r in range(1, seq.n + 1))
+    return rows
+
+
 def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
     """phi as a tuple: slot 0 holds the constant, slot r the coefficient
     of single index r."""
@@ -276,8 +298,11 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     operator at every r <= W and keeps the forms supported within W,
     which are the certified ones.  The frontier holds the seeds supported
     past W; a successor of one is kept only when it falls within W.  The
-    vectors are as wide as the seeds and the beta vectors the steps add
-    (beta_W reaches W + n).
+    steps are read from the sequence's beta rows (`beta_rows`, one period
+    of them, moved up by whole periods) and, for S-hat' in the first
+    period, from `lambda_form`.  The vectors are as wide as the seeds and
+    the steps (beta_W ends at W + n): 1 + max(W + n, the seeds' largest
+    index).
 
     So the certified forms are those reached from a seed by steps at
     r <= W through forms supported within W (only the seed may reach
@@ -347,18 +372,23 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     seeds = list(seeds)
     if lam is None and any(phi.constant for phi in seeds):
         raise ConstantPresent("S' acts on forms with zero constant")
-    # (beta^+_r, beta^-_r) for r = 1..window
-    betas = [(beta_at(seq, r), beta_minus(seq, r, lam))
-             for r in range(1, window + 1)]
-    width = 1 + max(support_bound(seq, phi)
-                    for phi in seeds + [phi for pair in betas for phi in pair])
     # the step at r, as sparse (index, coefficient) lists: -beta^+_r where
-    # the coefficient of r is positive, +beta^-_r where it is negative
+    # the coefficient of r is positive, +beta^-_r where it is negative.
+    # Past the first period beta^-_r = beta_{r - n} is beta_r's row one
+    # period lower; in it, beta^-_r is -lambda^(k) with lam and 0 without
+    rows = beta_rows(seq)
     down, up = [None], [None]  # indexed by r
-    for plus, minus in betas:
-        plus, minus = _dense(seq, plus, width), _dense(seq, minus, width)
-        down.append([(i, -c) for i, c in enumerate(plus) if c])
-        up.append([(i, c) for i, c in enumerate(minus) if c])
+    for r in range(1, window + 1):
+        q, j = divmod(r - 1, n)
+        down.append([(i + q * n, -c) for i, c in rows[j]])
+        if q:
+            up.append([(i + (q - 1) * n, c) for i, c in rows[j]])
+        elif lam is None:
+            up.append([])
+        else:
+            up.append(_pairs(seq, -lambda_form(seq, seq.entry(r), lam)))
+    # beta_W, the last step, ends at W + n
+    width = 1 + max([window + n] + [support_bound(seq, phi) for phi in seeds])
     seeds = [_dense(seq, phi, width) for phi in seeds]
     largest = max([abs(c) for v in seeds for c in v]
                   + [abs(c) for step in down[1:] + up[1:] for _, c in step])

@@ -302,6 +302,24 @@ def test_walls_render_tall_column():
     assert time.monotonic() - start < 5.0
 
 
+def test_walls_render_refuses_a_column_past_the_bound():
+    # one line and exit 1 at once, where drawing it would take minutes
+    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wallcrystal.cli", "walls", "render",
+         "--rank", "3", "--wall", "ground=yw:D2:k=1;cols=[99999999]"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert time.monotonic() - start < 2.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == \
+        "error: a column adds at most 10000 atoms, not 99999999\n"
+    code, pic = run("walls", "render", "--rank", "3",
+                    "--wall", "ground=yw:D2:k=1;cols=[10000]")
+    assert code == 0 and pic.count("\n") == 13335
+
+
 def test_verify_props_and_crystal():
     code, text = run("verify", "props", "--type", "C1", "--rank", "3",
                      "--order", "3,2,1", "--blocks", "4")

@@ -1,11 +1,16 @@
+import io
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wallcrystal.cli as cli
+from wallcrystal import linear_forms
 from wallcrystal.affine_data import AffineType, Family, cartan_entry
-from wallcrystal.adapted_sequence import DoubleIndex as D, from_permutation
+from wallcrystal.adapted_sequence import (
+    AdaptedSequence, DoubleIndex as D, from_permutation,
+)
 from wallcrystal.linear_forms import (
     ConstantPresent, DominantWeight, LinearForm, beta, beta_at, beta_minus,
     _forms, closure, lambda_form, parse_form, positivity_report, r_minus, render_form,
@@ -207,6 +212,35 @@ def test_closure_certified_stable_under_growth():
     cert_big, _ = closure(seq, [x(1, 1)], 12)
     window = {f for f in _forms(seq, cert_big) if support_bound(seq, f) <= 9}
     assert _forms(seq, cert_small) == window
+
+
+@pytest.mark.parametrize("g,order", [
+    (AffineType(Family.D2, 3), (3, 2, 1)),
+    (AffineType(Family.B1, 4), (2, 4, 3, 1)),
+])
+def test_beta_rows_are_built_once_per_sequence(monkeypatch, g, order):
+    # verify closure takes one closure per colour and positivity_report
+    # n + 2 closures; all of them read the n rows of beta the sequence
+    # built on the first
+    built = []
+
+    def spy(seq, d):
+        built.append((id(seq), d))
+        return beta(seq, d)
+
+    monkeypatch.setattr(linear_forms, "beta", spy)
+    out = io.StringIO()
+    assert cli.main(["verify", "closure", "--type", g.family.value,
+                     "--rank", str(g.n), "--order", ",".join(map(str, order))],
+                    out=out) == 0
+    assert out.getvalue().count(" ok ") == g.n
+    seq = from_permutation(g, order)
+    rows = [seq.reindex(r) for r in range(1, g.n + 1)]
+    assert built == [(id(seq), d) for d in rows]
+    built.clear()
+    fresh = AdaptedSequence(g, order)
+    positivity_report(fresh, DominantWeight((1,) * g.n), 4 * g.n)
+    assert built == [(id(fresh), d) for d in rows]
 
 
 def test_closure_idempotent_on_certified():

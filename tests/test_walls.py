@@ -328,6 +328,20 @@ def test_parse_wall_checks_the_class_before_any_pattern(monkeypatch):
             parse_wall(text, 3)
 
 
+def test_parse_wall_refuses_a_tall_column_before_any_pattern(monkeypatch):
+    def no_pattern(*args):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(walls, "_pattern_period", no_pattern)
+    too_tall = walls.MAX_COLUMN_ATOMS + 1
+    for text in (f"ground=yw:D2:k=1;cols=[{too_tall}]",
+                 f"ground=sup:D2:k=2;cols=[1,{too_tall}f]",
+                 f"ground=pair:C1:k=1;sup=[{too_tall}];cov=[1]",
+                 f"ground=pair:C1:k=1;sup=[1];cov=[{too_tall}]"):
+        with pytest.raises(ValueError, match="at most 10000 atoms"):
+            parse_wall(text, 3)
+
+
 def test_pair_sync_enforced():
     X = AffineType(Family.C1, 3)
     sup = Wall(X, 1, SUPPORTING, ((1, "none"),))
