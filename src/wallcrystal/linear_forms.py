@@ -375,7 +375,8 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     # the step at r, as sparse (index, coefficient) lists: -beta^+_r where
     # the coefficient of r is positive, +beta^-_r where it is negative.
     # Past the first period beta^-_r = beta_{r - n} is beta_r's row one
-    # period lower; in it, beta^-_r is -lambda^(k) with lam and 0 without
+    # period lower; in the first period it is -lambda^(k) with lam and 0
+    # without
     rows = beta_rows(seq)
     down, up = [None], [None]  # indexed by r
     for r in range(1, window + 1):
