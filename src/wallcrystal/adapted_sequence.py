@@ -3,6 +3,7 @@ and the shift tables P_ell(t) used by the wall-to-form assignment."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -147,6 +148,12 @@ class AdaptedSequence:
     beta_table: list = field(default_factory=list,
                              compare=False, hash=False, repr=False)
 
+    # `verify crystal`'s sigma profiles, element tuple -> profile, least
+    # recently used first, at most _PROFILES of them (cli._verify_crystal);
+    # ints only, so that a dropped sequence is freed with no cycle
+    profiles: OrderedDict = field(default_factory=OrderedDict,
+                                  compare=False, hash=False, repr=False)
+
 
 class ShiftTable:
     """Lazy memoized P_ell(t) over the wall type X = dual(base_type)."""
@@ -221,9 +228,10 @@ class ShiftTable:
 
 
 # the sequences from_permutation keeps, least recently used dropped first.
-# Each keeps its shift-table values, profile tables, wall-to-form tables
-# and beta rows: 50-730 KiB after one `verify closure` on an acceptance setting
-# (730 KiB for D1 rank 6 at the default --periods 6).  A query_mix pass
+# Each keeps its shift-table values, profile tables, wall-to-form tables,
+# beta rows and sigma profiles: 50-730 KiB after one `verify closure` on
+# an acceptance setting (730 KiB for D1 rank 6 at the default --periods
+# 6).  A query_mix pass
 # of the benchmark meets 20 distinct sequences: its five settings, used
 # in every round, and their star charts, used far less.  Over every rank-4 order of B1, C1, A2odd and
 # D2 (96 sequences) in one process, `verify closure --periods 5` peaked
@@ -232,6 +240,16 @@ class ShiftTable:
 # 6 at 36.2 and 43.3 MB with bounds 16 and 32, 67.3 MB with none and
 # 26.2 MB with no interning (Python 3.11, x86-64 Linux)
 _SEQUENCES = 16
+
+# the sigma profiles each sequence keeps for `verify crystal`
+# (AdaptedSequence.profiles), least recently used dropped first.  A
+# query_mix pass of the benchmark profiles 2,284 elements over its five
+# settings, so every one stays.  Over 20 rank-4 orders of B1, `verify
+# crystal --samples 2000 --depth 60` each in one process peaked at 21.2,
+# 30.2 and 69.9 MB VmHWM with bounds 256, 1024 and 4096, 635 MB with
+# none, and 18.8 MB with a cache of 1024 per command (Python 3.11,
+# x86-64 Linux)
+_PROFILES = 1024
 
 
 def from_permutation(X_g: AffineType, perm) -> AdaptedSequence:

@@ -8,10 +8,11 @@ import json
 import sys
 from functools import lru_cache
 
+from wallcrystal import zcrystal
 from wallcrystal.affine_data import Family, parse_type
-from wallcrystal.adapted_sequence import from_permutation
+from wallcrystal.adapted_sequence import _PROFILES, from_permutation
 from wallcrystal.linear_forms import (
-    DominantWeight, _keys, beta, closure, positivity_report,
+    DominantWeight, _keys, beta_row, closure, positivity_report,
     render_form, seed_shifts, x,
 )
 from wallcrystal.walls import (
@@ -22,18 +23,13 @@ from wallcrystal.wall_forms import (
     found_forms, shifted, wall_walk,
 )
 from wallcrystal.zcrystal import (
-    ZElement, _bumped, _profile, generate, parse_element, render_element,
+    ZElement, _bumped, generate, parse_element, render_element,
 )
 # the crystal operators, bound here under their names for callers and
 # tracers that look them up on this module
 from wallcrystal.zcrystal import (  # noqa: F401
     e_tilde, epsilon, f_tilde, phi, wt_pairing,
 )
-
-# the sigma profiles `verify crystal` keeps, most recently used first: as
-# fast as keeping every one, and a flat peak RSS on long runs
-_PROFILES = 1024
-
 
 class UsageError(Exception):
     pass
@@ -204,28 +200,19 @@ def _verify_props(args, seq, out):
     terms once, though a wall is met again as each smaller wall's
     successor.  The check runs on single indices: the drop is the
     wall's terms less its successor's, taken once per addition and moved
-    up by s periods (indices below 1 vanish), and each root is read once
-    from `beta` as its (single index, coefficient) pairs, a nonzero
-    constant kept at index 0, where no term lies."""
+    up by s periods (indices below 1 vanish), and each root is read from
+    the sequence's beta rows (`beta_row`), a nonzero constant kept at
+    index 0, where no term lies."""
     X = seq.wall_type
     n = seq.n
     shifts = (0, 1, 3)
     bad = {s: [] for s in shifts}
     total = 0
     fmap = WallFormMap.of(seq)
-    roots = {}  # (single index, double site) -> the root's pairs
 
     def root(r, double):
-        got = roots.get((r, double))
-        if got is None:
-            b = beta(seq, seq.reindex(r))
-            got = {seq.single_index(d): c for d, c in b.terms}
-            if b.constant:
-                got[0] = b.constant
-            if double:
-                got = {q: c + c for q, c in got.items()}
-            roots[r, double] = got
-        return got
+        times = 2 if double else 1
+        return {i: c * times for i, c in beta_row(seq, r)}
 
     for k in X.index_set:
         for w in enumerate_walls(X, k, args.blocks):
@@ -258,10 +245,12 @@ def _verify_crystal(args, seq, out):
     are their sorted (index, value) tuples, stepped by `_bumped`, and
     epsilon, f_tilde, e_tilde and the weight are read from one sigma
     profile (`_profile`) per distinct element: the words revisit the
-    same small elements in every sample, so the profiles are kept in a
-    cache bounded at _PROFILES entries, which holds the memory of a
-    long run flat.  The random draws do not depend on the element.  Up
-    to 20 failing (a, k) pairs are printed as witnesses."""
+    same small elements in every sample and every command, so the
+    profiles are kept by the sequence (`AdaptedSequence.profiles`),
+    least recently used dropped first past _PROFILES entries, which
+    holds the memory of a long run flat.  The random draws do not depend
+    on the element.  Up to 20 failing (a, k) pairs are printed as
+    witnesses."""
     import random
 
     rng = random.Random(args.seed)
@@ -270,10 +259,17 @@ def _verify_crystal(args, seq, out):
     colours = range(seq.n)
     # entry k - 1 is the Cartan column of colour k
     columns = seq.profile_tables[2]
+    kept, compute = seq.profiles, zcrystal._profile
 
-    @lru_cache(maxsize=_PROFILES)
     def profile(a):
-        return _profile(seq, a)
+        got = kept.get(a)
+        if got is None:
+            got = kept[a] = compute(seq, a)
+            if len(kept) > _PROFILES:
+                kept.popitem(last=False)
+        else:
+            kept.move_to_end(a)
+        return got
 
     bad = []
     for _ in range(args.samples):
@@ -297,7 +293,10 @@ def _verify_crystal(args, seq, out):
 
 def _verify_star(args, seq, out):
     """epsilon_star's wall formula against the value read from Kashiwara's
-    chart, on every element of generate(seq, --depth) and every colour."""
+    chart, on every element of generate(seq, --depth) and every colour.
+    A generated element whose descent to 0 the chart rejects (a
+    ValueError: e_tilde leaves B(infinity)) is a witness too, since
+    generate reaches only elements of B(infinity)."""
     colours = seq.base_type.index_set
     checked, bad = 0, []
     for a in sorted(generate(seq, args.depth), key=ZElement.items):
@@ -307,6 +306,8 @@ def _verify_star(args, seq, out):
                 epsilon_star(seq, k, a)
             except NotStabilized as e:
                 bad.append(str(e))
+            except ValueError as e:  # the chart's descent rejected a
+                bad.append(f"epsilon*_{k} of {render_element(seq, a)}: {e}")
     return _witnesses(out, f"star checked={checked}", bad)
 
 

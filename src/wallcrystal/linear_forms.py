@@ -273,6 +273,15 @@ def beta_rows(seq: AdaptedSequence) -> list:
     return rows
 
 
+def beta_row(seq: AdaptedSequence, r: int) -> list:
+    """beta_r (r >= 1) as `_pairs`, read from the sequence's beta rows:
+    row ((r - 1) mod n) + 1 moved up by n ((r - 1) // n), a constant
+    kept at index 0."""
+    q, j = divmod(r - 1, seq.n)
+    up = q * seq.n
+    return [(i + up if i else 0, c) for i, c in beta_rows(seq)[j]]
+
+
 def _dense(seq: AdaptedSequence, phi: LinearForm, width: int) -> tuple:
     """phi as a tuple: slot 0 holds the constant, slot r the coefficient
     of single index r."""
@@ -298,7 +307,7 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     operator at every r <= W and keeps the forms supported within W,
     which are the certified ones.  The frontier holds the seeds supported
     past W; a successor of one is kept only when it falls within W.  The
-    steps are read from the sequence's beta rows (`beta_rows`, one period
+    steps are read from the sequence's beta rows (`beta_row`, one period
     of them, moved up by whole periods) and, for S-hat' in the first
     period, from `lambda_form`.  The vectors are as wide as the seeds and
     the steps (beta_W ends at W + n): 1 + max(W + n, the seeds' largest
@@ -377,13 +386,11 @@ def closure(seq: AdaptedSequence, seeds: Iterable[LinearForm], window: int,
     # Past the first period beta^-_r = beta_{r - n} is beta_r's row one
     # period lower; in the first period it is -lambda^(k) with lam and 0
     # without
-    rows = beta_rows(seq)
     down, up = [None], [None]  # indexed by r
     for r in range(1, window + 1):
-        q, j = divmod(r - 1, n)
-        down.append([(i + q * n, -c) for i, c in rows[j]])
-        if q:
-            up.append([(i + (q - 1) * n, c) for i, c in rows[j]])
+        down.append([(i, -c) for i, c in beta_row(seq, r)])
+        if r > n:
+            up.append(beta_row(seq, r - n))
         elif lam is None:
             up.append([])
         else:

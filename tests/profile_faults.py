@@ -1,7 +1,7 @@
 """The five query settings and the forced sigma-profile faults that the
-`verify crystal` goldens and mutation checks share.  A fault edits the
-profile's epsilon, first, last and weight lists in place; the failure
-golden is keyed by the faults' function names."""
+`verify crystal` and `verify star` goldens and mutation checks share.  A
+fault edits the profile's epsilon, first, last and weight lists in
+place; the failure golden is keyed by the faults' function names."""
 
 import wallcrystal.cli as cli
 import wallcrystal.zcrystal as zcrystal
@@ -47,3 +47,8 @@ def _epsilon_one_up(items, eps, first, last, w):
 def _weight_one_up(items, eps, first, last, w):
     if _total(items):
         w[0] += 1  # the weight at colour 1 is one off, off 0
+
+
+def _argmax_swapped(items, eps, first, last, w):
+    # f_tilde at the last arg-max and e_tilde at the first, every colour
+    first[:], last[:] = last[:], first[:]

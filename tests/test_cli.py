@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -122,6 +123,30 @@ def test_verify_star_prints_witnesses(monkeypatch):
     assert len(lines) == 11
 
 
+def test_verify_star_reports_a_rejected_descent(monkeypatch):
+    # with f_tilde at the last arg-max and e_tilde at the first, the chart's
+    # descent leaves B(infinity) on generated elements: each is a witness
+    # and the exit code is 2, where it was a ValueError traceback
+    from profile_faults import _argmax_swapped, _patch_profile
+
+    _patch_profile(monkeypatch, _argmax_swapped)
+    code, text = run("verify", "star", "--type", "C1", "--rank", "3",
+                     "--order", "3,2,1", "--depth", "4")
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[0] == "star checked=312 violations=175"
+    assert lines[1] == (
+        "  violation: epsilon*_1 of a[1,3]=1;a[1,2]=1;a[1,1]=1;a[2,3]=1: "
+        "e_tilde at colour 3 takes a[1,2]=1;a[2,3]=1 below zero, so the "
+        "element is not in B(infinity)")
+    assert lines[17] == ("  violation: epsilon*_3 of a[1,3]=1;a[1,2]=2;"
+                         "a[2,3]=1: the wall formula gives 1 at budget 0, "
+                         "the chart 0")
+    assert len(lines) == 21
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2386727970d70bd7823cc12eed2e66e0e486349c353ca9e8ee76664c6a682487")
+
+
 def test_verify_crystal_prints_witnesses(monkeypatch):
     # a weight that grows by one more than the Cartan column at colour 1
     # fails every (element, colour) pair: 10 samples of 3 colours give 30
@@ -159,7 +184,7 @@ def test_verify_crystal_prints_witnesses(monkeypatch):
 def test_verify_crystal_profiles_each_element_once(monkeypatch):
     # each sample reads 1 + |word| + n profiles: the word's elements, a
     # and its n successors.  The words revisit the same small elements,
-    # and each distinct one is profiled once per command.
+    # and each distinct one is profiled once per sequence.
     import random
 
     import wallcrystal.cli as cli
@@ -187,6 +212,53 @@ def test_verify_crystal_profiles_each_element_once(monkeypatch):
     assert seen[0] == ()
 
 
+def test_verify_crystal_keeps_its_profiles_on_the_sequence(monkeypatch):
+    # the sequence keeps `verify crystal`'s profiles across commands: a
+    # second identical run profiles nothing, another seed only elements
+    # not seen yet, and each prints what it prints on a fresh sequence
+    import wallcrystal.zcrystal as zcrystal
+    from wallcrystal import adapted_sequence
+
+    real, seen = zcrystal._profile, []
+
+    def profile(seq, items):
+        seen.append(items)
+        return real(seq, items)
+
+    monkeypatch.setattr(zcrystal, "_profile", profile)
+    b1 = ("--type", "B1", "--rank", "4", "--order", "2,4,3,1")
+    outputs = {}
+    for seed in ("0", "0", "1"):
+        before = len(seen)
+        outputs.setdefault(seed, []).append(
+            run("verify", "crystal", *b1, "--seed", seed))
+        if seed == "0" and before:
+            assert len(seen) == before
+        else:
+            assert len(seen) > before
+    assert len(seen) == len(set(seen))
+    seq = from_permutation(parse_type("B1", 4), (2, 4, 3, 1))
+    assert len(seq.profiles) == len(seen) <= adapted_sequence._PROFILES
+    for seed, (first, *again) in outputs.items():
+        assert first[0] == 0 and all(got == first for got in again)
+        adapted_sequence._interned.cache_clear()
+        assert run("verify", "crystal", *b1, "--seed", seed) == first
+
+
+def test_verify_crystal_keeps_at_most_the_profile_bound(monkeypatch):
+    # with room for 8 profiles the sequence keeps 8, dropping the others,
+    # and the output is that of a run with the full bound
+    import wallcrystal.cli as cli
+
+    d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1", "--depth", "8")
+    want = run("verify", "crystal", *d2)
+    monkeypatch.setattr(cli, "_PROFILES", 8)
+    seq = from_permutation(parse_type("D2", 3), (3, 2, 1))
+    seq.profiles.clear()
+    assert run("verify", "crystal", *d2) == want
+    assert len(seq.profiles) == 8
+
+
 def test_verify_crystal_memory_stays_flat():
     # 4,000 words of up to 60 steps meet about 100,000 distinct elements.
     # The profile cache is bounded, so the child peaks near 18 MB; with
@@ -210,6 +282,32 @@ def test_verify_crystal_memory_stays_flat():
     text, peak_kb = proc.stdout.strip().split(";")
     assert text == "crystal samples=4000 violations=0"
     assert int(peak_kb) < 40 * 1024, peak_kb
+
+
+def test_interned_sequences_keep_their_profiles_flat():
+    # 20 B1 orders of 2,000 words of up to 60 steps: each interned
+    # sequence keeps at most _PROFILES profiles, so the child peaks near
+    # 30 MB, against 19 MB with a cache per command and 70 MB with four
+    # times the bound.  VmHWM is read, not ru_maxrss.
+    code = (
+        "import io, itertools, re\n"
+        "from wallcrystal.cli import main\n"
+        "out = io.StringIO()\n"
+        "for order in list(itertools.permutations('1234'))[:20]:\n"
+        "    main(['verify', 'crystal', '--type', 'B1', '--rank', '4',\n"
+        "          '--order', ','.join(order), '--samples', '2000',\n"
+        "          '--depth', '60'], out=out)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)\n"
+        "print(out.getvalue().count(' violations=0'), peak, sep=';')\n")
+    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    passed, peak_kb = map(int, proc.stdout.strip().split(";"))
+    assert passed == 20
+    assert peak_kb < 40 * 1024, peak_kb
 
 
 def test_interned_sequences_keep_memory_flat():
@@ -245,9 +343,9 @@ def test_interned_sequences_keep_memory_flat():
 
 def test_a_dropped_sequence_is_freed_without_the_collector():
     # what a sequence keeps (shift-table values, profile tables, wall-to-
-    # form tables) holds no reference back to it, so once the interning
-    # drops it, reference counting alone frees it, after every command
-    # that fills those tables
+    # form tables, beta rows, sigma profiles) holds no reference back to
+    # it, so once the interning drops it, reference counting alone frees
+    # it, after every command that fills those tables
     import gc
     import weakref
 
@@ -263,6 +361,7 @@ def test_a_dropped_sequence_is_freed_without_the_collector():
                      ("verify", "crystal", *d2)):
             assert run(*argv)[0] == 0, argv
         seq = from_permutation(parse_type("D2", 3), (3, 2, 1))
+        assert seq.profiles and seq.beta_table and seq.wall_form_tables[0]
         ref = weakref.ref(seq)
         del seq
         adapted_sequence._interned.cache_clear()

@@ -127,6 +127,19 @@ def test_beta_moves_up_one_period_per_period(g, order):
         assert max(row(r)) == r + n and row(r)[r + n] == 1, r
 
 
+@pytest.mark.parametrize("g,order", BASIS_SETTINGS[::7], ids=[
+    f"{g.family.value}{g.n} {','.join(map(str, order))}"
+    for g, order in BASIS_SETTINGS[::7]])
+def test_beta_rows_give_every_beta(g, order):
+    # `closure` and `verify props` read beta_r from one period of rows
+    # moved up (`beta_row`): it is beta_r's pairs, constant included, for
+    # every r, so no beta past the first period differs
+    seq = from_permutation(g, order)
+    for r in range(1, 4 * seq.n + 1):
+        assert linear_forms.beta_row(seq, r) \
+            == linear_forms._pairs(seq, beta_at(seq, r)), r
+
+
 @pytest.mark.parametrize("g,order", [
     (AffineType(Family.D2, 3), (3, 2, 1)),
     (AffineType(Family.C1, 3), (3, 2, 1)),

@@ -8,6 +8,7 @@ import io
 import pytest
 
 import wallcrystal.cli as cli
+import wallcrystal.linear_forms as linear_forms
 from profile_faults import (
     SETTINGS, _epsilon_one_up, _last_one_up, _patch_profile, _weight_one_up,
 )
@@ -203,8 +204,9 @@ def test_verify_crystal_catches_a_wrong_operator(monkeypatch, name, change):
 
 @pytest.mark.parametrize("name", ["D2", "B1"])
 def test_verify_props_catches_a_wrong_root(monkeypatch, name):
-    real = cli.beta
-    monkeypatch.setattr(cli, "beta", lambda seq, d: real(seq, d) + x(d.s, d.k))
+    real = linear_forms.beta
+    monkeypatch.setattr(linear_forms, "beta",
+                        lambda seq, d: real(seq, d) + x(d.s, d.k))
     code, text = run("verify", "props", *SETTINGS[name], "--blocks", "2")
     assert code == 2
     first = text.splitlines()[0]
@@ -215,7 +217,8 @@ def test_verify_props_catches_a_wrong_root(monkeypatch, name):
 def _props_reference(seq, blocks):
     """(checked, violations) of `verify props` on LinearForms: at each
     shift, the wall form less its successor's form against `beta`
-    (doubled at a double site), with `beta` and `transitions` looked up
+    (doubled at a double site), with `beta` looked up on linear_forms,
+    where the sequence's beta rows are built from it, and `transitions`
     on cli, as the check itself reads them."""
     X = seq.wall_type
     shifts = (0, 1, 3)
@@ -233,7 +236,7 @@ def _props_reference(seq, blocks):
                     r += s * seq.n
                     if r < 1:
                         continue
-                    b = cli.beta(seq, seq.reindex(r))
+                    b = linear_forms.beta(seq, seq.reindex(r))
                     want = b + b if st.grade == "double" else b
                     total += 1
                     if base - fmap.form(there, s) != want:
@@ -246,15 +249,20 @@ def _no_patch(monkeypatch):
 
 
 def _root_off_on_odd_colours(monkeypatch):
-    real = cli.beta
-    monkeypatch.setattr(cli, "beta", lambda seq, d: real(seq, d) + x(d.s, d.k)
+    real = linear_forms.beta
+    monkeypatch.setattr(linear_forms, "beta",
+                        lambda seq, d: real(seq, d) + x(d.s, d.k)
                         if d.k % 2 else real(seq, d))
 
 
 def _root_with_a_constant(monkeypatch):
-    real = cli.beta
-    monkeypatch.setattr(cli, "beta", lambda seq, d: real(seq, d).shift_constant(
-        1 if d.s == 2 else 0))
+    # on colour 2's roots: the check reads one period of beta rows and
+    # moves them up, so a constant only past the first period would not
+    # reach it (test_beta_rows_give_every_beta pins that none is there)
+    real = linear_forms.beta
+    monkeypatch.setattr(linear_forms, "beta",
+                        lambda seq, d: real(seq, d).shift_constant(
+                            1 if d.k == 2 else 0))
 
 
 def _successors_rotated(monkeypatch):
