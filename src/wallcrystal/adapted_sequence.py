@@ -3,7 +3,6 @@ and the shift tables P_ell(t) used by the wall-to-form assignment."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -148,11 +147,11 @@ class AdaptedSequence:
     beta_table: list = field(default_factory=list,
                              compare=False, hash=False, repr=False)
 
-    # `verify crystal`'s sigma profiles, element tuple -> profile, least
-    # recently used first, at most _PROFILES of them (cli._verify_crystal);
-    # ints only, so that a dropped sequence is freed with no cycle
-    profiles: OrderedDict = field(default_factory=OrderedDict,
-                                  compare=False, hash=False, repr=False)
+    # `verify crystal`'s sigma profiles, element tuple -> profile, at
+    # most _PROFILES of them (kept_profiles); ints only, so that a
+    # dropped sequence is freed with no cycle
+    profiles: dict = field(default_factory=dict,
+                           compare=False, hash=False, repr=False)
 
 
 class ShiftTable:
@@ -242,14 +241,33 @@ class ShiftTable:
 _SEQUENCES = 16
 
 # the sigma profiles each sequence keeps for `verify crystal`
-# (AdaptedSequence.profiles), least recently used dropped first.  A
-# query_mix pass of the benchmark profiles 2,284 elements over its five
-# settings, so every one stays.  Over 20 rank-4 orders of B1, `verify
-# crystal --samples 2000 --depth 60` each in one process peaked at 21.2,
-# 30.2 and 69.9 MB VmHWM with bounds 256, 1024 and 4096, 635 MB with
-# none, and 18.8 MB with a cache of 1024 per command (Python 3.11,
-# x86-64 Linux)
+# (AdaptedSequence.profiles); once this many are kept, the next new
+# element drops them all.  A query_mix pass of the benchmark profiles
+# 2,284 elements over its five settings, so none is dropped.  Over 20
+# rank-4 orders of B1, `verify crystal --samples 2000 --depth 60` each
+# in one process peaked at 18.8, 20.6 and 37.8 MB VmHWM with bounds 256,
+# 1024 and 4096 and at 579 MB with none, and at --samples 500 at 25.2
+# and 39.3 MB with bounds 1024 and 4096; a cache of 1024 kept per
+# command peaked at 18.0 MB (Python 3.11, x86-64 Linux)
 _PROFILES = 1024
+
+
+def kept_profiles(seq: AdaptedSequence, compute):
+    """items -> compute(seq, items), kept by the sequence across calls
+    (`profiles`): `verify crystal`'s sigma profiles, which depend on the
+    sequence and the element only.  Past _PROFILES a new element drops
+    every kept one, so a long run's memory stays flat."""
+    kept = seq.profiles
+
+    def profile(items):
+        got = kept.get(items)
+        if got is None:
+            if len(kept) >= _PROFILES:
+                kept.clear()
+            got = kept[items] = compute(seq, items)
+        return got
+
+    return profile
 
 
 def from_permutation(X_g: AffineType, perm) -> AdaptedSequence:

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from wallcrystal import zcrystal
 from wallcrystal.affine_data import Family, parse_type
-from wallcrystal.adapted_sequence import _PROFILES, from_permutation
+from wallcrystal.adapted_sequence import from_permutation, kept_profiles
 from wallcrystal.linear_forms import (
     DominantWeight, _keys, beta_row, closure, positivity_report,
     render_form, seed_shifts, x,
@@ -246,11 +246,10 @@ def _verify_crystal(args, seq, out):
     epsilon, f_tilde, e_tilde and the weight are read from one sigma
     profile (`_profile`) per distinct element: the words revisit the
     same small elements in every sample and every command, so the
-    profiles are kept by the sequence (`AdaptedSequence.profiles`),
-    least recently used dropped first past _PROFILES entries, which
-    holds the memory of a long run flat.  The random draws do not depend
-    on the element.  Up to 20 failing (a, k) pairs are printed as
-    witnesses."""
+    profiles are kept by the sequence (`kept_profiles`), at most
+    _PROFILES of them, which holds the memory of a long run flat.  The
+    random draws do not depend on the element.  Up to 20 failing (a, k)
+    pairs are printed as witnesses."""
     import random
 
     rng = random.Random(args.seed)
@@ -259,17 +258,8 @@ def _verify_crystal(args, seq, out):
     colours = range(seq.n)
     # entry k - 1 is the Cartan column of colour k
     columns = seq.profile_tables[2]
-    kept, compute = seq.profiles, zcrystal._profile
-
-    def profile(a):
-        got = kept.get(a)
-        if got is None:
-            got = kept[a] = compute(seq, a)
-            if len(kept) > _PROFILES:
-                kept.popitem(last=False)
-        else:
-            kept.move_to_end(a)
-        return got
+    # `_profile` is looked up here, so that a patch of it reaches the check
+    profile = kept_profiles(seq, zcrystal._profile)
 
     bad = []
     for _ in range(args.samples):

@@ -246,68 +246,59 @@ def test_verify_crystal_keeps_its_profiles_on_the_sequence(monkeypatch):
 
 
 def test_verify_crystal_keeps_at_most_the_profile_bound(monkeypatch):
-    # with room for 8 profiles the sequence keeps 8, dropping the others,
-    # and the output is that of a run with the full bound
-    import wallcrystal.cli as cli
+    # with room for 8 profiles the sequence keeps at most 8, dropping the
+    # others and profiling some elements again, and the output is that of
+    # a run with the full bound
+    import wallcrystal.zcrystal as zcrystal
+    from wallcrystal import adapted_sequence
 
     d2 = ("--type", "D2", "--rank", "3", "--order", "3,2,1", "--depth", "8")
     want = run("verify", "crystal", *d2)
-    monkeypatch.setattr(cli, "_PROFILES", 8)
+    real, seen = zcrystal._profile, []
+
+    def profile(seq, items):
+        seen.append(items)
+        return real(seq, items)
+
+    monkeypatch.setattr(zcrystal, "_profile", profile)
+    monkeypatch.setattr(adapted_sequence, "_PROFILES", 8)
     seq = from_permutation(parse_type("D2", 3), (3, 2, 1))
     seq.profiles.clear()
     assert run("verify", "crystal", *d2) == want
-    assert len(seq.profiles) == 8
+    assert 0 < len(seq.profiles) <= 8 < len(set(seen)) < len(seen)
 
 
 def test_verify_crystal_memory_stays_flat():
-    # 4,000 words of up to 60 steps meet about 100,000 distinct elements.
-    # The profile cache is bounded, so the child peaks near 18 MB; with
-    # one profile kept per element it peaked at 77 MB.  VmHWM is read,
-    # not ru_maxrss, which a child inherits from the test process.
+    # 4,000 words of up to 60 steps meet about 100,000 distinct elements,
+    # then 20 B1 orders of 500 words each: every interned sequence keeps
+    # at most _PROFILES profiles, so the child peaks near 25 MB, against
+    # 41 MB with four times the bound and 209 MB with none.  VmHWM is
+    # read, not ru_maxrss, which a child inherits from the test process.
     code = (
-        "import io, re\n"
+        "import io, itertools, re\n"
         "from wallcrystal.cli import main\n"
         "out = io.StringIO()\n"
         "main(['verify', 'crystal', '--type', 'D2', '--rank', '3',\n"
         "      '--order', '3,2,1', '--samples', '4000', '--depth', '60'],\n"
         "     out=out)\n"
-        "with open('/proc/self/status') as f:\n"
-        "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)\n"
-        "print(out.getvalue().strip(), peak, sep=';')\n")
-    src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-500:]
-    text, peak_kb = proc.stdout.strip().split(";")
-    assert text == "crystal samples=4000 violations=0"
-    assert int(peak_kb) < 40 * 1024, peak_kb
-
-
-def test_interned_sequences_keep_their_profiles_flat():
-    # 20 B1 orders of 2,000 words of up to 60 steps: each interned
-    # sequence keeps at most _PROFILES profiles, so the child peaks near
-    # 30 MB, against 19 MB with a cache per command and 70 MB with four
-    # times the bound.  VmHWM is read, not ru_maxrss.
-    code = (
-        "import io, itertools, re\n"
-        "from wallcrystal.cli import main\n"
-        "out = io.StringIO()\n"
         "for order in list(itertools.permutations('1234'))[:20]:\n"
         "    main(['verify', 'crystal', '--type', 'B1', '--rank', '4',\n"
-        "          '--order', ','.join(order), '--samples', '2000',\n"
+        "          '--order', ','.join(order), '--samples', '500',\n"
         "          '--depth', '60'], out=out)\n"
         "with open('/proc/self/status') as f:\n"
         "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)\n"
-        "print(out.getvalue().count(' violations=0'), peak, sep=';')\n")
+        "first, *rest = out.getvalue().splitlines()\n"
+        "passed = rest.count('crystal samples=500 violations=0')\n"
+        "print(first, passed, peak, sep=';')\n")
     src = os.path.dirname(os.path.dirname(wallcrystal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-500:]
-    passed, peak_kb = map(int, proc.stdout.strip().split(";"))
-    assert passed == 20
-    assert peak_kb < 40 * 1024, peak_kb
+    text, passed, peak_kb = proc.stdout.strip().split(";")
+    assert text == "crystal samples=4000 violations=0"
+    assert passed == "20"
+    assert int(peak_kb) < 32 * 1024, peak_kb
 
 
 def test_interned_sequences_keep_memory_flat():

@@ -256,9 +256,13 @@ def _root_off_on_odd_colours(monkeypatch):
 
 
 def _root_with_a_constant(monkeypatch):
-    # on colour 2's roots: the check reads one period of beta rows and
-    # moves them up, so a constant only past the first period would not
-    # reach it (test_beta_rows_give_every_beta pins that none is there)
+    real = linear_forms.beta
+    monkeypatch.setattr(linear_forms, "beta",
+                        lambda seq, d: real(seq, d).shift_constant(
+                            1 if d.s == 2 else 0))
+
+
+def _root_with_a_constant_on_colour_2(monkeypatch):
     real = linear_forms.beta
     monkeypatch.setattr(linear_forms, "beta",
                         lambda seq, d: real(seq, d).shift_constant(
@@ -276,7 +280,8 @@ def _successors_rotated(monkeypatch):
 
 
 @pytest.mark.parametrize("patch", [_no_patch, _root_off_on_odd_colours,
-                                   _root_with_a_constant, _successors_rotated])
+                                   _root_with_a_constant_on_colour_2,
+                                   _successors_rotated])
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 def test_verify_props_matches_the_linear_form_reference(monkeypatch, name, patch):
     patch(monkeypatch)
@@ -294,3 +299,18 @@ def test_verify_props_matches_the_linear_form_reference(monkeypatch, name, patch
         found += len(bad)
     # the patched checks find violations, so the comparison has teeth
     assert (found > 0) == (patch is not _no_patch)
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_a_root_with_a_constant_past_the_first_period_is_caught(
+        monkeypatch, name):
+    # `verify props` reads beta_r from the first period's beta rows moved
+    # up (`beta_row`), so a constant on the second period's roots never
+    # reaches it: the pin of beta_row against beta for every r
+    # (test_linear_forms.test_beta_rows_give_every_beta) is what fails
+    _root_with_a_constant(monkeypatch)
+    seq = cli._sequence(cli._parser().parse_args(
+        ["verify", "props", *SETTINGS[name]]))
+    assert any(linear_forms.beta_row(seq, r)
+               != linear_forms._pairs(seq, linear_forms.beta_at(seq, r))
+               for r in range(1, 4 * seq.n + 1))
